@@ -13,6 +13,62 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+/// The regime steady100 and fleet1000 run in: ~1000 open 25 ms windows
+/// whose deadlines rise with the index.
+const LONG: i64 = 1_000;
+const SLIDE: i64 = 25_000;
+
+fn window(k: i64) -> mortar_core::tuple::SummaryTuple {
+    summary(k * SLIDE, (k + 1) * SLIDE, AggState::Sum(1.0), 1, 0)
+}
+
+fn long_list() -> TimeSpaceList {
+    let mut ts = TimeSpaceList::new();
+    for k in 0..LONG {
+        ts.insert(&window(k), k * SLIDE, 1_000_000);
+    }
+    ts
+}
+
+/// One peer tick at steady state: the ten oldest windows fall due, ten
+/// new ones open at the back. `after_pop` runs between the two.
+fn tick_of_10(ts: &mut TimeSpaceList, head: &mut i64, after_pop: impl Fn(&TimeSpaceList)) {
+    *head += 10;
+    let due = ts.pop_due((*head - 1) * SLIDE + 1_000_000);
+    assert_eq!(due.len(), 10);
+    after_pop(ts);
+    for k in *head + LONG - 10..*head + LONG {
+        ts.insert(&window(k), k * SLIDE, 1_000_000);
+    }
+    black_box(due);
+}
+
+fn bench_tslist_long(c: &mut Criterion) {
+    c.bench_function("tslist/pop_due_10_of_1000", |b| {
+        let (mut ts, mut head) = (long_list(), 0);
+        b.iter(|| tick_of_10(&mut ts, &mut head, |_| ()));
+    });
+    c.bench_function("tslist/next_deadline_after_pop_1000", |b| {
+        // The same tick plus the reschedule's question right after the
+        // eviction; the difference from the row above is what it costs.
+        let (mut ts, mut head) = (long_list(), 0);
+        b.iter(|| {
+            tick_of_10(&mut ts, &mut head, |ts| {
+                black_box(ts.next_deadline_us());
+            })
+        });
+    });
+    c.bench_function("tslist/insert_exact_of_1000", |b| {
+        let mut ts = long_list();
+        let arriving: Vec<_> = (0..LONG).map(window).collect();
+        let mut i = 0;
+        b.iter(|| {
+            i = (i + 7) % arriving.len();
+            ts.insert(black_box(&arriving[i]), 0, 1_000_000)
+        });
+    });
+}
+
 fn bench_tslist(c: &mut Criterion) {
     c.bench_function("tslist/insert_exact_match", |b| {
         let mut ts = TimeSpaceList::new();
@@ -191,6 +247,6 @@ fn bench_reconcile(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_tslist, bench_routing, bench_planning, bench_vivaldi, bench_reconcile
+    targets = bench_tslist, bench_tslist_long, bench_routing, bench_planning, bench_vivaldi, bench_reconcile
 );
 criterion_main!(benches);

@@ -1021,8 +1021,10 @@ impl App for MortarPeer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::SummaryFrame;
     use crate::op::OpKind;
     use crate::query::{build_records, SensorSpec};
+    use crate::tuple::SummaryTuple;
     use crate::window::WindowSpec;
     use mortar_net::{SimBuilder, Topology};
     use mortar_overlay::{Tree, TreeSet};
@@ -1251,6 +1253,46 @@ mod tests {
             late.iter().filter(|&&p| p >= (n - 1) as u32).count() >= 3,
             "rerouting failed; late per-index participants: {late:?}"
         );
+    }
+
+    #[test]
+    fn malformed_summary_intervals_are_counted_drops() {
+        // Timestamp indexing and tuple windows merge a summary under the
+        // interval it carried on the wire, so an empty or an inverted one
+        // must be dropped and counted, not reach the TS list.
+        let n = 4;
+        let mut tuple_windows = count_spec(n);
+        tuple_windows.window = WindowSpec::tuples(2, 2);
+        for (indexing, spec) in
+            [(IndexingMode::Timestamp, count_spec(n)), (IndexingMode::Syncless, tuple_windows)]
+        {
+            let cfg = PeerConfig { indexing, ..PeerConfig::default() };
+            let reg = OpRegistry::new();
+            let mut sim = SimBuilder::new(Topology::star(n, 1_000), 42)
+                .build(move |id| MortarPeer::new(id, cfg, reg.clone()));
+            inject_install(&mut sim, spec, chain_trees(n));
+            sim.run_for_secs(3.0);
+            let route = sim.app(1).queries[&QueryId(1)].route_template;
+            let mut good = SummaryTuple::boundary(0, 0, route);
+            (good.tb, good.te) = (sim.now() as i64 - 1_000_000, sim.now() as i64);
+            let (mut empty, mut inverted) = (good.clone(), good.clone());
+            empty.te = empty.tb;
+            (inverted.tb, inverted.te) = (good.te, good.tb);
+            let before = sim.app(0).stats;
+            let frame = SummaryFrame {
+                query: QueryId(1),
+                tree: 0,
+                hold_age_us: 0,
+                tuples: vec![empty, good, inverted].into(),
+                store_hash: None,
+            };
+            sim.inject(0, 1, MortarMsg::SummaryBatch(frame), 64);
+            sim.run_for_secs(0.01);
+            let after = sim.app(0).stats;
+            assert!(after.summaries_in - before.summaries_in >= 3, "{indexing:?}");
+            assert_eq!(after.route_drops - before.route_drops, 2, "{indexing:?}");
+            sim.app(0).queries[&QueryId(1)].ts.check_invariants();
+        }
     }
 
     #[test]

@@ -629,6 +629,12 @@ impl MortarPeer {
                 }
             }
         }
+        if tuple.tb >= tuple.te {
+            // Timestamp indexing and tuple windows take the interval as it
+            // came off the wire: an empty or inverted one names no index.
+            self.stats.route_drops += 1;
+            return;
+        }
         // The latency estimator sees the (capped) apparent age *before* any
         // staleness drop: with timestamps, badly offset sources inflate
         // netDist — and with it every entry's timeout — which is exactly

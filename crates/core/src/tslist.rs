@@ -12,6 +12,29 @@
 //! (Section 4.3); eviction produces the summary tuple forwarded toward the
 //! root, with its age set to the participant-weighted average age of its
 //! constituents (Section 5.1, Figure 7).
+//!
+//! **Layout.** Every summary passes through this list at every hop, and a
+//! 25 ms slide under multi-second timeouts keeps ~1000 entries open per
+//! operator, so no per-tick or per-frame operation may walk the list:
+//!
+//! * Entries live in a ring ([`VecDeque`]) ordered by `tb`. Windows open
+//!   at the back and — since a deadline is roughly the window centre plus
+//!   netDist — expire from the front, so the common eviction is an O(k)
+//!   front drain and the common insert of the newest window an O(1) push;
+//!   an insert elsewhere moves only the shorter side of the ring.
+//! * Deadlines are not monotone in `tb` (netDist moves between windows),
+//!   so the due set is only *usually* a prefix. Each entry therefore
+//!   carries one flag, *lead*: it expires strictly before every entry
+//!   behind it. Leads' deadlines rise along the list, so the first lead
+//!   holds the list's minimum, the minimum of any suffix is its first
+//!   lead's deadline, and nothing is due behind the first lead that is
+//!   not. [`TimeSpaceList::pop_due`] thus reads the list only up to that
+//!   lead, partitions that stretch when a survivor sits among the due,
+//!   and restores `tb` order among the evicted — same entries, same
+//!   order as a full scan — and the next minimum falls out of the same
+//!   walk, which makes [`TimeSpaceList::next_deadline_us`] a field read.
+
+use std::collections::VecDeque;
 
 use crate::tuple::{SummaryTuple, Truth, TruthMeta};
 use crate::value::AggState;
@@ -46,6 +69,10 @@ pub struct TsEntry {
     pub stripe_tree: u8,
     /// Ground-truth bookkeeping (`None` unless truth tracking is on).
     pub truth: Truth,
+    /// Whether `deadline_us` is strictly earlier than that of every entry
+    /// behind this one in its list (maintained by the list; meaningless
+    /// once evicted). Fits the struct's padding.
+    lead: bool,
 }
 
 impl TsEntry {
@@ -64,6 +91,7 @@ impl TsEntry {
             hops: t.hops,
             stripe_tree: t.stripe_tree,
             truth: t.truth.clone(),
+            lead: false,
         }
     }
 
@@ -120,20 +148,16 @@ impl TsEntry {
 /// The time-space list.
 #[derive(Debug)]
 pub struct TimeSpaceList {
-    /// Disjoint entries sorted by `tb`.
-    entries: Vec<TsEntry>,
-    /// Memoized earliest deadline (`i64::MAX` = no entries), or `None`
-    /// when an eviction invalidated it. Inserts maintain it exactly in
-    /// O(1) — a splice never raises an existing deadline and any segment
-    /// it creates gets `min(existing, incoming)` — so the due index can
-    /// ask for the next deadline per arriving frame without a scan; only
-    /// the first ask after an eviction recomputes.
-    min_deadline: std::cell::Cell<Option<i64>>,
+    /// Disjoint entries sorted by `tb`, each `lead` flag current.
+    entries: VecDeque<TsEntry>,
+    /// The exact minimum of the entries' deadlines — the first lead's —
+    /// or `i64::MAX` with no entries.
+    min_deadline: i64,
 }
 
 impl Default for TimeSpaceList {
     fn default() -> Self {
-        Self { entries: Vec::new(), min_deadline: std::cell::Cell::new(Some(i64::MAX)) }
+        Self { entries: VecDeque::new(), min_deadline: i64::MAX }
     }
 }
 
@@ -153,9 +177,9 @@ impl TimeSpaceList {
         self.entries.is_empty()
     }
 
-    /// Read-only access to the active entries (sorted, disjoint).
-    pub fn entries(&self) -> &[TsEntry] {
-        &self.entries
+    /// The active entries, earliest `tb` first (sorted, disjoint).
+    pub fn entries(&self) -> impl Iterator<Item = &TsEntry> {
+        self.entries.iter()
     }
 
     /// Inserts an arriving summary tuple.
@@ -163,50 +187,60 @@ impl TimeSpaceList {
     /// `now_us` is the operator's local time; `timeout_us` is the dynamic
     /// timeout to apply to any *newly created* entry segment (existing
     /// segments keep their deadlines; merged overlaps keep the earlier one).
-    /// Returns `true` if at least one new entry segment was created.
+    /// Returns `true` if at least one new entry segment was created. A
+    /// tuple whose interval is empty or inverted (`tb >= te`) names no
+    /// index and is ignored.
     ///
-    /// The general path splices only the binary-searched overlap range in
-    /// place: entries outside `[tuple.tb, tuple.te)` are never touched,
-    /// moved individually, or re-sorted, and fully covered entries merge
-    /// by move rather than clone.
+    /// The newest window appends in O(1); anything else costs one binary
+    /// search plus the overlap it actually touches. The general path moves
+    /// only the shorter side of the ring: entries outside
+    /// `[tuple.tb, tuple.te)` are never cloned or re-sorted, and fully
+    /// covered entries merge by move rather than clone.
     // lint:hot-path
     pub fn insert(&mut self, tuple: &SummaryTuple, now_us: i64, timeout_us: u64) -> bool {
-        assert!(tuple.tb < tuple.te, "summary interval must be nonempty");
+        if tuple.tb >= tuple.te {
+            return false;
+        }
         let new_deadline = now_us + timeout_us as i64;
+        // Overlap range: entries[lo..hi] are exactly those intersecting
+        // the incoming interval (entries are sorted and disjoint).
+        let lo = match self.entries.back() {
+            Some(last) if last.te > tuple.tb => self.first_ending_after(tuple.tb),
+            _ => self.entries.len(),
+        };
         // Fast path: exact index match (the common case for time windows).
-        if let Ok(i) = self.entries.binary_search_by(|e| e.tb.cmp(&tuple.tb)) {
-            if self.entries[i].te == tuple.te {
-                // Absorb keeps the entry's (earlier) deadline: the memoized
-                // minimum is untouched.
-                self.entries[i].absorb_tuple(tuple, now_us);
+        // Absorb keeps the entry's (earlier) deadline, so neither the lead
+        // flags nor the minimum move.
+        if let Some(e) = self.entries.get_mut(lo) {
+            if e.tb == tuple.tb && e.te == tuple.te {
+                e.absorb_tuple(tuple, now_us);
                 return false;
             }
         }
+        let hi = lo + self.entries.range(lo..).take_while(|e| e.tb < tuple.te).count();
         // Every remaining path leaves some entry with a deadline of
         // exactly `min(its old deadline, new_deadline)` and raises none,
-        // so the memoized minimum folds in the new deadline exactly.
-        if let Some(m) = self.min_deadline.get() {
-            self.min_deadline.set(Some(m.min(new_deadline)));
-        }
-        // Overlap range: entries[lo..hi] are exactly those intersecting
-        // the incoming interval (entries are sorted and disjoint).
-        let lo = self.entries.partition_point(|e| e.te <= tuple.tb);
-        let hi = self.entries.partition_point(|e| e.tb < tuple.te);
+        // so the minimum folds in the new deadline exactly.
+        self.min_deadline = self.min_deadline.min(new_deadline);
         if lo == hi {
             // No overlap at all: one new entry, one ordered insert.
+            self.reserve(1);
             self.entries.insert(lo, TsEntry::from_tuple(tuple, now_us, new_deadline));
+            self.restore_leads(lo, lo + 1);
             return true;
         }
         // Split against the overlapping entries. Each produces ≤3 segments
         // (head retaining its value, the merged overlap — built by *moving*
         // the entry — and a value-retaining tail), with tuple-only gap
-        // segments in between.
+        // segments in between. The overlap is rotated to the front of the
+        // ring, where taking it out and putting the segments in costs
+        // O(1) apiece, and rotated back.
+        self.entries.rotate_left(lo);
         // lint:allow(H1, the general splice path allocates by design; the exact-match fast path above is the alloc-free case pinned by alloc_hotpath.rs)
-        let removed: Vec<TsEntry> = self.entries.splice(lo..hi, std::iter::empty()).collect();
-        let mut seg: Vec<TsEntry> = Vec::with_capacity(2 * removed.len() + 1);
+        let mut seg: Vec<TsEntry> = Vec::with_capacity(2 * (hi - lo) + 1);
         let mut created = false;
         let (mut cur_tb, cur_te) = (tuple.tb, tuple.te);
-        for e in removed {
+        for e in self.entries.drain(..hi - lo) {
             // Uncovered part of the incoming tuple before this entry.
             if cur_tb < e.tb {
                 let mut gap = TsEntry::from_tuple(tuple, now_us, new_deadline);
@@ -242,75 +276,136 @@ impl TimeSpaceList {
             seg.push(rest);
             created = true;
         }
-        self.entries.splice(lo..lo, seg);
+        self.reserve(seg.len());
+        let seg_end = lo + seg.len();
+        for e in seg.into_iter().rev() {
+            self.entries.push_front(e);
+        }
+        self.entries.rotate_right(lo);
+        self.restore_leads(lo, seg_end);
         created
     }
 
-    /// Extends the validity interval of the entry ending at `old_te` to
-    /// `new_te` (boundary tuples extending a stalled tuple-window summary,
-    /// Section 4.3). No-op if no such entry exists or the extension would
-    /// overlap the next entry.
-    pub fn extend_validity(&mut self, old_te: i64, new_te: i64) -> bool {
-        if new_te <= old_te {
-            return false;
-        }
-        let Some(i) = self.entries.iter().position(|e| e.te == old_te) else {
-            return false;
-        };
-        if let Some(next) = self.entries.get(i + 1) {
-            if next.tb < new_te {
-                return false;
+    /// Index of the first entry ending after `tb`. Time windows tile the
+    /// index space with one slide, so an entry beginning at `tb` usually
+    /// sits `(tb − front.tb) / slide` places behind the front: that slot
+    /// is probed first, and anything else takes the binary search.
+    fn first_ending_after(&self, tb: i64) -> usize {
+        if let Some(front) = self.entries.front() {
+            if tb >= front.tb {
+                let guess = (tb.abs_diff(front.tb) / front.te.abs_diff(front.tb)) as usize;
+                if self.entries.get(guess).is_some_and(|e| e.tb == tb) {
+                    return guess;
+                }
             }
         }
-        self.entries[i].te = new_te;
-        true
+        self.entries.partition_point(|e| e.te <= tb)
+    }
+
+    /// The minimum deadline among entries `from..`: their first lead's.
+    fn min_deadline_from(&self, from: usize) -> i64 {
+        self.entries.range(from..).find(|e| e.lead).map_or(i64::MAX, |e| e.deadline_us)
+    }
+
+    /// Recomputes the lead flags after the entries in `lo..hi` were put in
+    /// or had their deadlines lowered (nothing is ever raised): their own
+    /// flags against what lies behind them, then the leads in front of
+    /// `lo` that are no longer earlier than all of `lo..`. Stops at the
+    /// first lead that still is, since every lead before it is earlier
+    /// still — one step when the new deadline is the latest, as a newly
+    /// opened window's usually is.
+    fn restore_leads(&mut self, lo: usize, hi: usize) {
+        let mut min_behind = self.min_deadline_from(hi);
+        for e in self.entries.range_mut(lo..hi).rev() {
+            e.lead = e.deadline_us < min_behind;
+            min_behind = min_behind.min(e.deadline_us);
+        }
+        for e in self.entries.range_mut(..lo).rev().filter(|e| e.lead) {
+            if e.deadline_us < min_behind {
+                break;
+            }
+            e.lead = false;
+        }
+    }
+
+    /// Makes room for `additional` more entries. A ring, unlike a vector,
+    /// sooner or later writes to every slot of its capacity and so makes
+    /// all of it resident; the ring therefore grows by an eighth of its
+    /// length, not by doubling, which bounds the resident slack at 12.5 %
+    /// for ~9 entry moves of total regrowth cost per entry of peak length.
+    fn reserve(&mut self, additional: usize) {
+        if self.entries.len() + additional > self.entries.capacity() {
+            self.entries.reserve_exact(additional.max(self.entries.len() / 8).max(4));
+        }
     }
 
     /// Removes and returns all entries due at `now_us`, earliest first.
     /// Due entries are moved out, never cloned; the common no-eviction
-    /// tick allocates nothing, and an evicting tick allocates exactly the
-    /// returned vector.
+    /// tick is one comparison and allocates nothing, and an evicting tick
+    /// allocates exactly the returned vector. Only the front of the list
+    /// is read: up to the first lead that is not yet due.
     // lint:hot-path
     pub fn pop_due(&mut self, now_us: i64) -> Vec<TsEntry> {
-        let n_due = self.entries.iter().filter(|e| e.deadline_us <= now_us).count();
-        if n_due == 0 {
+        if self.min_deadline > now_us {
             return Vec::new();
         }
-        // `extract_if` preserves order, and entries are kept sorted by
-        // `tb`, so the due list comes out earliest-first for free.
-        let mut due = Vec::with_capacity(n_due);
-        due.extend(self.entries.extract_if(.., |e| e.deadline_us <= now_us));
-        // The minimum left the list; recompute lazily on the next ask.
-        self.min_deadline.set(None);
+        // Every entry behind a lead expires after it, so nothing is due
+        // from the first lead that is not: `p` is one past the last due
+        // lead, and `rest_min` the minimum behind it.
+        let (mut p, mut rest_min) = (0, i64::MAX);
+        for (i, e) in self.entries.iter().enumerate().filter(|(_, e)| e.lead) {
+            if e.deadline_us > now_us {
+                rest_min = e.deadline_us;
+                break;
+            }
+            p = i + 1;
+        }
+        // Deadlines are not monotone in `tb`, so survivors may sit among
+        // the due in `[0, p)`. Walking down from `p`, `[i + 1, w)` holds
+        // only due entries: swapping a survivor at `i` into `w - 1` keeps
+        // the survivors in order while the due entries drift to the front.
+        let mut w = p;
+        for i in (0..p).rev() {
+            let e = &mut self.entries[i];
+            if e.deadline_us > now_us {
+                e.lead = e.deadline_us < rest_min;
+                rest_min = rest_min.min(e.deadline_us);
+                w -= 1;
+                self.entries.swap(i, w);
+            }
+        }
+        let mut due = Vec::with_capacity(w);
+        due.extend(self.entries.drain(..w));
+        if w < p {
+            // The swaps scrambled the evicted; intervals are disjoint, so
+            // `tb` order is the list's order.
+            due.sort_unstable_by_key(|e| e.tb);
+        }
+        self.min_deadline = rest_min;
         due
     }
 
     /// The earliest eviction deadline among active entries, if any — the
-    /// list's contribution to its query's next-due instant. Answered from
-    /// the memoized minimum (maintained exactly by inserts); only the
-    /// first ask after an eviction scans the (small, contiguous) entry
-    /// vector to rebuild it.
+    /// list's contribution to its query's next-due instant. Always exact
+    /// and always a field read: inserts and evictions both maintain it.
     pub fn next_deadline_us(&self) -> Option<i64> {
-        let m = match self.min_deadline.get() {
-            Some(m) => m,
-            None => {
-                let m = self.entries.iter().map(|e| e.deadline_us).min().unwrap_or(i64::MAX);
-                self.min_deadline.set(Some(m));
-                m
-            }
-        };
-        (m != i64::MAX).then_some(m)
+        (self.min_deadline != i64::MAX).then_some(self.min_deadline)
     }
 
-    /// Asserts the disjoint-sorted invariant (test/diagnostic helper).
+    /// Asserts the list's invariants (test/diagnostic helper): entries
+    /// nonempty, sorted and disjoint; every lead flag and the kept
+    /// minimum equal to what a full scan finds.
     pub fn check_invariants(&self) {
-        for w in self.entries.windows(2) {
-            assert!(w[0].tb < w[0].te, "empty interval");
-            assert!(w[0].te <= w[1].tb, "entries overlap or unsorted");
+        for (a, b) in self.entries.iter().zip(self.entries.iter().skip(1)) {
+            assert!(a.te <= b.tb, "entries overlap or unsorted");
         }
-        if let Some(last) = self.entries.last() {
-            assert!(last.tb < last.te, "empty interval");
+        assert!(self.entries.iter().all(|e| e.tb < e.te), "empty interval");
+        let mut min_behind = i64::MAX;
+        for e in self.entries.iter().rev() {
+            assert_eq!(e.lead, e.deadline_us < min_behind, "stale lead flag at tb {}", e.tb);
+            min_behind = min_behind.min(e.deadline_us);
         }
+        assert_eq!(self.min_deadline, min_behind, "kept minimum deadline is stale");
     }
 }
 
@@ -344,7 +439,7 @@ mod tests {
         assert!(ts.insert(&summary(0, 10, sum(1.0), 1, 0), 100, 50));
         assert!(!ts.insert(&summary(0, 10, sum(2.0), 1, 0), 110, 50));
         assert_eq!(ts.len(), 1);
-        let e = &ts.entries()[0];
+        let e = ts.entries().next().unwrap();
         assert_eq!(e.state, sum(3.0));
         assert_eq!(e.participants, 2);
         ts.check_invariants();
@@ -357,8 +452,7 @@ mod tests {
         ts.insert(&summary(0, 10, sum(2.0), 1, 0), 0, 100);
         ts.insert(&summary(30, 40, sum(3.0), 1, 0), 0, 100);
         assert_eq!(ts.len(), 3);
-        assert_eq!(ts.entries()[0].tb, 0);
-        assert_eq!(ts.entries()[2].tb, 30);
+        assert_eq!(ts.entries().map(|e| e.tb).collect::<Vec<_>>(), [0, 10, 30]);
         ts.check_invariants();
     }
 
@@ -369,7 +463,7 @@ mod tests {
         ts.insert(&summary(0, 10, sum(1.0), 1, 0), 0, 100);
         ts.insert(&summary(5, 15, sum(2.0), 1, 0), 0, 100);
         assert_eq!(ts.len(), 3);
-        let e = ts.entries();
+        let e: Vec<&TsEntry> = ts.entries().collect();
         assert_eq!((e[0].tb, e[0].te), (0, 5));
         assert_eq!(e[0].state, sum(1.0));
         assert_eq!((e[1].tb, e[1].te), (5, 10));
@@ -385,7 +479,7 @@ mod tests {
         let mut ts = TimeSpaceList::new();
         ts.insert(&summary(0, 30, sum(1.0), 1, 0), 0, 100);
         ts.insert(&summary(10, 20, sum(2.0), 1, 0), 0, 100);
-        let e = ts.entries();
+        let e: Vec<&TsEntry> = ts.entries().collect();
         assert_eq!(ts.len(), 3);
         assert_eq!(e[1].state, sum(3.0));
         assert_eq!((e[0].te, e[2].tb), (10, 20));
@@ -402,7 +496,7 @@ mod tests {
         ts.check_invariants();
         // Segments: [0,5)=1, [5,10)=3, [10,20)=2, [20,25)=6, [25,30)=4.
         let vals: Vec<(i64, i64, AggState)> =
-            ts.entries().iter().map(|e| (e.tb, e.te, e.state.clone())).collect();
+            ts.entries().map(|e| (e.tb, e.te, e.state.clone())).collect();
         assert_eq!(
             vals,
             vec![
@@ -458,21 +552,56 @@ mod tests {
         let mut ts = TimeSpaceList::new();
         ts.insert(&summary(0, 10, sum(5.0), 2, 0), 0, 100);
         ts.insert(&summary(0, 10, AggState::None, 1, 0), 0, 100);
-        let e = &ts.entries()[0];
+        let e = ts.entries().next().unwrap();
         assert_eq!(e.participants, 3);
         assert_eq!(e.state, sum(5.0), "boundary tuples never carry values");
     }
 
     #[test]
-    fn extend_validity_grows_interval() {
+    fn out_of_order_deadlines_evict_exactly_the_due_in_tb_order() {
+        // Deadlines 500, 100, 400, 200, 600 over windows 0..5: at t=250
+        // the due set {1, 3} is no prefix, and a survivor sits between.
+        let mut ts = TimeSpaceList::new();
+        for (k, timeout) in [500u64, 100, 400, 200, 600].into_iter().enumerate() {
+            let k = k as i64;
+            ts.insert(&summary(k * 10, k * 10 + 10, sum(k as f64), 1, 0), 0, timeout);
+        }
+        assert_eq!(ts.next_deadline_us(), Some(100));
+        let due = ts.pop_due(250);
+        assert_eq!(due.iter().map(|e| e.tb).collect::<Vec<_>>(), [10, 30]);
+        assert_eq!(ts.entries().map(|e| e.tb).collect::<Vec<_>>(), [0, 20, 40]);
+        assert_eq!(ts.entries().map(|e| e.deadline_us).collect::<Vec<_>>(), [500, 400, 600]);
+        assert_eq!(ts.next_deadline_us(), Some(400));
+        ts.check_invariants();
+        // The survivors still carry their own values.
+        let due = ts.pop_due(450);
+        assert_eq!(due.len(), 1);
+        assert_eq!((due[0].tb, due[0].state.clone()), (20, sum(2.0)));
+        ts.check_invariants();
+    }
+
+    #[test]
+    fn splice_keeps_each_segment_its_deadline() {
+        // [0,10) due at 100; [5,15) arriving with deadline 60 splits it:
+        // the head keeps 100, the overlap takes min(100, 60), the new
+        // remainder gets 60.
         let mut ts = TimeSpaceList::new();
         ts.insert(&summary(0, 10, sum(1.0), 1, 0), 0, 100);
-        assert!(ts.extend_validity(10, 25));
-        assert_eq!(ts.entries()[0].te, 25);
-        // Blocked by a following entry.
-        ts.insert(&summary(30, 40, sum(1.0), 1, 0), 0, 100);
-        assert!(!ts.extend_validity(25, 35));
-        assert!(ts.extend_validity(25, 30));
+        ts.insert(&summary(20, 30, sum(1.0), 1, 0), 0, 300);
+        ts.insert(&summary(5, 15, sum(2.0), 1, 0), 10, 50);
+        assert_eq!(ts.entries().map(|e| e.deadline_us).collect::<Vec<_>>(), [100, 60, 60, 300]);
+        assert_eq!(ts.next_deadline_us(), Some(60));
+        ts.check_invariants();
+    }
+
+    #[test]
+    fn empty_and_inverted_intervals_are_ignored() {
+        let mut ts = TimeSpaceList::new();
+        ts.insert(&summary(0, 10, sum(1.0), 1, 0), 0, 100);
+        assert!(!ts.insert(&summary(5, 5, sum(1.0), 1, 0), 0, 1));
+        assert!(!ts.insert(&summary(8, 2, sum(1.0), 1, 0), 0, 1));
+        assert_eq!(ts.len(), 1);
+        assert_eq!(ts.next_deadline_us(), Some(100));
         ts.check_invariants();
     }
 
@@ -486,7 +615,6 @@ mod tests {
         // check no region double-counts by verifying segment values.
         let total: f64 = ts
             .entries()
-            .iter()
             .map(|e| match e.state {
                 AggState::Sum(v) => v * (e.te - e.tb) as f64,
                 _ => 0.0,

@@ -101,7 +101,7 @@ fn ts_list_exact_match_absorb_is_alloc_free() {
     });
     assert_eq!(allocs, 0, "exact-match TS-list absorbs must not allocate");
     assert_eq!(ts.len(), 1);
-    assert_eq!(ts.entries()[0].participants, 1 + 64 * 2);
+    assert_eq!(ts.entries().next().unwrap().participants, 1 + 64 * 2);
 }
 
 #[test]
