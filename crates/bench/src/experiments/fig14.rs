@@ -101,7 +101,7 @@ pub fn run_fig14() {
 /// Steady-state load of forwarding every per-source summary unmerged up the
 /// primary tree: each member's tuple is retransmitted at every overlay hop.
 fn no_aggregation_mbps(eng: &Engine, n: usize) -> f64 {
-    use mortar_net::sim::TRANSPORT_OVERHEAD_BYTES;
+    use mortar_net::TRANSPORT_OVERHEAD_BYTES;
     let mut eng2 = standard_engine(n, 4, 16, 300);
     let spec = count_peers_spec("plan-only", n, 1_000_000);
     let trees = eng2.plan(&spec).expect("valid spec");

@@ -223,8 +223,8 @@ pub fn keyed_hotpath_run(n: usize, sim_secs: f64, seed: u64) -> HotpathOutcome {
 pub struct FullScaleOutcome {
     /// Hosts simulated.
     pub hosts: usize,
-    /// Simulator shards (worker threads) that drove the run; 1 is the
-    /// legacy single-threaded event loop.
+    /// Simulator shards (worker threads) that drove the run; 1 runs the
+    /// one shard on the calling thread, without windows.
     pub shards: usize,
     /// Installed queries (one per slide in [`FULL_SCALE_SLIDES_US`]).
     pub queries: usize,
@@ -671,7 +671,7 @@ pub fn run() {
         assert_eq!(
             (r.evictions, r.summaries_out, r.completeness_fast.to_bits()),
             (full.evictions, full.summaries_out, full.completeness_fast.to_bits()),
-            "shards={} run diverged from the single-threaded baseline",
+            "shards={} run diverged from the one-shard baseline",
             r.shards
         );
     }

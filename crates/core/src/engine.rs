@@ -16,7 +16,7 @@ use crate::peer::{MortarPeer, PeerConfig};
 use crate::query::{build_records, QueryId, QuerySpec};
 use crate::store::ObjectStore;
 use mortar_coords::VivaldiSystem;
-use mortar_net::{ChaosConfig, ClockModel, Fleet, NodeId, SimBuilder, Topology};
+use mortar_net::{ChaosConfig, ClockModel, NodeId, SimBuilder, Simulator, Topology};
 use mortar_overlay::{plan_tree_set, PlannerConfig, TreeSet};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -45,10 +45,10 @@ pub struct EngineConfig {
     /// Transport fault injection (loss / duplication / reorder jitter);
     /// defaults to none.
     pub chaos: ChaosConfig,
-    /// Worker threads for the simulator. `1` (the default) runs the
-    /// legacy single-threaded event loop bit-for-bit; larger values
-    /// partition peers across shards advancing in conservative windows
-    /// (see `mortar_net::runtime::parallel`).
+    /// Simulator shards. `1` (the default) runs the whole fleet as one
+    /// shard on the calling thread; larger values partition peers across
+    /// worker threads advancing in conservative windows. Every value runs
+    /// the same execution (see `mortar_net::runtime::parallel`).
     pub shards: usize,
 }
 
@@ -91,7 +91,7 @@ impl EngineConfig {
 /// A running Mortar system.
 pub struct Engine {
     /// The underlying simulator fleet (exposed for failure scripting).
-    pub sim: Fleet<MortarPeer>,
+    pub sim: Simulator<MortarPeer>,
     store: ObjectStore,
     coords: Vec<Vec<f64>>,
     planner: PlannerConfig,
@@ -129,7 +129,7 @@ impl Engine {
         let builder =
             SimBuilder::new(cfg.topology, cfg.seed).clock_model(cfg.clock_model).chaos(cfg.chaos);
         let peer_registry = registry.clone();
-        let sim = Fleet::build(builder, cfg.shards, move |id| {
+        let sim = builder.build_sharded(cfg.shards, move |id| {
             MortarPeer::new(id, peer_cfg, peer_registry.clone())
         });
         Ok(Self {

@@ -12,8 +12,11 @@
 //! - **H1 — hot-path allocation**: `lint:hot-path`-marked functions carry
 //!   no allocating tokens, complementing the runtime counting-allocator
 //!   gates with static coverage of untested branches.
-//! - **P1 — worker panic-freedom**: no panicking calls in the parallel
-//!   runtime's worker paths, where a panic deadlocks the window barrier.
+//! - **P1 — worker panic-freedom**: no panicking calls in the simulator's
+//!   event core (`mortar-net`'s `runtime/parallel.rs`, the only event
+//!   loop). Under `shards > 1` that code runs on worker threads, where a
+//!   panic deadlocks the window barrier; one shard runs it on the caller's
+//!   thread, but the same code must hold for both.
 //!
 //! The pass is a hand-rolled lexer plus token-tree matchers — no `syn`,
 //! no registry dependencies — so it runs in the offline build.

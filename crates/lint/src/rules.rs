@@ -56,10 +56,12 @@ fn d2_in_scope(rel: &str) -> bool {
         || rel.starts_with("crates/chaos/src/")
 }
 
-/// Whether rule P1 (worker panic-freedom) applies to this file. The
-/// chaos driver is in scope: a fault schedule must report misbehaviour
-/// through oracle violations, never by panicking mid-sweep (a panic
-/// would lose the failing seed the soak exists to capture).
+/// Whether rule P1 (worker panic-freedom) applies to this file: the
+/// simulator's event core, which runs on worker threads when
+/// `shards > 1`, and the chaos driver. The chaos driver is in scope
+/// because a fault schedule must report misbehaviour through oracle
+/// violations, never by panicking mid-sweep (a panic would lose the
+/// failing seed the soak exists to capture).
 fn p1_in_scope(rel: &str) -> bool {
     rel == "crates/net/src/runtime/parallel.rs" || rel.starts_with("crates/chaos/src/")
 }
@@ -472,7 +474,7 @@ fn rule_h1(lexed: &Lexed, in_test: &dyn Fn(usize) -> bool, out: &mut Vec<Raw>) {
     }
 }
 
-/// P1 — panics in parallel-runtime worker paths.
+/// P1 — panics in the event core's worker paths.
 fn rule_p1(toks: &[Tok], in_test: &dyn Fn(usize) -> bool, out: &mut Vec<Raw>) {
     for i in 0..toks.len() {
         if in_test(i) {
@@ -496,7 +498,7 @@ fn rule_p1(toks: &[Tok], in_test: &dyn Fn(usize) -> bool, out: &mut Vec<Raw>) {
                 line,
                 "P1",
                 format!(
-                    "{what} in a parallel-runtime worker path: an `App` panic under \
+                    "{what} in the event core's worker path: an `App` panic under \
                      `shards > 1` deadlocks peers parked at the window barrier — return \
                      or degrade instead, or waive with `lint:allow(P1, <reason>)`"
                 ),

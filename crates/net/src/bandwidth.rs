@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn merge_matches_global_recording() {
         // Recording under any partition and merging must equal one global
-        // tracker: the parallel runtime's accounting contract.
+        // tracker: the sharded simulator's accounting contract.
         let records = [
             (0u64, TrafficClass::Data, 100u32, 2u32),
             (500_000, TrafficClass::Heartbeat, 40, 3),

@@ -78,7 +78,7 @@ impl std::error::Error for ChaosError {}
 /// real cut where queued packets drain.
 ///
 /// All state is plain arrays, so lookups are branch-plus-mask and the map is
-/// cheap to copy to every shard of the parallel runtime.
+/// cheap to copy to every shard of the simulator.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionMap {
     /// Per-node group label; an empty vector means "everyone in group 0".
@@ -144,7 +144,7 @@ impl PartitionMap {
 /// last-mile uplink, the asymmetric-routing blackhole.
 ///
 /// Plain data (a short vector scanned per configured pair), so the map is
-/// cheap to copy to every shard of the parallel runtime. The transmit path
+/// cheap to copy to every shard of the simulator. The transmit path
 /// consults it *after* partitions and draws loss randomness only for
 /// configured pairs, so adding a lossy link perturbs no other link's RNG
 /// stream — the same stream-hygiene rule the probabilistic chaos layer

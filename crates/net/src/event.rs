@@ -34,7 +34,9 @@ pub enum EventKind<M> {
 pub struct Event<M> {
     /// Fire time (true simulation time).
     pub time: TimeUs,
-    /// Tie-breaking sequence number (insertion order).
+    /// Tie-breaking key, unique per event: `(origin, per-origin counter)`
+    /// packed into one integer, so equal-time events pop in an order that
+    /// does not depend on insertion order.
     pub seq: u64,
     /// The action.
     pub kind: EventKind<M>,

@@ -42,14 +42,13 @@ pub mod chaos;
 pub mod clock;
 pub mod event;
 pub mod runtime;
-pub mod sim;
 pub mod time;
 pub mod topology;
 
 pub use bandwidth::{BandwidthTracker, LoadMeter, TrafficClass};
 pub use chaos::{ChaosConfig, ChaosError, LinkLossMap, PartitionMap};
 pub use clock::{ClockModel, LocalClock};
-pub use runtime::{App, Ctx, Fleet, ParallelSimulator, Runtime, SimBuilder, SimStats, Simulator};
+pub use runtime::{App, Ctx, SimBuilder, SimStats, Simulator, TRANSPORT_OVERHEAD_BYTES};
 pub use time::{ms, secs, TimeUs, MS, SEC};
 pub use topology::{StarConfig, Topology, TransitStubConfig};
 

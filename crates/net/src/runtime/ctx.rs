@@ -1,10 +1,9 @@
 //! The application-facing surface of the runtime: the [`App`] state-machine
 //! trait, the [`Ctx`] callback window, and the transport counters.
 //!
-//! These types are shared verbatim by every runtime mode — the single-thread
-//! [`Simulator`](crate::runtime::Simulator) and the sharded
-//! [`ParallelSimulator`](crate::runtime::ParallelSimulator) — so an `App`
-//! cannot observe which driver it runs under except through timing.
+//! An `App` cannot observe how many shards the
+//! [`Simulator`](crate::runtime::Simulator) runs it on: every shard count
+//! runs the same execution.
 
 use crate::bandwidth::TrafficClass;
 use crate::clock::LocalClock;
@@ -90,10 +89,9 @@ impl<'a, M> Ctx<'a, M> {
         self.cmds.push(Command::Stop);
     }
 
-    /// Deterministic per-simulation randomness. Under the single-thread
-    /// runtime this is one global stream; under the parallel runtime each
-    /// peer owns an independent stream (which is what keeps executions
-    /// identical across shard counts).
+    /// Deterministic randomness: each peer owns an independent stream,
+    /// seeded per node at build (which is what keeps executions identical
+    /// across shard counts).
     pub fn rng(&mut self) -> &mut SmallRng {
         self.rng
     }
@@ -113,8 +111,8 @@ pub struct SimStats {
 }
 
 impl SimStats {
-    /// Adds another runtime partition's counters (all fields are additive,
-    /// so shard merges are order-independent).
+    /// Adds another shard's counters (all fields are additive, so shard
+    /// merges are order-independent).
     pub(crate) fn merge(&mut self, other: &SimStats) {
         self.sent += other.sent;
         self.delivered += other.delivered;

@@ -1,20 +1,11 @@
-//! The runtime seam: one trait between [`App`] state machines and whatever
-//! drives them.
+//! The runtime: [`App`] state machines on one side, the [`Simulator`] that
+//! drives them on the other.
 //!
 //! Peers are written against [`App`]/[`Ctx`] and never learn how they are
-//! scheduled. The [`Runtime`] trait is the other side of that contract —
-//! everything a harness (the engine, an experiment, a test) needs to drive
-//! a fleet and read it back. Two drivers implement it:
-//!
-//! - [`Simulator`] — the single-threaded event loop (it *is* the
-//!   `shards = 1` mode, not an emulation of it). It draws from the same
-//!   per-peer RNG streams as the parallel driver, so chaos and link-loss
-//!   decisions replay bit-for-bit across shard counts;
-//! - [`ParallelSimulator`] — the sharded conservative-window driver
-//!   (see [`parallel`] for the protocol and determinism contract).
-//!
-//! [`Fleet`] packages the choice as an enum so engines can hold either
-//! without generics at every call site.
+//! scheduled. [`SimBuilder`] builds a [`Simulator`] over one shard (run on
+//! the caller's thread) or several (run in conservative windows on worker
+//! threads); both run the same event core, in [`parallel`], and the same
+//! execution for a given seed.
 
 pub mod ctx;
 pub(crate) mod dedup;
@@ -22,453 +13,5 @@ pub mod parallel;
 pub mod single;
 
 pub use ctx::{App, Ctx, SimStats, TRANSPORT_OVERHEAD_BYTES};
-pub use parallel::ParallelSimulator;
-pub use single::{SimBuilder, Simulator};
-
-use crate::bandwidth::BandwidthTracker;
-use crate::chaos::ChaosConfig;
-use crate::clock::LocalClock;
-use crate::time::{secs, TimeUs};
-use crate::topology::Topology;
-use crate::NodeId;
-
-/// What a harness may do to a running fleet, independent of the driver.
-///
-/// Object-safe on purpose: `&mut dyn Runtime<A>` is the seam the engine
-/// drives, so swapping drivers cannot change engine code.
-pub trait Runtime<A: App> {
-    /// Current true simulation time, microseconds.
-    fn now(&self) -> TimeUs;
-    /// The topology the simulation runs over.
-    fn topology(&self) -> &Topology;
-    /// Immutable access to a peer's application state.
-    fn app(&self, node: NodeId) -> &A;
-    /// Mutable access to a peer's application state (between run steps).
-    fn app_mut(&mut self, node: NodeId) -> &mut A;
-    /// The node's local clock parameters (ground truth for metrics).
-    fn clock(&self, node: NodeId) -> LocalClock;
-    /// Whether the host's access link is up.
-    fn is_up(&self, node: NodeId) -> bool;
-    /// Connects or disconnects a host's access link.
-    fn set_host_up(&mut self, node: NodeId, up: bool);
-    /// Number of hosts currently up.
-    fn live_count(&self) -> usize;
-    /// Labels `node` as a member of partition `group` (see
-    /// [`PartitionMap`](crate::chaos::PartitionMap)).
-    fn set_net_group(&mut self, node: NodeId, group: u8);
-    /// Cuts (or restores) traffic flowing `from_group → to_group`; a
-    /// symmetric split is two directed cuts. Checked at transmit time.
-    fn set_group_block(&mut self, from_group: u8, to_group: u8, blocked: bool);
-    /// Heals every partition cut and clears all group labels.
-    fn clear_partition(&mut self);
-    /// Degrades the directed link `src → dst` to drop each message with
-    /// probability `pct` (clamped to `[0, 1]`; `0` heals the link). Checked
-    /// at transmit time after partitions; loss randomness is drawn only for
-    /// configured pairs (see [`LinkLossMap`](crate::chaos::LinkLossMap)).
-    fn set_link_loss(&mut self, src: NodeId, dst: NodeId, pct: f64);
-    /// Heals every lossy link.
-    fn clear_link_loss(&mut self);
-    /// The current chaos configuration.
-    fn chaos(&self) -> ChaosConfig;
-    /// Replaces the chaos configuration between run steps (phased faults).
-    fn set_chaos(&mut self, chaos: ChaosConfig);
-    /// Bandwidth accounting for the run so far (merged across shards).
-    fn bandwidth(&self) -> &BandwidthTracker;
-    /// Transport counters (merged across shards).
-    fn stats(&self) -> SimStats;
-    /// Total dedup ids retained across all receivers.
-    fn dedup_entries(&self) -> usize;
-    /// Schedules an out-of-band message for immediate delivery.
-    fn inject(&mut self, to: NodeId, from: NodeId, msg: A::Msg, bytes: u32);
-    /// Runs until `deadline` (true time) passes. Re-entrant.
-    fn run_until(&mut self, deadline: TimeUs);
-    /// Runs for `s` seconds of true time from the current instant.
-    fn run_for_secs(&mut self, s: f64) {
-        let deadline = self.now() + secs(s);
-        self.run_until(deadline);
-    }
-}
-
-impl<A: App> Runtime<A> for Simulator<A> {
-    fn now(&self) -> TimeUs {
-        Simulator::now(self)
-    }
-    fn topology(&self) -> &Topology {
-        Simulator::topology(self)
-    }
-    fn app(&self, node: NodeId) -> &A {
-        Simulator::app(self, node)
-    }
-    fn app_mut(&mut self, node: NodeId) -> &mut A {
-        Simulator::app_mut(self, node)
-    }
-    fn clock(&self, node: NodeId) -> LocalClock {
-        Simulator::clock(self, node)
-    }
-    fn is_up(&self, node: NodeId) -> bool {
-        Simulator::is_up(self, node)
-    }
-    fn set_host_up(&mut self, node: NodeId, up: bool) {
-        Simulator::set_host_up(self, node, up)
-    }
-    fn live_count(&self) -> usize {
-        Simulator::live_count(self)
-    }
-    fn set_net_group(&mut self, node: NodeId, group: u8) {
-        Simulator::set_net_group(self, node, group)
-    }
-    fn set_group_block(&mut self, from_group: u8, to_group: u8, blocked: bool) {
-        Simulator::set_group_block(self, from_group, to_group, blocked)
-    }
-    fn clear_partition(&mut self) {
-        Simulator::clear_partition(self)
-    }
-    fn set_link_loss(&mut self, src: NodeId, dst: NodeId, pct: f64) {
-        Simulator::set_link_loss(self, src, dst, pct)
-    }
-    fn clear_link_loss(&mut self) {
-        Simulator::clear_link_loss(self)
-    }
-    fn chaos(&self) -> ChaosConfig {
-        Simulator::chaos(self)
-    }
-    fn set_chaos(&mut self, chaos: ChaosConfig) {
-        Simulator::set_chaos(self, chaos)
-    }
-    fn bandwidth(&self) -> &BandwidthTracker {
-        Simulator::bandwidth(self)
-    }
-    fn stats(&self) -> SimStats {
-        Simulator::stats(self)
-    }
-    fn dedup_entries(&self) -> usize {
-        Simulator::dedup_entries(self)
-    }
-    fn inject(&mut self, to: NodeId, from: NodeId, msg: A::Msg, bytes: u32) {
-        Simulator::inject(self, to, from, msg, bytes)
-    }
-    fn run_until(&mut self, deadline: TimeUs) {
-        Simulator::run_until(self, deadline)
-    }
-}
-
-impl<A: App + Send> Runtime<A> for ParallelSimulator<A>
-where
-    A::Msg: Send,
-{
-    fn now(&self) -> TimeUs {
-        ParallelSimulator::now(self)
-    }
-    fn topology(&self) -> &Topology {
-        ParallelSimulator::topology(self)
-    }
-    fn app(&self, node: NodeId) -> &A {
-        ParallelSimulator::app(self, node)
-    }
-    fn app_mut(&mut self, node: NodeId) -> &mut A {
-        ParallelSimulator::app_mut(self, node)
-    }
-    fn clock(&self, node: NodeId) -> LocalClock {
-        ParallelSimulator::clock(self, node)
-    }
-    fn is_up(&self, node: NodeId) -> bool {
-        ParallelSimulator::is_up(self, node)
-    }
-    fn set_host_up(&mut self, node: NodeId, up: bool) {
-        ParallelSimulator::set_host_up(self, node, up)
-    }
-    fn live_count(&self) -> usize {
-        ParallelSimulator::live_count(self)
-    }
-    fn set_net_group(&mut self, node: NodeId, group: u8) {
-        ParallelSimulator::set_net_group(self, node, group)
-    }
-    fn set_group_block(&mut self, from_group: u8, to_group: u8, blocked: bool) {
-        ParallelSimulator::set_group_block(self, from_group, to_group, blocked)
-    }
-    fn clear_partition(&mut self) {
-        ParallelSimulator::clear_partition(self)
-    }
-    fn set_link_loss(&mut self, src: NodeId, dst: NodeId, pct: f64) {
-        ParallelSimulator::set_link_loss(self, src, dst, pct)
-    }
-    fn clear_link_loss(&mut self) {
-        ParallelSimulator::clear_link_loss(self)
-    }
-    fn chaos(&self) -> ChaosConfig {
-        ParallelSimulator::chaos(self)
-    }
-    fn set_chaos(&mut self, chaos: ChaosConfig) {
-        ParallelSimulator::set_chaos(self, chaos)
-    }
-    fn bandwidth(&self) -> &BandwidthTracker {
-        ParallelSimulator::bandwidth(self)
-    }
-    fn stats(&self) -> SimStats {
-        ParallelSimulator::stats(self)
-    }
-    fn dedup_entries(&self) -> usize {
-        ParallelSimulator::dedup_entries(self)
-    }
-    fn inject(&mut self, to: NodeId, from: NodeId, msg: A::Msg, bytes: u32) {
-        ParallelSimulator::inject(self, to, from, msg, bytes)
-    }
-    fn run_until(&mut self, deadline: TimeUs) {
-        ParallelSimulator::run_until(self, deadline)
-    }
-}
-
-/// A fleet under either driver. Engines hold this so a config knob — not a
-/// type parameter — picks single-threaded or sharded execution; every
-/// method simply forwards to the mode in use.
-// One Fleet exists per engine, so the variant size gap costs a few hundred
-// bytes once — boxing would instead tax every event-loop call with an
-// extra indirection.
-#[allow(clippy::large_enum_variant)]
-pub enum Fleet<A: App> {
-    /// The legacy single-threaded event loop (`shards = 1`).
-    Single(Simulator<A>),
-    /// The sharded conservative-window driver (`shards = N`).
-    Parallel(ParallelSimulator<A>),
-}
-
-impl<A: App + Send> Fleet<A>
-where
-    A::Msg: Send,
-{
-    /// Builds the mode implied by `shards`: 1 keeps the bit-for-bit legacy
-    /// event loop, anything larger partitions the fleet.
-    pub fn build(builder: SimBuilder, shards: usize, make: impl FnMut(NodeId) -> A) -> Self {
-        if shards <= 1 {
-            Fleet::Single(builder.build(make))
-        } else {
-            Fleet::Parallel(builder.build_parallel(shards, make))
-        }
-    }
-
-    /// Number of worker threads driving the fleet.
-    pub fn shards(&self) -> usize {
-        match self {
-            Fleet::Single(_) => 1,
-            Fleet::Parallel(p) => p.shards(),
-        }
-    }
-
-    /// The seam, as a trait object — what engine code drives.
-    pub fn runtime(&mut self) -> &mut dyn Runtime<A> {
-        match self {
-            Fleet::Single(s) => s,
-            Fleet::Parallel(p) => p,
-        }
-    }
-
-    /// The seam, immutable.
-    pub fn runtime_ref(&self) -> &dyn Runtime<A> {
-        match self {
-            Fleet::Single(s) => s,
-            Fleet::Parallel(p) => p,
-        }
-    }
-
-    /// Current true simulation time, microseconds.
-    pub fn now(&self) -> TimeUs {
-        self.runtime_ref().now()
-    }
-
-    /// The topology the simulation runs over.
-    pub fn topology(&self) -> &Topology {
-        self.runtime_ref().topology()
-    }
-
-    /// Immutable access to a peer's application state.
-    pub fn app(&self, node: NodeId) -> &A {
-        self.runtime_ref().app(node)
-    }
-
-    /// Mutable access to a peer's application state (between run steps).
-    pub fn app_mut(&mut self, node: NodeId) -> &mut A {
-        self.runtime().app_mut(node)
-    }
-
-    /// Iterates over all applications in global node order.
-    pub fn apps(&self) -> Box<dyn Iterator<Item = &A> + '_> {
-        match self {
-            Fleet::Single(s) => Box::new(s.apps()),
-            Fleet::Parallel(p) => Box::new(p.apps()),
-        }
-    }
-
-    /// The node's local clock parameters (ground truth for metrics).
-    pub fn clock(&self, node: NodeId) -> LocalClock {
-        self.runtime_ref().clock(node)
-    }
-
-    /// Overrides a node's clock (must be done before the node acts on time).
-    pub fn set_clock(&mut self, node: NodeId, clock: LocalClock) {
-        match self {
-            Fleet::Single(s) => s.set_clock(node, clock),
-            Fleet::Parallel(p) => p.set_clock(node, clock),
-        }
-    }
-
-    /// Whether the host's access link is up.
-    pub fn is_up(&self, node: NodeId) -> bool {
-        self.runtime_ref().is_up(node)
-    }
-
-    /// Connects or disconnects a host's access link.
-    pub fn set_host_up(&mut self, node: NodeId, up: bool) {
-        self.runtime().set_host_up(node, up)
-    }
-
-    /// Number of hosts currently up.
-    pub fn live_count(&self) -> usize {
-        self.runtime_ref().live_count()
-    }
-
-    /// Labels `node` as a member of partition `group`.
-    pub fn set_net_group(&mut self, node: NodeId, group: u8) {
-        self.runtime().set_net_group(node, group)
-    }
-
-    /// Cuts (or restores) traffic flowing `from_group → to_group`.
-    pub fn set_group_block(&mut self, from_group: u8, to_group: u8, blocked: bool) {
-        self.runtime().set_group_block(from_group, to_group, blocked)
-    }
-
-    /// Heals every partition cut and clears all group labels.
-    pub fn clear_partition(&mut self) {
-        self.runtime().clear_partition()
-    }
-
-    /// Degrades the directed link `src → dst` to drop each message with
-    /// probability `pct` (clamped; `0` heals).
-    pub fn set_link_loss(&mut self, src: NodeId, dst: NodeId, pct: f64) {
-        self.runtime().set_link_loss(src, dst, pct)
-    }
-
-    /// Heals every lossy link.
-    pub fn clear_link_loss(&mut self) {
-        self.runtime().clear_link_loss()
-    }
-
-    /// The current chaos configuration.
-    pub fn chaos(&self) -> ChaosConfig {
-        self.runtime_ref().chaos()
-    }
-
-    /// Replaces the chaos configuration between run steps (phased faults).
-    pub fn set_chaos(&mut self, chaos: ChaosConfig) {
-        self.runtime().set_chaos(chaos)
-    }
-
-    /// Bandwidth accounting for the run so far (merged across shards).
-    pub fn bandwidth(&self) -> &BandwidthTracker {
-        self.runtime_ref().bandwidth()
-    }
-
-    /// Transport counters (merged across shards).
-    pub fn stats(&self) -> SimStats {
-        self.runtime_ref().stats()
-    }
-
-    /// Total dedup ids retained across all receivers.
-    pub fn dedup_entries(&self) -> usize {
-        self.runtime_ref().dedup_entries()
-    }
-
-    /// Schedules an out-of-band message for immediate delivery.
-    pub fn inject(&mut self, to: NodeId, from: NodeId, msg: A::Msg, bytes: u32) {
-        self.runtime().inject(to, from, msg, bytes)
-    }
-
-    /// Runs until `deadline` (true time) passes. Re-entrant.
-    pub fn run_until(&mut self, deadline: TimeUs) {
-        self.runtime().run_until(deadline)
-    }
-
-    /// Runs for `s` seconds of true time from the current instant.
-    pub fn run_for_secs(&mut self, s: f64) {
-        self.runtime().run_for_secs(s)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::bandwidth::TrafficClass;
-    use crate::time::SEC;
-
-    /// Records every observable input — deliveries with arrival time,
-    /// timer fires, and RNG draws — so "bit-for-bit identical" is checked
-    /// against the full event order, not just final answers.
-    struct Recorder {
-        events: Vec<(u8, NodeId, u32, TimeUs, u64)>,
-    }
-
-    impl App for Recorder {
-        type Msg = u32;
-        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
-            ctx.send((ctx.id() + 1) % 4, ctx.id() * 100, 32);
-            ctx.set_timer_local_us(30_000 + ctx.id() as u64, 7);
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, from: NodeId, msg: u32, _b: u32) {
-            use rand::Rng;
-            let draw = ctx.rng().gen_range(0..1u64 << 40);
-            self.events.push((0, from, msg, ctx.true_now_us(), draw));
-            if msg % 100 < 3 {
-                ctx.send(from, msg + 1, 48);
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, tag: u64) {
-            use rand::Rng;
-            let draw = ctx.rng().gen_range(0..1u64 << 40);
-            self.events.push((1, ctx.id(), tag as u32, ctx.true_now_us(), draw));
-        }
-    }
-
-    fn builder() -> SimBuilder {
-        let chaos =
-            crate::chaos::ChaosConfig { drop_prob: 0.1, dup_prob: 0.1, reorder_jitter_us: 200 };
-        SimBuilder::new(Topology::star(4, 1_000), 31).chaos(chaos)
-    }
-
-    fn snapshot(rt: &dyn Runtime<Recorder>) -> impl PartialEq + std::fmt::Debug {
-        let events: Vec<_> = (0..4).map(|n| rt.app(n).events.clone()).collect();
-        (
-            events,
-            rt.now(),
-            rt.stats(),
-            rt.dedup_entries(),
-            rt.bandwidth().bytes_total(TrafficClass::Data),
-            rt.bandwidth().msgs_total(TrafficClass::Data),
-        )
-    }
-
-    #[test]
-    fn fleet_single_is_bit_for_bit_the_legacy_simulator() {
-        // The seam's `shards = 1` mode must be the legacy event loop
-        // itself: drive one copy directly and one through `Fleet`/`dyn
-        // Runtime`, with chaos on so RNG draw order is load-bearing.
-        let mut legacy = builder().build(|_| Recorder { events: Vec::new() });
-        legacy.run_until(3 * SEC);
-        legacy.inject(2, 1, 4_242, 16);
-        legacy.run_until(6 * SEC);
-
-        let mut fleet = Fleet::build(builder(), 1, |_| Recorder { events: Vec::new() });
-        assert_eq!(fleet.shards(), 1);
-        let rt: &mut dyn Runtime<Recorder> = fleet.runtime();
-        rt.run_until(3 * SEC);
-        rt.inject(2, 1, 4_242, 16);
-        rt.run_until(6 * SEC);
-
-        assert_eq!(snapshot(&legacy), snapshot(fleet.runtime_ref()));
-    }
-
-    #[test]
-    fn fleet_build_picks_parallel_for_many_shards() {
-        let fleet = Fleet::build(builder(), 3, |_| Recorder { events: Vec::new() });
-        assert!(matches!(fleet, Fleet::Parallel(_)));
-        assert_eq!(fleet.shards(), 3);
-    }
-}
+pub use parallel::Simulator;
+pub use single::SimBuilder;

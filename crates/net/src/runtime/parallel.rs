@@ -1,12 +1,20 @@
-//! The sharded, conservatively-windowed parallel discrete-event driver.
+//! The event core: [`Simulator`] and the shards it runs.
 //!
-//! [`ParallelSimulator`] partitions the fleet into contiguous shards, one
-//! per worker thread. Each shard owns everything its peers touch — their
-//! application state, clocks, liveness flags, RNG streams, dedup sets, a
-//! private event heap, and a private bandwidth/stats tracker — so workers
-//! share nothing during a window and merge accounting additively afterward.
+//! A [`Simulator`] partitions the fleet into contiguous shards. Each shard
+//! owns everything its peers touch — their application state, clocks,
+//! liveness flags, RNG streams, dedup sets, a private event heap, and a
+//! private bandwidth/stats tracker — and runs the only event loop in the
+//! crate: pop an event, dispatch it to its peer, apply the callback's
+//! commands. Shards share nothing while they run and merge accounting
+//! additively afterward.
 //!
-//! # Conservative-window protocol
+//! With one shard (what [`SimBuilder::build`](crate::SimBuilder::build)
+//! gives), `run_until` drives that shard straight to the deadline on the
+//! caller's thread: no thread scope, no barrier, no mailboxes. With more,
+//! shard 0 runs on the caller's thread and the rest on scoped worker
+//! threads, under the window protocol below.
+//!
+//! # Conservative-window protocol (`shards > 1`)
 //!
 //! Workers advance in lockstep through half-open windows `(start, end]`
 //! with `end − start ≤ L`, where the lookahead `L` is
@@ -43,15 +51,16 @@
 //! - bandwidth buckets, message counts, and transport stats are sums, so
 //!   the per-shard → merged reduction is order-independent.
 //!
-//! This is a *different* deterministic execution from the single-threaded
-//! [`Simulator`](crate::runtime::Simulator) (which tie-breaks by global
-//! insertion order and draws chaos from one global stream); the seam's
-//! `shards = 1` mode therefore remains the legacy simulator itself, while
-//! `ParallelSimulator` guarantees equality across shard counts and runs.
+//! So one shard and N shards run the same execution; the one-shard path is
+//! simply that execution without the window machinery.
 //!
-//! One caveat: [`Ctx::stop`] halts at window granularity. Peers on other
-//! shards finish the current window first, so *which* trailing events run
-//! is shard-layout dependent (everything before the stop request is not).
+//! Two caveats hold only when `shards > 1`. [`Ctx::stop`] halts at window
+//! granularity: peers on other shards finish the current window first, so
+//! *which* trailing events run is shard-layout dependent (everything before
+//! the stop request is not). And an `App` panic on a worker leaves the
+//! other workers waiting at the barrier, so the run hangs instead of
+//! unwinding. With one shard, `stop` halts after the requesting callback
+//! and a panic unwinds to the caller like any other.
 
 use crate::bandwidth::{BandwidthTracker, TrafficClass};
 use crate::chaos::{ChaosConfig, LinkLossMap, PartitionMap};
@@ -68,7 +77,7 @@ use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-/// Synthetic origin id for driver-side [`ParallelSimulator::inject`] calls,
+/// Synthetic origin id for driver-side [`Simulator::inject`] calls,
 /// keeping injected events and message ids outside every peer's namespace.
 const INJECT_ORIGIN: NodeId = NodeId::MAX;
 
@@ -92,7 +101,8 @@ struct WindowSync {
     app_stop: AtomicBool,
 }
 
-/// A worker's shard: a contiguous range of peers plus everything they own.
+/// A shard: a contiguous range of peers plus everything they own, and the
+/// event loop that drives them.
 struct Shard<A: App> {
     index: usize,
     /// First global node id in this shard (`nodes = lo..lo + apps.len()`).
@@ -132,10 +142,10 @@ impl<A: App> Shard<A> {
         (node - self.lo) as usize
     }
 
-    /// The full worker loop for one `run_until` call. Every shard executes
-    /// this same function (shard 0 on the caller's thread); all shards make
-    /// identical continue/terminate decisions because they compute them
-    /// from the same published state after the same barrier.
+    /// The window loop for one multi-shard `run_until` call. Every shard
+    /// executes this same function (shard 0 on the caller's thread); all
+    /// shards make identical continue/terminate decisions because they
+    /// compute them from the same published state after the same barrier.
     fn worker(
         &mut self,
         sync: &WindowSync,
@@ -146,10 +156,7 @@ impl<A: App> Shard<A> {
     ) {
         let nshards = self.outgoing.len();
         if do_start {
-            for i in 0..self.apps.len() {
-                let node = self.lo + i as NodeId;
-                self.with_ctx(node, |app, ctx| app.on_start(ctx));
-            }
+            self.start();
         }
         let mut win_end = self.now;
         loop {
@@ -195,6 +202,20 @@ impl<A: App> Shard<A> {
         }
     }
 
+    /// Runs every peer's `on_start` in node order, halting right after a
+    /// callback that requested [`Ctx::stop`].
+    fn start(&mut self) {
+        for i in 0..self.apps.len() {
+            if self.stop {
+                break;
+            }
+            let node = self.lo + i as NodeId;
+            self.with_ctx(node, |app, ctx| app.on_start(ctx));
+        }
+    }
+
+    /// Dispatches every event due by `win_end`, then advances the shard's
+    /// clock to `win_end` (unless a peer stopped the run).
     fn process_window(&mut self, win_end: TimeUs) {
         while self.heap.peek().is_some_and(|ev| ev.time <= win_end) && !self.stop {
             let Some(ev) = self.heap.pop() else { break };
@@ -302,8 +323,8 @@ impl<A: App> Shard<A> {
                 1
             };
         // Clone copies go first and the original moves last, each drawing
-        // its jitter in turn — the same RNG draw order as the legacy
-        // simulator, with no `Option` dance a panic path could hide in.
+        // its jitter in turn, with no `Option` dance a panic path could
+        // hide in.
         for _ in 1..copies {
             let jitter = if self.chaos.reorder_jitter_us > 0 {
                 self.rngs[fli].gen_range(0..=self.chaos.reorder_jitter_us)
@@ -342,14 +363,22 @@ impl<A: App> Shard<A> {
     }
 }
 
-/// The sharded parallel simulator: the `shards = N` mode of the runtime
-/// seam. See the module docs for the window protocol and the determinism
-/// contract. The public surface mirrors [`Simulator`]'s; `run_until` is
-/// re-entrant under the same rules (all cross-call state persists, stop is
-/// sticky).
+/// The simulator: owns all peers (in one or more shards), the event heaps,
+/// and global time. See the module docs for the shard layout, the window
+/// protocol and the determinism contract.
 ///
-/// [`Simulator`]: crate::runtime::Simulator
-pub struct ParallelSimulator<A: App> {
+/// # Re-entrancy
+///
+/// [`Simulator::run_until`] is fully re-entrant: all state that accumulates
+/// across a run — the event heaps, the current instant, bandwidth buckets
+/// (keyed by absolute simulation second), dedup generations, and transport
+/// counters — lives on `self` and is *never* rebuilt per call. Running to a
+/// deadline in many small steps is bit-for-bit identical to one large step,
+/// which is what the bench harness's warm-up/measure splits and best-of-N
+/// loops rely on. `on_start` runs exactly once (first call), and a
+/// [`Ctx::stop`] request is permanent: subsequent calls return without
+/// dispatching.
+pub struct Simulator<A: App> {
     shards: Vec<Shard<A>>,
     node_shard: Arc<Vec<u32>>,
     topo: Arc<Topology>,
@@ -358,11 +387,12 @@ pub struct ParallelSimulator<A: App> {
     started: bool,
     stop: bool,
     inject_seq: u64,
+    /// Merged bandwidth of a multi-shard run (refreshed after every run
+    /// step); a single shard's own tracker is read directly.
     merged_bw: BandwidthTracker,
-    merged_stats: SimStats,
 }
 
-impl<A: App> ParallelSimulator<A> {
+impl<A: App> Simulator<A> {
     pub(crate) fn new(
         topo: Topology,
         seed: u64,
@@ -438,7 +468,6 @@ impl<A: App> ParallelSimulator<A> {
             stop: false,
             inject_seq: 0,
             merged_bw: BandwidthTracker::new(),
-            merged_stats: SimStats::default(),
         }
     }
 
@@ -446,14 +475,10 @@ impl<A: App> ParallelSimulator<A> {
         self.node_shard[node as usize] as usize
     }
 
-    /// Number of shards (worker threads) the fleet is partitioned into.
+    /// Number of shards the fleet is partitioned into (1 runs on the
+    /// caller's thread; N runs N worker threads).
     pub fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The conservative window width, microseconds.
-    pub fn lookahead_us(&self) -> u64 {
-        self.lookahead_us
     }
 
     /// Current true simulation time, microseconds.
@@ -504,6 +529,7 @@ impl<A: App> ParallelSimulator<A> {
     }
 
     /// Connects or disconnects a host's access link ("last-mile" failure).
+    /// State is preserved; in-flight messages to/from the host are dropped.
     pub fn set_host_up(&mut self, node: NodeId, up: bool) {
         let s = self.shard_of(node);
         let li = self.shards[s].li(node);
@@ -515,15 +541,18 @@ impl<A: App> ParallelSimulator<A> {
         self.shards.iter().map(|s| s.up.iter().filter(|&&u| u).count()).sum()
     }
 
-    /// Labels `node` as a member of partition `group`. Propagated to every
-    /// shard (senders need both endpoints' labels).
+    /// Labels `node` as a member of partition `group` (see
+    /// [`PartitionMap`]). Propagated to every shard (senders need both
+    /// endpoints' labels).
     pub fn set_net_group(&mut self, node: NodeId, group: u8) {
         for s in &mut self.shards {
             s.partition.set_group(node, group);
         }
     }
 
-    /// Cuts (or restores) traffic flowing `from_group → to_group`.
+    /// Cuts (or restores) traffic flowing `from_group → to_group`. A
+    /// symmetric split is two directed cuts. Checked at transmit time, so
+    /// messages already in flight still arrive.
     pub fn set_group_block(&mut self, from_group: u8, to_group: u8, blocked: bool) {
         for s in &mut self.shards {
             s.partition.set_block(from_group, to_group, blocked);
@@ -538,8 +567,10 @@ impl<A: App> ParallelSimulator<A> {
     }
 
     /// Degrades the directed link `src → dst` to drop each message with
-    /// probability `pct` (clamped; `0` heals). Propagated to every shard,
-    /// same as partition state.
+    /// probability `pct` (clamped to `[0, 1]`; `0` heals the link).
+    /// Checked at transmit time after partitions; loss randomness is drawn
+    /// only for configured pairs, so other links' RNG streams are
+    /// untouched.
     pub fn set_link_loss(&mut self, src: NodeId, dst: NodeId, pct: f64) {
         for s in &mut self.shards {
             s.link_loss.set(src, dst, pct);
@@ -553,14 +584,9 @@ impl<A: App> ParallelSimulator<A> {
         }
     }
 
-    /// The current chaos configuration.
-    pub fn chaos(&self) -> ChaosConfig {
-        self.shards.first().map(|s| s.chaos).unwrap_or_default()
-    }
-
-    /// Replaces the chaos configuration between run steps. If duplication
-    /// is enabled for the first time mid-run, per-receiver dedup sets are
-    /// materialized in every shard.
+    /// Replaces the chaos configuration between run steps (phased fault
+    /// schedules). If duplication is enabled for the first time mid-run,
+    /// the per-receiver dedup sets are materialized on the spot.
     pub fn set_chaos(&mut self, chaos: ChaosConfig) {
         for s in &mut self.shards {
             s.chaos = chaos;
@@ -570,24 +596,34 @@ impl<A: App> ParallelSimulator<A> {
         }
     }
 
-    /// Merged bandwidth accounting (refreshed after every run step).
+    /// Bandwidth accounting for the run so far (merged across shards).
     pub fn bandwidth(&self) -> &BandwidthTracker {
-        &self.merged_bw
+        match self.shards.as_slice() {
+            [one] => &one.bw,
+            _ => &self.merged_bw,
+        }
     }
 
-    /// Merged transport counters (refreshed after every run step).
+    /// Transport counters (summed across shards).
     pub fn stats(&self) -> SimStats {
-        self.merged_stats
+        let mut stats = SimStats::default();
+        for s in &self.shards {
+            stats.merge(&s.stats);
+        }
+        stats
     }
 
-    /// Total dedup ids retained across all receivers.
+    /// Total message ids retained by the duplicate-suppression layer
+    /// across all receivers. Bounded for the lifetime of the run (two
+    /// generations per receiver), however long chaos keeps duplicating.
     pub fn dedup_entries(&self) -> usize {
         self.shards.iter().map(|s| s.seen.iter().map(DedupSet::len).sum::<usize>()).sum()
     }
 
-    /// Schedules an out-of-band message for immediate delivery to `to`,
-    /// attributed to `from`. Driver-side injections are sequenced under a
-    /// reserved origin, so they are deterministic across shard counts too.
+    /// Schedules an out-of-band message (e.g. a user's install request)
+    /// for immediate delivery to `to`, attributed to `from`. Driver-side
+    /// injections are sequenced under a reserved origin, so they are
+    /// deterministic across shard counts too.
     pub fn inject(&mut self, to: NodeId, from: NodeId, msg: A::Msg, bytes: u32) {
         let seq = key(INJECT_ORIGIN, self.inject_seq);
         self.inject_seq += 1;
@@ -600,9 +636,10 @@ impl<A: App> ParallelSimulator<A> {
         });
     }
 
-    /// Runs until all shards pass `deadline` (true time), advancing in
-    /// conservative windows. Re-entrant exactly like
-    /// [`Simulator::run_until`](crate::runtime::Simulator::run_until).
+    /// Runs until the queues are exhausted or `deadline` (true time)
+    /// passes. One shard runs straight to the deadline on the caller's
+    /// thread; more advance in conservative windows. Re-entrant: see the
+    /// type-level docs.
     pub fn run_until(&mut self, deadline: TimeUs)
     where
         A: Send,
@@ -613,6 +650,15 @@ impl<A: App> ParallelSimulator<A> {
         }
         let do_start = !self.started;
         self.started = true;
+        if let [shard] = self.shards.as_mut_slice() {
+            if do_start {
+                shard.start();
+            }
+            shard.process_window(deadline);
+            self.stop = shard.stop;
+            self.now = shard.now;
+            return;
+        }
         let nshards = self.shards.len();
         let sync = WindowSync {
             barrier: Barrier::new(nshards),
@@ -641,13 +687,10 @@ impl<A: App> ParallelSimulator<A> {
             deadline
         };
         let mut bw = BandwidthTracker::new();
-        let mut stats = SimStats::default();
         for s in &self.shards {
             bw.merge_from(&s.bw);
-            stats.merge(&s.stats);
         }
         self.merged_bw = bw;
-        self.merged_stats = stats;
     }
 
     /// Runs for `s` seconds of true time from the current instant.
@@ -715,7 +758,7 @@ mod tests {
         let n = 12u32;
         let topo = Topology::paper_inet(n as usize, 5);
         let mut sim =
-            SimBuilder::new(topo, 77).chaos(chaos).build_parallel(shards, |_| Gossip::new(n));
+            SimBuilder::new(topo, 77).chaos(chaos).build_sharded(shards, |_| Gossip::new(n));
         sim.run_for_secs(8.0);
         let logs = sim.apps().map(|a| a.log.clone()).collect();
         let draws = sim.apps().map(|a| a.draws.clone()).collect();
@@ -723,6 +766,9 @@ mod tests {
         (logs, draws, sim.stats(), bytes)
     }
 
+    // The 1-shard baseline of the two tests below runs the window-free
+    // path (the caller's thread, no barrier or mailboxes), so they pin that
+    // path against 2–12-shard windowed runs.
     #[test]
     fn execution_is_identical_across_shard_counts() {
         let base = run_gossip(1, ChaosConfig::none());
@@ -757,7 +803,7 @@ mod tests {
         let whole = run_gossip(3, ChaosConfig::none());
         let n = 12u32;
         let topo = Topology::paper_inet(n as usize, 5);
-        let mut sim = SimBuilder::new(topo, 77).build_parallel(3, |_| Gossip::new(n));
+        let mut sim = SimBuilder::new(topo, 77).build_sharded(3, |_| Gossip::new(n));
         // Ragged steps, including zero-length ones.
         for t in [1u64, 100_000, 100_000, 2_000_000, 2_000_000, 6_500_000, 8_000_000] {
             sim.run_until(t);
@@ -780,7 +826,7 @@ mod tests {
         let run = |shards: usize| {
             let n = 12u32;
             let topo = Topology::paper_inet(n as usize, 5);
-            let mut sim = SimBuilder::new(topo, 99).build_parallel(shards, |_| Gossip::new(n));
+            let mut sim = SimBuilder::new(topo, 99).build_sharded(shards, |_| Gossip::new(n));
             sim.run_for_secs(2.0);
             for node in 0..n {
                 sim.set_net_group(node, if node < 6 { 0 } else { 1 });
@@ -819,7 +865,7 @@ mod tests {
                 ctx.stop();
             }
         }
-        let mut sim = SimBuilder::new(Topology::star(8, 1_000), 1).build_parallel(4, |_| Stopper);
+        let mut sim = SimBuilder::new(Topology::star(8, 1_000), 1).build_sharded(4, |_| Stopper);
         sim.run_for_secs(10.0);
         assert!(sim.now() < 2 * SEC, "stop did not halt the run: now={}", sim.now());
         // Sticky: further runs are no-ops.
@@ -842,7 +888,7 @@ mod tests {
             fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
         }
         let mut sim =
-            SimBuilder::new(Topology::star(6, 1_000), 2).build_parallel(3, |_| Count { got: 0 });
+            SimBuilder::new(Topology::star(6, 1_000), 2).build_sharded(3, |_| Count { got: 0 });
         sim.set_host_up(5, false);
         assert!(!sim.is_up(5));
         assert_eq!(sim.live_count(), 5);

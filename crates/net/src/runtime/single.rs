@@ -1,34 +1,32 @@
-//! The single-threaded discrete-event driver — the `shards = 1` case of the
-//! runtime seam, and the reference execution every other mode is judged
-//! against.
+//! Building a [`Simulator`]: topology, seed, clock model and chaos in, one
+//! application per host out.
 //!
 //! Applications implement [`App`] and interact with the world exclusively
-//! through [`Ctx`]: they read their *local* clock, arm timers in local time,
-//! and send classified, size-annotated messages. The simulator owns the
-//! global clock, delivers messages after topology latency, injects transport
-//! faults per [`ChaosConfig`] (with receiver-side duplicate suppression), and
-//! accounts bandwidth as `bytes × physical hops` per second.
+//! through [`Ctx`](crate::Ctx): they read their *local* clock, arm timers
+//! in local time, and send classified, size-annotated messages. The
+//! simulator owns the global clock, delivers messages after topology
+//! latency, injects transport faults per [`ChaosConfig`] (with
+//! receiver-side duplicate suppression), and accounts bandwidth as
+//! `bytes × physical hops` per second.
 //!
-//! Experiment harnesses drive the world with [`Simulator::run_until`] and
-//! mutate host liveness between steps, which is how the paper's
-//! disconnect/reconnect scenarios are scripted.
+//! [`SimBuilder::build`] gives the one-shard simulator, which runs on the
+//! caller's thread; [`SimBuilder::build_sharded`] partitions the same fleet
+//! across worker threads and runs the same execution (see
+//! [`parallel`](crate::runtime::parallel)). Experiment harnesses drive
+//! either with [`Simulator::run_until`] and mutate host liveness between
+//! steps, which is how the paper's disconnect/reconnect scenarios are
+//! scripted. The tests below pin the simulator's behaviour on one shard.
 
-use crate::bandwidth::{BandwidthTracker, TrafficClass};
-use crate::chaos::{ChaosConfig, LinkLossMap, PartitionMap};
+use crate::chaos::ChaosConfig;
 use crate::clock::{ClockModel, LocalClock};
-use crate::event::{Event, EventKind};
-use crate::runtime::ctx::{App, Command, Ctx, SimStats, TRANSPORT_OVERHEAD_BYTES};
-use crate::runtime::dedup::DedupSet;
-use crate::runtime::parallel::ParallelSimulator;
-use crate::time::{secs, TimeUs};
+use crate::runtime::ctx::App;
+use crate::runtime::parallel::Simulator;
 use crate::topology::Topology;
 use crate::NodeId;
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
-use std::collections::BinaryHeap;
+use rand::SeedableRng;
 
-/// Builder for [`Simulator`] (and its sharded sibling,
-/// [`ParallelSimulator`]).
+/// Builder for [`Simulator`].
 pub struct SimBuilder {
     topo: Topology,
     seed: u64,
@@ -57,390 +55,35 @@ impl SimBuilder {
         self
     }
 
-    /// Instantiates one application per host via `make`.
-    pub fn build<A: App>(self, mut make: impl FnMut(NodeId) -> A) -> Simulator<A> {
-        let n = self.topo.hosts();
-        let mut rng = SmallRng::seed_from_u64(self.seed);
-        let clocks: Vec<LocalClock> = (0..n).map(|_| self.clock_model.sample(&mut rng)).collect();
-        // Per-peer RNG streams, seeded exactly like the parallel runtime's
-        // (one seeding stream, node order) so a chaos draw on node `k` is
-        // the same value at every shard count — including this one.
-        let mut seeder = SmallRng::seed_from_u64(self.seed ^ 0xA5A5_5A5A_C3C3_3C3C);
-        let rngs: Vec<SmallRng> =
-            (0..n).map(|_| SmallRng::seed_from_u64(seeder.next_u64())).collect();
-        let apps: Vec<A> = (0..n as NodeId).map(&mut make).collect();
-        Simulator {
-            apps,
-            clocks,
-            up: vec![true; n],
-            topo: self.topo,
-            heap: BinaryHeap::new(),
-            now: 0,
-            seq: 0,
-            msg_id: 0,
-            rngs,
-            bw: BandwidthTracker::new(),
-            chaos: self.chaos,
-            partition: PartitionMap::default(),
-            link_loss: LinkLossMap::default(),
-            seen: (0..if self.chaos.dup_prob > 0.0 { n } else { 0 })
-                .map(|_| DedupSet::default())
-                .collect(),
-            stats: SimStats::default(),
-            started: false,
-            stop: false,
-            cmd_buf: Vec::new(),
-        }
+    /// Instantiates one application per host via `make`, all in one shard.
+    pub fn build<A: App>(self, make: impl FnMut(NodeId) -> A) -> Simulator<A> {
+        self.build_sharded(1, make)
     }
 
     /// Instantiates one application per host via `make` and partitions the
-    /// fleet across `shards` worker threads. Per-node clocks are sampled in
-    /// the exact same order as [`SimBuilder::build`], so the two modes see
-    /// identical clock assignments for a given seed.
-    pub fn build_parallel<A: App>(
+    /// fleet into `shards` contiguous shards (clamped to `1..=hosts`), one
+    /// thread each while running, shard 0 on the caller's. Clocks and
+    /// per-peer RNG streams are assigned in node order before partitioning,
+    /// so every shard count sees the same ones for a given seed.
+    pub fn build_sharded<A: App>(
         self,
         shards: usize,
         make: impl FnMut(NodeId) -> A,
-    ) -> ParallelSimulator<A> {
+    ) -> Simulator<A> {
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let clocks: Vec<LocalClock> =
             (0..self.topo.hosts()).map(|_| self.clock_model.sample(&mut rng)).collect();
-        ParallelSimulator::new(self.topo, self.seed, self.chaos, clocks, shards, make)
-    }
-}
-
-/// The single-threaded simulator: owns all peers, the event queue, and
-/// global time.
-///
-/// # Re-entrancy
-///
-/// [`Simulator::run_until`] is fully re-entrant: all state that accumulates
-/// across a run — the event heap, the current instant, bandwidth buckets
-/// (keyed by absolute simulation second), dedup generations, and transport
-/// counters — lives on `self` and is *never* rebuilt per call. Running to a
-/// deadline in many small steps is bit-for-bit identical to one large step,
-/// which is what lets the bench harness's warm-up/measure splits, best-of-N
-/// loops, and the parallel runtime's windowed driver share this one code
-/// path. `on_start` runs exactly once (first call), and a [`Ctx::stop`]
-/// request is permanent: subsequent calls return without dispatching.
-pub struct Simulator<A: App> {
-    apps: Vec<A>,
-    clocks: Vec<LocalClock>,
-    up: Vec<bool>,
-    topo: Topology,
-    heap: BinaryHeap<Event<A::Msg>>,
-    now: TimeUs,
-    seq: u64,
-    msg_id: u64,
-    /// Independent per-peer RNG streams (indexed like `apps`), seeded
-    /// identically to [`ParallelSimulator`]'s so chaos and link-loss
-    /// decisions replay bit-for-bit across shard counts.
-    rngs: Vec<SmallRng>,
-    bw: BandwidthTracker,
-    chaos: ChaosConfig,
-    partition: PartitionMap,
-    link_loss: LinkLossMap,
-    seen: Vec<DedupSet>,
-    stats: SimStats,
-    started: bool,
-    stop: bool,
-    cmd_buf: Vec<Command<A::Msg>>,
-}
-
-impl<A: App> Simulator<A> {
-    /// Current true simulation time, microseconds.
-    pub fn now(&self) -> TimeUs {
-        self.now
-    }
-
-    /// The topology the simulation runs over.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Immutable access to a peer's application state.
-    pub fn app(&self, node: NodeId) -> &A {
-        &self.apps[node as usize]
-    }
-
-    /// Mutable access to a peer's application state (between run steps).
-    pub fn app_mut(&mut self, node: NodeId) -> &mut A {
-        &mut self.apps[node as usize]
-    }
-
-    /// Iterates over all applications.
-    pub fn apps(&self) -> impl Iterator<Item = &A> {
-        self.apps.iter()
-    }
-
-    /// The node's local clock parameters (ground truth for metrics).
-    pub fn clock(&self, node: NodeId) -> LocalClock {
-        self.clocks[node as usize]
-    }
-
-    /// Overrides a node's clock (must be done before the node acts on time).
-    pub fn set_clock(&mut self, node: NodeId, clock: LocalClock) {
-        self.clocks[node as usize] = clock;
-    }
-
-    /// Whether the host's access link is up.
-    pub fn is_up(&self, node: NodeId) -> bool {
-        self.up[node as usize]
-    }
-
-    /// Connects or disconnects a host's access link ("last-mile" failure).
-    /// State is preserved; in-flight messages to/from the host are dropped.
-    pub fn set_host_up(&mut self, node: NodeId, up: bool) {
-        self.up[node as usize] = up;
-    }
-
-    /// Number of hosts currently up.
-    pub fn live_count(&self) -> usize {
-        self.up.iter().filter(|&&u| u).count()
-    }
-
-    /// Labels `node` as a member of partition `group` (see [`PartitionMap`]).
-    pub fn set_net_group(&mut self, node: NodeId, group: u8) {
-        self.partition.set_group(node, group);
-    }
-
-    /// Cuts (or restores) traffic flowing `from_group → to_group`. A
-    /// symmetric split is two directed cuts. Checked at transmit time, so
-    /// messages already in flight still arrive.
-    pub fn set_group_block(&mut self, from_group: u8, to_group: u8, blocked: bool) {
-        self.partition.set_block(from_group, to_group, blocked);
-    }
-
-    /// Heals every partition cut and clears all group labels.
-    pub fn clear_partition(&mut self) {
-        self.partition.clear();
-    }
-
-    /// Degrades the directed link `src → dst` to drop each message with
-    /// probability `pct` (clamped to `[0, 1]`; `0` heals the link).
-    /// Checked at transmit time after partitions; loss randomness is drawn
-    /// only for configured pairs, so other links' RNG streams are
-    /// untouched.
-    pub fn set_link_loss(&mut self, src: NodeId, dst: NodeId, pct: f64) {
-        self.link_loss.set(src, dst, pct);
-    }
-
-    /// Heals every lossy link.
-    pub fn clear_link_loss(&mut self) {
-        self.link_loss.clear();
-    }
-
-    /// The current chaos configuration.
-    pub fn chaos(&self) -> ChaosConfig {
-        self.chaos
-    }
-
-    /// Replaces the chaos configuration between run steps (phased fault
-    /// schedules). If duplication is enabled for the first time mid-run,
-    /// the per-receiver dedup sets are materialized on the spot.
-    pub fn set_chaos(&mut self, chaos: ChaosConfig) {
-        self.chaos = chaos;
-        if chaos.dup_prob > 0.0 && self.seen.is_empty() {
-            self.seen = (0..self.apps.len()).map(|_| DedupSet::default()).collect();
-        }
-    }
-
-    /// Bandwidth accounting for the run so far.
-    pub fn bandwidth(&self) -> &BandwidthTracker {
-        &self.bw
-    }
-
-    /// Transport counters.
-    pub fn stats(&self) -> SimStats {
-        self.stats
-    }
-
-    /// Total message ids retained by the duplicate-suppression layer
-    /// across all receivers. Bounded for the lifetime of the run (two
-    /// generations per receiver), however long chaos keeps duplicating.
-    pub fn dedup_entries(&self) -> usize {
-        self.seen.iter().map(DedupSet::len).sum()
-    }
-
-    /// Schedules an out-of-band message (e.g. a user's install request)
-    /// for immediate delivery to `to`, attributed to `from`.
-    pub fn inject(&mut self, to: NodeId, from: NodeId, msg: A::Msg, bytes: u32) {
-        let id = self.next_msg_id();
-        let time = self.now + 1;
-        self.push(time, EventKind::Deliver { to, from, msg, bytes, id });
-    }
-
-    /// Runs until the queue is exhausted or `deadline` (true time) passes.
-    ///
-    /// Re-entrant: see the type-level docs — repeated calls continue the
-    /// same run, and stepping in small increments is bit-for-bit identical
-    /// to one large call.
-    pub fn run_until(&mut self, deadline: TimeUs) {
-        if !self.started {
-            self.started = true;
-            for node in 0..self.apps.len() as NodeId {
-                self.with_ctx(node, |app, ctx| app.on_start(ctx));
-                if self.stop {
-                    return;
-                }
-            }
-        }
-        while let Some(ev) = self.heap.peek() {
-            if ev.time > deadline || self.stop {
-                break;
-            }
-            let ev = self.heap.pop().expect("peeked event exists");
-            self.now = ev.time;
-            self.dispatch(ev.kind);
-        }
-        if !self.stop && self.now < deadline {
-            self.now = deadline;
-        }
-    }
-
-    /// Runs for `s` seconds of true time from the current instant.
-    pub fn run_for_secs(&mut self, s: f64) {
-        let deadline = self.now + secs(s);
-        self.run_until(deadline);
-    }
-
-    fn dispatch(&mut self, kind: EventKind<A::Msg>) {
-        match kind {
-            EventKind::Deliver { to, from, msg, bytes, id } => {
-                if !self.up[to as usize] {
-                    self.stats.dropped += 1;
-                    return;
-                }
-                if !self.seen.is_empty() {
-                    // Duplicate suppression (only materialized under
-                    // chaos); bounded two-generation memory per receiver.
-                    if !self.seen[to as usize].insert(id) {
-                        self.stats.duplicates_suppressed += 1;
-                        return;
-                    }
-                }
-                self.stats.delivered += 1;
-                self.with_ctx(to, |app, ctx| app.on_message(ctx, from, msg, bytes));
-            }
-            EventKind::Timer { node, tag } => {
-                self.with_ctx(node, |app, ctx| app.on_timer(ctx, tag));
-            }
-        }
-    }
-
-    fn with_ctx(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Ctx<'_, A::Msg>)) {
-        let mut cmds = std::mem::take(&mut self.cmd_buf);
-        {
-            let mut ctx = Ctx {
-                node,
-                true_now: self.now,
-                clock: self.clocks[node as usize],
-                cmds: &mut cmds,
-                rng: &mut self.rngs[node as usize],
-            };
-            f(&mut self.apps[node as usize], &mut ctx);
-        }
-        for cmd in cmds.drain(..) {
-            self.apply(node, cmd);
-        }
-        self.cmd_buf = cmds;
-    }
-
-    fn apply(&mut self, node: NodeId, cmd: Command<A::Msg>) {
-        match cmd {
-            Command::Send { to, msg, bytes, class } => self.transmit(node, to, msg, bytes, class),
-            Command::Timer { local_delay_us, tag } => {
-                let delay = self.clocks[node as usize].true_delay(local_delay_us).max(1);
-                let time = self.now + delay;
-                self.push(time, EventKind::Timer { node, tag });
-            }
-            Command::Stop => self.stop = true,
-        }
-    }
-
-    fn transmit(&mut self, from: NodeId, to: NodeId, msg: A::Msg, bytes: u32, class: TrafficClass) {
-        self.stats.sent += 1;
-        if !self.up[from as usize] {
-            self.stats.dropped += 1;
-            return;
-        }
-        if to as usize >= self.apps.len() {
-            self.stats.dropped += 1;
-            return;
-        }
-        // Bandwidth is charged at send time for every physical link
-        // crossed, including per-packet transport overhead (IP + UDP +
-        // UdpCC-style headers).
-        self.bw.record(self.now, class, bytes + TRANSPORT_OVERHEAD_BYTES, self.topo.hops(from, to));
-        // A partition cut behaves like loss: the sender still burns upstream
-        // bandwidth into the cut. Checked before any chaos roll so that
-        // enabling/healing a partition consumes no RNG draws.
-        if self.partition.blocks(from, to) {
-            self.stats.dropped += 1;
-            return;
-        }
-        // Targeted link loss: the roll happens only for configured pairs
-        // (after the partition check), so enabling a lossy link perturbs no
-        // other link's RNG stream.
-        if self.link_loss.is_active() {
-            let pct = self.link_loss.pct_for(from, to);
-            if pct > 0.0 && self.rngs[from as usize].gen::<f64>() < pct {
-                self.stats.dropped += 1;
-                return;
-            }
-        }
-        if self.chaos.drop_prob > 0.0
-            && self.rngs[from as usize].gen::<f64>() < self.chaos.drop_prob
-        {
-            self.stats.dropped += 1;
-            return;
-        }
-        let base = self.topo.latency_us(from, to);
-        let id = self.next_msg_id();
-        let copies = if self.chaos.dup_prob > 0.0
-            && self.rngs[from as usize].gen::<f64>() < self.chaos.dup_prob
-        {
-            2
-        } else {
-            1
-        };
-        // The payload is cloned only for genuine duplicates; the last (in
-        // the common case, only) delivery takes the message by move, so a
-        // chaos-free send never copies application data.
-        let mut msg = Some(msg);
-        for i in 0..copies {
-            let jitter = if self.chaos.reorder_jitter_us > 0 {
-                self.rngs[from as usize].gen_range(0..=self.chaos.reorder_jitter_us)
-            } else {
-                0
-            };
-            let time = self.now + base + jitter;
-            let payload = if i + 1 == copies {
-                msg.take().expect("one move per send")
-            } else {
-                msg.as_ref().expect("clones precede the move").clone()
-            };
-            self.push(time, EventKind::Deliver { to, from, msg: payload, bytes, id });
-        }
-    }
-
-    fn push(&mut self, time: TimeUs, kind: EventKind<A::Msg>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Event { time, seq, kind });
-    }
-
-    fn next_msg_id(&mut self) -> u64 {
-        self.msg_id += 1;
-        self.msg_id
+        Simulator::new(self.topo, self.seed, self.chaos, clocks, shards, make)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bandwidth::TrafficClass;
+    use crate::runtime::ctx::{Ctx, TRANSPORT_OVERHEAD_BYTES};
     use crate::runtime::dedup::DEDUP_GENERATION_CAP;
-    use crate::time::SEC;
+    use crate::time::{TimeUs, SEC};
 
     /// Echoes every message back and counts everything it sees.
     struct Echo {
@@ -694,8 +337,7 @@ mod tests {
         // deadline in many ragged steps must be indistinguishable from one
         // large call — same deliveries, same stats, same bandwidth buckets,
         // same dedup state, same final clock. The bench harness's
-        // warm-up/measure split and the parallel runtime's windowed driver
-        // both lean on this.
+        // warm-up/measure split leans on this.
         let chaos = ChaosConfig { dup_prob: 0.3, reorder_jitter_us: 400, ..ChaosConfig::none() };
         let mut whole = SimBuilder::new(star2(), 9).chaos(chaos).build(|_| Echo::new());
         whole.run_until(10 * SEC);
@@ -722,5 +364,54 @@ mod tests {
                 whole.bandwidth().bytes_at(TrafficClass::Data, sec),
             );
         }
+    }
+
+    #[test]
+    fn stop_halts_after_the_requesting_callback() {
+        // Both peers arm a timer for the same instant; the event key orders
+        // node 0's first. Its `stop` must keep node 1's from running.
+        struct Stopper {
+            fired: bool,
+        }
+        impl App for Stopper {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                ctx.set_timer_local_us(SEC, 0);
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: (), _: u32) {}
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _: u64) {
+                self.fired = true;
+                ctx.stop();
+            }
+        }
+        let mut sim = SimBuilder::new(star2(), 1).build(|_| Stopper { fired: false });
+        sim.run_for_secs(5.0);
+        assert!(sim.app(0).fired);
+        assert!(!sim.app(1).fired, "a callback ran after stop");
+        assert_eq!(sim.now(), SEC);
+    }
+
+    #[test]
+    #[should_panic(expected = "app panic on the caller's thread")]
+    fn app_panic_unwinds_on_the_callers_thread() {
+        // One shard runs no worker threads: the panic reaches the caller
+        // as itself, not as a scoped-thread join failure.
+        struct Bomb {
+            caller: std::thread::ThreadId,
+        }
+        impl App for Bomb {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                ctx.set_timer_local_us(SEC, 0);
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: (), _: u32) {}
+            fn on_timer(&mut self, _: &mut Ctx<'_, ()>, _: u64) {
+                assert_eq!(std::thread::current().id(), self.caller, "ran on a worker thread");
+                panic!("app panic on the caller's thread");
+            }
+        }
+        let caller = std::thread::current().id();
+        let mut sim = SimBuilder::new(star2(), 1).build(|_| Bomb { caller });
+        sim.run_for_secs(2.0);
     }
 }

@@ -203,7 +203,7 @@ impl Topology {
     }
 
     /// Minimum one-way latency across all *distinct* host pairs — the
-    /// conservative lookahead bound for the parallel runtime: no message
+    /// conservative lookahead bound for multi-shard runs: no message
     /// between two different hosts can arrive sooner than this, whatever
     /// the shard layout, so it is safe (and shard-count-independent) as the
     /// width of a conservative time window. Loopback (a == b) is excluded
