@@ -140,8 +140,9 @@ pub enum MortarMsg {
         /// name (it never saw the query); the digest sender answers them,
         /// named, in the transfer so the planner can adopt them.
         want_removed: Vec<QueryId>,
-        /// The planner's removal cache as `(name, id, seq)` — named for
-        /// the same adoption reason as [`MortarMsg::Reconcile`]'s.
+        /// The planner's tombstones the digest lacks or holds at an older
+        /// sequence, as `(name, id, seq)` — named for the same adoption
+        /// reason as [`MortarMsg::Reconcile`]'s.
         removed: Vec<(Arc<str>, QueryId, u64)>,
     },
     /// Phase 3: full entries answering a plan's `want` list.

@@ -29,6 +29,8 @@ pub struct NetDist {
     /// fast-raise intensity.
     samples_above: u32,
     samples_in_window: u32,
+    /// Whether any sample was ever observed.
+    sampled: bool,
 }
 
 impl NetDist {
@@ -40,7 +42,14 @@ impl NetDist {
             window_max_us: 0.0,
             samples_above: 0,
             samples_in_window: 0,
+            sampled: false,
         }
+    }
+
+    /// Whether any tuple age was ever observed (an unsampled estimator
+    /// still holds its initial estimate).
+    pub fn has_samples(&self) -> bool {
+        self.sampled
     }
 
     /// Feeds one observed tuple age (clamped at zero — timestamp mode can
@@ -49,6 +58,7 @@ impl NetDist {
         let a = age_us.max(0) as f64;
         self.window_max_us = self.window_max_us.max(a);
         self.samples_in_window += 1;
+        self.sampled = true;
         if a > self.rolled_us {
             self.samples_above += 1;
         }
@@ -194,6 +204,18 @@ mod tests {
         nd.roll();
         // Roll commits the raise, then applies the regular EWMA step.
         assert_eq!(nd.estimate_us(), 1_570_000);
+    }
+
+    #[test]
+    fn has_samples_tracks_first_observation() {
+        let mut nd = NetDist::new(1_000_000, 0.1);
+        assert!(!nd.has_samples());
+        nd.roll();
+        assert!(!nd.has_samples(), "a roll is not a sample");
+        nd.observe(-5);
+        assert!(nd.has_samples(), "a clamped negative age still counts");
+        nd.roll();
+        assert!(nd.has_samples(), "rolling the window keeps the history");
     }
 
     #[test]

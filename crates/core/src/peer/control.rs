@@ -18,7 +18,7 @@ use crate::reconcile::{reconcile, SeqMap};
 use crate::tslist::TimeSpaceList;
 use crate::window::WindowKind;
 use mortar_net::{Ctx, NodeId, TrafficClass};
-use mortar_overlay::RouteState;
+use mortar_overlay::{RouteState, MAX_TREES};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -119,7 +119,7 @@ impl MortarPeer {
             record,
             t_ref_base_us: t_ref_base,
             ts: TimeSpaceList::new(),
-            netdist: NetDist::new(self.cfg.netdist_init_us, self.cfg.netdist_alpha),
+            netdist: [NetDist::new(self.cfg.netdist_init_us, self.cfg.netdist_alpha); MAX_TREES],
             stripe_rr: self.id as usize, // Stagger striping across peers.
             buckets: BTreeMap::new(),
             next_close_k: if window.kind == WindowKind::Time {
@@ -249,18 +249,22 @@ impl MortarPeer {
                 .values()
                 .map(|q| (q.spec.clone(), q.id, q.seq, local_now - q.t_ref_base_us))
                 .collect(),
-            removed: self.named_removals(),
+            removed: self.named_removals(|_, _| true),
             reply,
         }
     }
 
-    /// The removal cache as named `(name, id, seq)` entries. Tombstones
-    /// whose id no longer resolves (the name was re-bound to a newer
-    /// incarnation, evicting the old binding) are invisible to the store
-    /// hash and so are not advertised either.
-    pub(crate) fn named_removals(&self) -> Vec<(Arc<str>, QueryId, u64)> {
+    /// The removal-cache entries `keep` accepts, as named `(name, id, seq)`
+    /// entries. Tombstones whose id no longer resolves (the name was
+    /// re-bound to a newer incarnation, evicting the old binding) are
+    /// invisible to the store hash and so are not advertised either.
+    pub(crate) fn named_removals(
+        &self,
+        keep: impl Fn(QueryId, u64) -> bool,
+    ) -> Vec<(Arc<str>, QueryId, u64)> {
         self.removed
             .iter()
+            .filter(|&(&id, &s)| keep(id, s))
             .filter_map(|(&id, &s)| self.directory.name_of(id).map(|n| (Arc::from(n), id, s)))
             .collect()
     }
@@ -411,11 +415,12 @@ impl MortarPeer {
     /// Handles a store digest (phase 1 → phase 2): computes which entries
     /// actually differ and replies with a plan that pushes the digest
     /// sender's gaps in full, requests this peer's own gaps, and carries
-    /// this peer's removal cache. The decisions are exactly
-    /// [`crate::reconcile::digest_plan`]'s — [`reconcile`] run in both
-    /// directions — expressed in id space (ids bind 1:1 to names through
-    /// the single-writer object store; a colliding id from a second
-    /// injector is refused at install, same as the full-map path).
+    /// the tombstones of this peer's removal cache that the digest lacks.
+    /// The decisions are exactly [`crate::reconcile::digest_plan`]'s —
+    /// [`reconcile`] run in both directions — expressed in id space (ids
+    /// bind 1:1 to names through the single-writer object store; a
+    /// colliding id from a second injector is refused at install, same as
+    /// the full-map path).
     pub(crate) fn handle_reconcile_digest(
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
@@ -461,8 +466,12 @@ impl MortarPeer {
             })
             .map(|q| (q.spec.clone(), q.id, q.seq, local_now - q.t_ref_base_us))
             .collect();
-        let plan =
-            MortarMsg::ReconcilePlan { push, want, want_removed, removed: self.named_removals() };
+        // Ship only the tombstones the digest lacks or holds at an older
+        // sequence: the receiver would skip any other one anyway (it
+        // already caches an equal or newer tombstone, which only a newer
+        // install — one that outranks ours — can have cleared).
+        let tombstones = self.named_removals(|id, s| other_removed.get(&id).is_none_or(|&r| r < s));
+        let plan = MortarMsg::ReconcilePlan { push, want, want_removed, removed: tombstones };
         self.send_reconcile_msg(ctx, from, plan);
         // Apply the digest's resolvable tombstones after the plan is
         // built from the pre-exchange snapshot — the same ordering as the
@@ -476,7 +485,7 @@ impl MortarPeer {
     }
 
     /// Handles a reconciliation plan (phase 2 → phase 3): installs the
-    /// pushed entries, adopts the planner's removal cache, and answers
+    /// pushed entries, adopts the planner's tombstones, and answers
     /// the `want`/`want_removed` lists with full entries (and named
     /// tombstones) from the live state.
     pub(crate) fn handle_reconcile_plan(

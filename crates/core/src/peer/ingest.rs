@@ -3,6 +3,7 @@
 
 use super::MortarPeer;
 use crate::msg::MortarMsg;
+use crate::netdist::NetDist;
 use crate::query::{QueryId, SensorSpec};
 use crate::tuple::{RawTuple, SummaryTuple, TruthMeta};
 use crate::window::WindowKind;
@@ -79,7 +80,7 @@ impl MortarPeer {
                         stripe_tree: q.stripe_rr as u8,
                         truth: None,
                     };
-                    let timeout = q.netdist.timeout_us(0, self.cfg.min_timeout_us);
+                    let timeout = q.local_timeout_us(q.stripe_rr, 0, self.cfg.min_timeout_us);
                     q.ts.insert(&s, local_now, timeout);
                     self.stats.ts_peak_entries = self.stats.ts_peak_entries.max(q.ts.len() as u64);
                     // Trim the buffer.
@@ -106,7 +107,7 @@ impl MortarPeer {
             q.next_close_k += 1;
             // One EWMA step per window slide: netDist is an EWMA of the
             // *per-window* maximum age sample (Section 4.3).
-            q.netdist.roll();
+            q.netdist.iter_mut().for_each(NetDist::roll);
             let (tb, te) = q.spec.window.interval_of(k);
             let bucket = q.buckets.remove(&k);
             // Inception is anchored at the *centre* of the identifying
@@ -138,7 +139,7 @@ impl MortarPeer {
                     b
                 }
             };
-            let timeout = q.netdist.timeout_us(s.age_us, self.cfg.min_timeout_us);
+            let timeout = q.local_timeout_us(q.stripe_rr, s.age_us, self.cfg.min_timeout_us);
             q.ts.insert(&s, local_now, timeout);
             self.stats.ts_peak_entries = self.stats.ts_peak_entries.max(q.ts.len() as u64);
         }

@@ -50,7 +50,7 @@ use crate::tslist::TimeSpaceList;
 use crate::tuple::{RawTuple, Truth};
 use crate::value::AggState;
 use mortar_net::{App, Ctx, NodeId};
-use mortar_overlay::{RouteState, RouteTable};
+use mortar_overlay::{RouteState, RouteTable, MAX_TREES};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -309,7 +309,12 @@ pub(crate) struct QueryState {
     /// Local µs corresponding to the query's issue instant.
     pub(crate) t_ref_base_us: i64,
     pub(crate) ts: TimeSpaceList,
-    pub(crate) netdist: NetDist,
+    /// One netDist estimator per merge tree (Section 4.3), indexed by
+    /// tree: a tuple's age feeds, and its timeout comes from, only the
+    /// estimator of the tree it arrived on. A shared estimator would make
+    /// every tree wait for the slowest tree's ages — and for the extra
+    /// age that waiting itself adds, a ratchet that never settles.
+    pub(crate) netdist: [NetDist; MAX_TREES],
     pub(crate) stripe_rr: usize,
     pub(crate) buckets: BTreeMap<i64, Bucket>,
     pub(crate) next_close_k: i64,
@@ -338,6 +343,23 @@ impl QueryState {
 
     pub(crate) fn active(&self) -> bool {
         self.record.is_some()
+    }
+
+    /// The TS-list timeout for a summary this peer creates locally,
+    /// striped onto `tree`: it waits for the data this peer's
+    /// descendants on that tree send up, so it comes from that tree's
+    /// estimator — and a peer with no children there (a leaf on the
+    /// tree) has nothing to wait for beyond `min_timeout_us`.
+    pub(crate) fn local_timeout_us(&self, tree: usize, age_us: i64, min_timeout_us: u64) -> u64 {
+        let has_children = self
+            .record
+            .as_ref()
+            .is_some_and(|r| r.links.get(tree).is_some_and(|l| !l.children.is_empty()));
+        if has_children {
+            self.netdist[tree].timeout_us(age_us, min_timeout_us)
+        } else {
+            min_timeout_us
+        }
     }
 
     /// The query's indexing frame at local time `now` (Section 5: syncless
@@ -535,9 +557,13 @@ impl MortarPeer {
         self.queries.values().map(|q| q.spec.name.as_str()).collect()
     }
 
-    /// Current netDist estimate for a query (diagnostics).
+    /// Current netDist estimate for a query (diagnostics): the largest
+    /// estimate among the trees this peer has received data on, or the
+    /// initial estimate while it has received none.
     pub fn netdist_us(&self, name: &str) -> Option<u64> {
-        self.query_by_name(name).map(|q| q.netdist.estimate_us())
+        let q = self.query_by_name(name)?;
+        let sampled = q.netdist.iter().filter(|nd| nd.has_samples());
+        Some(sampled.map(NetDist::estimate_us).max().unwrap_or(self.cfg.netdist_init_us))
     }
 
     /// One feed's intake accounting, by query name.
@@ -576,22 +602,29 @@ impl MortarPeer {
         self.my_store_hash()
     }
 
+    /// The store the fingerprint covers: one `(name, seq, removed)` entry
+    /// per installed query (`removed = false`), then one per removal-cache
+    /// tombstone (`removed = true`), each in id order.
+    pub fn store_entries(&self) -> impl Iterator<Item = (&str, u64, bool)> {
+        let installed = self.queries.values().map(|q| (q.spec.name.as_str(), q.seq, false));
+        // Tombstones are minted by `remove_query`, which always had (and
+        // the directory retains) the id → name binding, so every entry
+        // resolves. Naming them keeps the fingerprint comparable across
+        // peers whatever ids they learned the removal under.
+        let removed = self
+            .removed
+            .iter()
+            .filter_map(|(&id, &s)| self.directory.name_of(id).map(|n| (n, s, true)));
+        installed.chain(removed)
+    }
+
     pub(crate) fn my_store_hash(&self) -> u64 {
         if let Some(h) = self.store_hash_cache.get() {
             return h;
         }
         let h = store_hash(
-            self.queries.values().map(|q| (q.spec.name.as_str(), q.seq)).chain(
-                // Tombstones are minted by `remove_query`, which always
-                // had (and the directory retains) the id → name binding,
-                // so every entry resolves. Hashing by *name* keeps the
-                // fingerprint comparable across peers whatever ids they
-                // learned the removal under.
-                self.removed
-                    .iter()
-                    .filter_map(|(&id, &s)| self.directory.name_of(id).map(|n| (n, s)))
-                    .map(|(n, s)| (n, s.wrapping_add(1 << 63))),
-            ),
+            self.store_entries()
+                .map(|(n, s, removed)| (n, if removed { s.wrapping_add(1 << 63) } else { s })),
         );
         self.store_hash_cache.set(Some(h));
         h
@@ -1293,6 +1326,26 @@ mod tests {
             assert_eq!(after.route_drops - before.route_drops, 2, "{indexing:?}");
             sim.app(0).queries[&QueryId(1)].ts.check_invariants();
         }
+    }
+
+    #[test]
+    fn netdist_us_ignores_trees_the_peer_only_leaves_by() {
+        // Peer 6 receives member 7's data on the chain tree but is a leaf
+        // of the star: it only ever sends on the star, so that tree's
+        // estimator stays unsampled and must not mask the chain's.
+        let n = 8;
+        let mut sim = build_sim(n);
+        inject_install(&mut sim, count_spec(n), chain_trees(n));
+        sim.run_for_secs(30.0);
+        let init = PeerConfig::default().netdist_init_us;
+        let peer = sim.app(6);
+        let q = peer.query_by_name("count").expect("installed");
+        assert!(q.netdist[0].has_samples() && !q.netdist[1].has_samples());
+        let est = peer.netdist_us("count").expect("installed");
+        assert_eq!(est, q.netdist[0].estimate_us());
+        assert!(est < init, "the chain's estimate should have decayed: {est}");
+        // A leaf on every tree has received nothing: the initial estimate.
+        assert_eq!(sim.app(7).netdist_us("count"), Some(init));
     }
 
     #[test]

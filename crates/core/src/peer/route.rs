@@ -468,7 +468,7 @@ impl MortarPeer {
         // the hold slack, holding it would risk missing the merge —
         // flush its envelope immediately instead.
         let urgent = self.cfg.envelope_hold_us > 0
-            && q.netdist.timeout_us(summary.age_us, self.cfg.min_timeout_us)
+            && q.netdist[tree].timeout_us(summary.age_us, self.cfg.min_timeout_us)
                 <= self.cfg.envelope_hold_us;
         let hash = if need_hash { Some(self.my_store_hash()) } else { None };
         frames.push(self, ctx, dest, tree as u8, summary, hash, urgent);
@@ -639,14 +639,14 @@ impl MortarPeer {
         // staleness drop: with timestamps, badly offset sources inflate
         // netDist — and with it every entry's timeout — which is exactly
         // the Section 5 pathology syncless operation avoids.
-        q.netdist.observe(tuple.age_us.min(self.cfg.max_age_us as i64));
+        q.netdist[t].observe(tuple.age_us.min(self.cfg.max_age_us as i64));
         if tuple.age_us > self.cfg.max_age_us as i64 {
             // Beyond the staleness horizon: drop rather than resurrect
             // long-dead windows (bounded-buffer behaviour).
             self.stats.route_drops += 1;
             return;
         }
-        let timeout = q.netdist.timeout_us(tuple.age_us, self.cfg.min_timeout_us);
+        let timeout = q.netdist[t].timeout_us(tuple.age_us, self.cfg.min_timeout_us);
         q.ts.insert(&tuple, local_now, timeout);
         self.stats.ts_peak_entries = self.stats.ts_peak_entries.max(q.ts.len() as u64);
     }

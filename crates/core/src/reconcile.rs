@@ -108,9 +108,11 @@ pub struct DigestPlan {
 /// sides shipping their complete installed sets).
 ///
 /// The digest sender's own removals (`reconcile` from its perspective)
-/// are not computed here: the plan ships the planner's removal cache and
-/// the sender applies it under the same sequence rules, exactly as it
-/// would a full exchange's `removed` field.
+/// are not computed here: the plan ships the planner's tombstones that
+/// the digest lacks (or holds at an older sequence) and the sender applies
+/// them under the same sequence rules, exactly as it would a full
+/// exchange's `removed` field — the tombstones left out are ones it would
+/// skip.
 pub fn digest_plan(
     my_installed: &impl SeqMap,
     my_removed: &impl SeqMap,

@@ -1,9 +1,19 @@
 //! Property-based tests of the reconciliation algebra (Section 6.1):
-//! convergence, idempotence, and removal-cache correctness.
+//! convergence, idempotence, and removal-cache correctness — plus the
+//! peers' digest exchange, whose plan ships only the tombstones the
+//! digest lacks.
 
+use mortar_core::msg::MortarMsg;
+use mortar_core::op::{OpKind, OpRegistry};
+use mortar_core::peer::{MortarPeer, PeerConfig};
+use mortar_core::query::{build_records, QueryId, QuerySpec, SensorSpec};
 use mortar_core::reconcile::{reconcile, store_hash};
+use mortar_core::window::WindowSpec;
+use mortar_net::{NodeId, SimBuilder, Simulator, Topology};
+use mortar_overlay::{Tree, TreeSet};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 type Store = (HashMap<String, u64>, HashMap<String, u64>);
 
@@ -65,6 +75,73 @@ fn apply(store: &mut Store, other: &Store) {
     }
 }
 
+/// The query id a history name is interned under (`q3` → 4): fixed per
+/// name, as the single-writer object store issues it.
+fn id_of(name: &str) -> QueryId {
+    QueryId(name[1..].parse::<u32>().expect("history names are q<digit>") + 1)
+}
+
+/// Two peers whose stores hold the commands of `history` each received:
+/// installs are single-member queries rooted at the receiving peer (no
+/// tree links, so no heartbeat starts an exchange on its own).
+fn peer_pair(history: &History, masks: [u64; 2]) -> Simulator<MortarPeer> {
+    let reg = OpRegistry::new();
+    let mut sim = SimBuilder::new(Topology::star(2, 1_000), 7)
+        .build(move |id| MortarPeer::new(id, PeerConfig::default(), reg.clone()));
+    for (node, mask) in [(0 as NodeId, masks[0]), (1, masks[1])] {
+        for (i, (name, seq, is_install)) in history.iter().enumerate() {
+            if (mask >> (i % 63)) & 1 == 0 {
+                continue;
+            }
+            let id = id_of(name);
+            let msg = if *is_install {
+                let spec = QuerySpec {
+                    name: name.clone(),
+                    root: node,
+                    members: vec![node],
+                    op: OpKind::Sum { field: 0 },
+                    window: WindowSpec::time_tumbling_us(1_000_000),
+                    filter: None,
+                    sensor: SensorSpec::Periodic { period_us: 1_000_000, value: 1.0 },
+                    post: None,
+                };
+                let trees = TreeSet::new(vec![Tree::from_parents(0, vec![None])]);
+                let records = build_records(&spec.members, &trees);
+                MortarMsg::Install { spec: Arc::new(spec), id, seq: *seq, records, issue_age_us: 0 }
+            } else {
+                MortarMsg::Remove { id, seq: *seq }
+            };
+            sim.inject(node, node, msg, 64);
+            sim.run_for_secs(0.01);
+        }
+    }
+    sim
+}
+
+/// Both peers' sorted store entries and fingerprints.
+type StoreView = Vec<(Vec<(String, u64, bool)>, u64)>;
+
+fn stores(sim: &Simulator<MortarPeer>) -> StoreView {
+    (0..2)
+        .map(|node| {
+            let app = sim.app(node);
+            let mut entries: Vec<_> =
+                app.store_entries().map(|(n, s, removed)| (n.to_string(), s, removed)).collect();
+            entries.sort();
+            (entries, app.store_fingerprint())
+        })
+        .collect()
+}
+
+/// Runs one digest exchange: peer 1's heartbeat carries its fingerprint,
+/// peer 0 answers the mismatch with its digest, peer 1 replies with the
+/// plan, and peer 0 completes with a transfer.
+fn exchange(sim: &mut Simulator<MortarPeer>) {
+    let hash = sim.app(1).store_fingerprint();
+    sim.inject(0, 1, MortarMsg::Heartbeat { store_hash: Some(hash) }, 16);
+    sim.run_for_secs(1.0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -124,5 +201,40 @@ proptest! {
         let mut sa = replay(&history, mask);
         apply(&mut sa, &other);
         prop_assert!(!sa.0.contains_key(&name), "stale install survived a newer removal");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn digest_plan_ships_every_tombstone_that_matters(
+        history in arb_history(),
+        mask_a in 0u64..u64::MAX,
+        mask_b in 0u64..u64::MAX,
+    ) {
+        // The plan peer 1 sends drops each tombstone peer 0's digest
+        // already holds at an equal or newer sequence. Handing peer 0 the
+        // planner's *whole* removal cache as well (the unfiltered plan)
+        // must leave both peers' stores exactly where the filtered
+        // exchange leaves them.
+        let mut filtered = peer_pair(&history, [mask_a, mask_b]);
+        let mut unfiltered = peer_pair(&history, [mask_a, mask_b]);
+        prop_assert_eq!(stores(&filtered), stores(&unfiltered));
+        let removed: Vec<(Arc<str>, QueryId, u64)> = unfiltered
+            .app(1)
+            .store_entries()
+            .filter(|&(_, _, removed)| removed)
+            .map(|(n, s, _)| (Arc::from(n), id_of(n), s))
+            .collect();
+        let plan =
+            MortarMsg::ReconcilePlan { push: vec![], want: vec![], want_removed: vec![], removed };
+        unfiltered.inject(0, 1, plan, 64);
+        unfiltered.run_for_secs(0.01);
+        exchange(&mut filtered);
+        exchange(&mut unfiltered);
+        let (a, b) = (stores(&filtered), stores(&unfiltered));
+        prop_assert_eq!(&a, &b, "a dropped tombstone changed a store");
+        prop_assert_eq!(a[0].1, a[1].1, "one digest exchange did not converge");
     }
 }

@@ -5,8 +5,8 @@
 //! stats — do not depend on how many worker threads drove it, and repeated
 //! runs of the same configuration reproduce themselves exactly. A
 //! fig13-style aggregate over 100 hosts is driven at shards ∈ {1, 2, 4}
-//! (shards = 1 being the legacy single-threaded event loop) and every
-//! fingerprint must coincide.
+//! (shards = 1 being the same shard core run alone, without
+//! synchronisation windows) and every fingerprint must coincide.
 
 use mortar::net::TrafficClass;
 use mortar::prelude::*;
