@@ -10,7 +10,7 @@
 //! an [`OpRegistry`] shared by all peers.
 
 use crate::tuple::RawTuple;
-use crate::value::{bloom_insert, topk_order, AggState, Row, TopKEntry, BLOOM_WORDS};
+use crate::value::{bloom_insert, topk_order, AggState, KeyedGroups, Row, TopKEntry, BLOOM_WORDS};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -201,7 +201,7 @@ impl OpKind {
             OpKind::Custom { name } => {
                 registry.get(name).map(|op| op.zero()).unwrap_or(AggState::None)
             }
-            OpKind::Keyed { cap, .. } => AggState::Keyed { cap: *cap, groups: BTreeMap::new() },
+            OpKind::Keyed { cap, .. } => AggState::Keyed { cap: *cap, groups: KeyedGroups::new() },
         }
     }
 
@@ -242,12 +242,11 @@ impl OpKind {
                 }
             }
             (OpKind::Keyed { key_field, inner, .. }, AggState::Keyed { cap, groups }) => {
-                let key = key_field.of(t);
-                if groups.len() >= *cap && !groups.contains_key(&key) {
-                    return; // Bounded state: overflow keys dropped.
+                // Bounded state: once `cap` groups exist, new keys drop.
+                if let Some(g) = groups.entry_capped(key_field.of(t), *cap, || inner.zero(registry))
+                {
+                    inner.lift(registry, g, source, t);
                 }
-                let g = groups.entry(key).or_insert_with(|| inner.zero(registry));
-                inner.lift(registry, g, source, t);
             }
             (kind, state) => {
                 debug_assert!(false, "lift mismatch: {kind:?} into {state:?}");

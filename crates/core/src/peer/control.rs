@@ -130,6 +130,7 @@ impl MortarPeer {
             next_emit_local_us: local_now,
             feed,
             tuple_buf: Vec::new(),
+            replay_pos: 0,
             tuples_seen: 0,
             tuples_out: 0,
             sched_due_us: i64::MAX,

@@ -9,12 +9,68 @@ use crate::tuple::{RawTuple, SummaryTuple, TruthMeta};
 use crate::window::WindowKind;
 use mortar_net::Ctx;
 
+/// A peer-resident replay trace (the trace-driven sensors of Section 7),
+/// packed into four flat arrays: tuple `i` is due at local offset
+/// `offs[i]` from its query's activation, carries key `keys[i]`, and its
+/// fields are `vals[starts[i]..starts[i + 1]]` (the last tuple's run ends
+/// at `vals.len()`). A 1-field tuple costs 8 + 8 + 4 + 8 = 28 B and no
+/// allocation of its own, where a `(u64, RawTuple)` pair costs ~72 B (a
+/// 40 B element plus a 32 B heap chunk for its field vector).
+#[derive(Debug, Default)]
+pub(crate) struct ReplayTrace {
+    pub(crate) offs: Vec<u64>,
+    keys: Vec<u64>,
+    starts: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl ReplayTrace {
+    /// Packs `(offset, tuple)` pairs, preserving their order.
+    pub(crate) fn pack(trace: Vec<(u64, RawTuple)>) -> Self {
+        let n = trace.len();
+        let fields = trace.iter().map(|(_, t)| t.vals.len()).sum();
+        let mut packed = Self {
+            offs: Vec::with_capacity(n),
+            keys: Vec::with_capacity(n),
+            starts: Vec::with_capacity(n),
+            vals: Vec::with_capacity(fields),
+        };
+        for (off, t) in trace {
+            let start = u32::try_from(packed.vals.len()).expect("replay trace exceeds 2^32 fields");
+            packed.offs.push(off);
+            packed.keys.push(t.key);
+            packed.starts.push(start);
+            packed.vals.extend_from_slice(&t.vals);
+        }
+        packed
+    }
+
+    /// Writes tuple `i` into `out`, reusing `out`'s field buffer.
+    pub(crate) fn load(&self, i: usize, out: &mut RawTuple) {
+        let start = self.starts[i] as usize;
+        let end = self.starts.get(i + 1).map_or(self.vals.len(), |&s| s as usize);
+        out.set(self.keys[i], &self.vals[start..end]);
+    }
+
+    /// Heap bytes held, from the arrays' capacities.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.offs.capacity() * size_of::<u64>()
+            + self.keys.capacity() * size_of::<u64>()
+            + self.starts.capacity() * size_of::<u32>()
+            + self.vals.capacity() * size_of::<f64>()
+    }
+}
+
 impl MortarPeer {
-    /// Lifts one raw tuple into the query's open windows.
+    /// Lifts one raw tuple into the query's open windows. The tuple is
+    /// borrowed: lifting reads it, and only a tuple window's buffer keeps
+    /// a copy.
     pub(crate) fn ingest_raw(
         &mut self,
         id: QueryId,
-        tuple: RawTuple,
+        tuple: &RawTuple,
         local_now: i64,
         true_now_us: u64,
     ) {
@@ -23,7 +79,7 @@ impl MortarPeer {
             return;
         }
         if let Some(pred) = &q.spec.filter {
-            if !pred.eval(&tuple) {
+            if !pred.eval(tuple) {
                 return;
             }
         }
@@ -43,7 +99,7 @@ impl MortarPeer {
                     }
                     let b = q.buckets.entry(k).or_default();
                     let st = b.state.get_or_insert_with(|| q.spec.op.zero(&self.registry));
-                    q.spec.op.lift(&self.registry, st, member, &tuple);
+                    q.spec.op.lift(&self.registry, st, member, tuple);
                     b.count += 1;
                     if track {
                         let tw = (true_now_us as i64).div_euclid(slide);
@@ -53,7 +109,7 @@ impl MortarPeer {
             }
             WindowKind::Tuples => {
                 let frame = q.frame_now(self.cfg.indexing, local_now);
-                q.tuple_buf.push((frame, tuple));
+                q.tuple_buf.push((frame, tuple.clone()));
                 q.tuples_seen += 1;
                 let range = q.spec.window.range as usize;
                 let slide = q.spec.window.slide;
@@ -153,8 +209,15 @@ impl MortarPeer {
 
     /// Pumps the query's local sensor for tuples due by now. The sensor
     /// spec is examined by reference — no per-tick clone of the spec (or
-    /// of any upstream-name strings it carries).
-    pub(crate) fn pump_sensor(&mut self, id: QueryId, ctx: &mut Ctx<'_, MortarMsg>) {
+    /// of any upstream-name strings it carries) — and every due tuple is
+    /// written into the tick's scratch tuple `raw`, so pumping allocates
+    /// nothing per tuple.
+    pub(crate) fn pump_sensor(
+        &mut self,
+        id: QueryId,
+        ctx: &mut Ctx<'_, MortarMsg>,
+        raw: &mut RawTuple,
+    ) {
         let local_now = ctx.local_now_us();
         let true_now = ctx.true_now_us();
         let Some(q) = self.queries.get_mut(&id) else { return };
@@ -168,20 +231,23 @@ impl MortarPeer {
                     q.next_emit_local_us += period_us as i64;
                     n_due += 1;
                 }
+                raw.set(0, &[value]);
                 for _ in 0..n_due {
-                    self.ingest_raw(id, RawTuple::of(value), local_now, true_now);
+                    self.ingest_raw(id, raw, local_now, true_now);
                 }
             }
             SensorSpec::Replay => {
+                // The cursor is the query's own: every replay query walks
+                // the whole trace from its own activation.
                 let base = q.t_ref_base_us;
-                while self.replay_pos < self.replay.len() {
-                    let (off, _) = self.replay[self.replay_pos];
-                    if base + off as i64 > local_now {
-                        break;
-                    }
-                    let t = self.replay[self.replay_pos].1.clone();
-                    self.replay_pos += 1;
-                    self.ingest_raw(id, t, local_now, true_now);
+                let mut pos = q.replay_pos;
+                while self.replay.offs.get(pos).is_some_and(|&off| base + off as i64 <= local_now) {
+                    self.replay.load(pos, raw);
+                    pos += 1;
+                    self.ingest_raw(id, raw, local_now, true_now);
+                }
+                if let Some(q) = self.queries.get_mut(&id) {
+                    q.replay_pos = pos;
                 }
             }
             SensorSpec::Feed(_) => self.pump_feed(id, local_now, true_now),
@@ -205,7 +271,7 @@ impl MortarPeer {
         // The feed is moved out of the query for the round so delivery can
         // lift straight into the operator: the capped queue inside `feed`
         // is the only buffer a burst ever occupies.
-        feed.pump(frame_now, |t| self.ingest_raw(id, t, local_now, true_now));
+        feed.pump(frame_now, |t| self.ingest_raw(id, &t, local_now, true_now));
         if let Some(q) = self.queries.get_mut(&id) {
             q.feed = Some(feed);
         }
@@ -214,6 +280,8 @@ impl MortarPeer {
     /// Feeds a root emission into co-located queries subscribed to `name`
     /// (Section 2.2's composition). An id-keyed index lookup maintained at
     /// install/remove — not a scan over every installed query's sensor.
+    /// The fed tuple `(value, participants)` is written into the tick's
+    /// scratch tuple `raw`, so a feed allocates nothing per emission.
     pub(crate) fn feed_subscribers(
         &mut self,
         name: &str,
@@ -221,18 +289,15 @@ impl MortarPeer {
         participants: u32,
         local_now: i64,
         true_now: u64,
+        raw: &mut RawTuple,
     ) {
+        raw.set(0, &[value, participants as f64]);
         // Re-resolve per step (a short hash lookup) so the borrow on the
         // index never spans the ingest call; no subscriber list is cloned.
         let mut i = 0;
         while let Some(&sub) = self.subscribers.get(name).and_then(|subs| subs.get(i)) {
             i += 1;
-            self.ingest_raw(
-                sub,
-                RawTuple { key: 0, vals: vec![value, participants as f64] },
-                local_now,
-                true_now,
-            );
+            self.ingest_raw(sub, raw, local_now, true_now);
             // A fed tuple-window subscriber may now hold a TS entry due
             // sooner than its scheduled instant (and a time-window one may
             // have minted buckets past the GC cap); keep the due index

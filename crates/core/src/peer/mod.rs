@@ -327,6 +327,10 @@ pub(crate) struct QueryState {
     pub(crate) feed: Option<crate::feed::FeedState>,
     /// Tuple-window buffer: (frame arrival time, tuple).
     pub(crate) tuple_buf: Vec<(i64, RawTuple)>,
+    /// Index of the next peer replay-trace tuple this query ingests
+    /// (`SensorSpec::Replay`): a cursor per query, so every replay query
+    /// sees the whole trace from its own activation.
+    pub(crate) replay_pos: usize,
     pub(crate) tuples_seen: u64,
     pub(crate) tuples_out: u64,
     /// The due instant this query is currently scheduled under in the
@@ -385,7 +389,11 @@ impl QueryState {
 ///   repeated heartbeat-map probes into single bit tests);
 /// * `frame_bins` — the eviction pass's frame builder bins, emptied in
 ///   place at emit like the outbox's long-lived envelope bins (replaces
-///   the per-query-per-pass `HopBins` allocation).
+///   the per-query-per-pass `HopBins` allocation);
+/// * `raw` — the one raw tuple every sensor emission (periodic value,
+///   replay-trace tuple, subscription feed) is written into before it is
+///   lifted, replacing a fresh `RawTuple` (and its field vector) per
+///   tuple.
 ///
 /// The scratch is moved out of the peer for the duration of a tick (the
 /// stages take `&mut TickScratch` alongside `&mut self`), so ownership is
@@ -396,6 +404,7 @@ pub(crate) struct TickScratch {
     pub(crate) due_ids: Vec<QueryId>,
     pub(crate) live: mortar_overlay::NodeBitmap,
     pub(crate) frame_bins: mortar_overlay::HopBins<(NodeId, u8), route::PendingFrame>,
+    pub(crate) raw: RawTuple,
 }
 
 /// The Mortar peer application.
@@ -475,9 +484,9 @@ pub struct MortarPeer {
     /// Results recorded by the root operator: a bounded ring with stable
     /// sequence numbers (see [`ResultLog`]).
     pub results: ResultLog,
-    /// Replay trace for `SensorSpec::Replay` (local-µs offset, tuple).
-    pub(crate) replay: Vec<(u64, RawTuple)>,
-    pub(crate) replay_pos: usize,
+    /// Replay trace for `SensorSpec::Replay` queries, packed; each query
+    /// keeps its own cursor into it (`QueryState::replay_pos`).
+    pub(crate) replay: ingest::ReplayTrace,
     /// Counters.
     pub stats: PeerStats,
 }
@@ -514,17 +523,23 @@ impl MortarPeer {
             scratch: TickScratch::default(),
             store_hash_cache: Cell::new(None),
             results: ResultLog::new(cfg.result_log_cap),
-            replay: Vec::new(),
-            replay_pos: 0,
+            replay: ingest::ReplayTrace::default(),
             stats: PeerStats::default(),
         }
     }
 
     /// Sets the replay trace used by `SensorSpec::Replay` queries.
-    /// Offsets are local µs from query activation.
+    /// Offsets are local µs from query activation, and the cursor is per
+    /// query: every replay query ingests the whole trace, each from its own
+    /// activation, so two replay queries on one peer both see every tuple
+    /// and a query installed later starts at the trace's first tuple. A
+    /// new trace restarts every installed replay query at its first tuple.
+    /// The trace is packed into flat arrays (about 28 B per 1-field tuple).
     pub fn set_replay(&mut self, trace: Vec<(u64, RawTuple)>) {
-        self.replay = trace;
-        self.replay_pos = 0;
+        self.replay = ingest::ReplayTrace::pack(trace);
+        for q in self.queries.values_mut() {
+            q.replay_pos = 0;
+        }
         // A new trace moves every replay query's next sensor emission.
         let ids: Vec<QueryId> = self.queries.keys().copied().collect();
         for id in ids {
@@ -671,7 +686,7 @@ impl MortarPeer {
         match q.spec.sensor {
             crate::query::SensorSpec::Periodic { .. } => due = due.min(q.next_emit_local_us),
             crate::query::SensorSpec::Replay => {
-                if let Some(&(off, _)) = self.replay.get(self.replay_pos) {
+                if let Some(&off) = self.replay.offs.get(q.replay_pos) {
                     due = due.min(q.t_ref_base_us.saturating_add(off as i64));
                 }
             }
@@ -1002,7 +1017,7 @@ impl App for MortarPeer {
                 i += 1;
                 processed += 1;
                 self.due_dirty = false;
-                self.pump_sensor(id, ctx);
+                self.pump_sensor(id, ctx, &mut scratch.raw);
                 self.close_windows(id, local_now);
                 self.evict_and_route(id, ctx, &mut scratch);
                 self.reschedule(id);
@@ -1023,7 +1038,7 @@ impl App for MortarPeer {
             for i in 0..scratch.due_ids.len() {
                 let id = scratch.due_ids[i];
                 processed += 1;
-                self.pump_sensor(id, ctx);
+                self.pump_sensor(id, ctx, &mut scratch.raw);
                 self.close_windows(id, local_now);
                 self.evict_and_route(id, ctx, &mut scratch);
                 self.reschedule(id);
@@ -1223,6 +1238,59 @@ mod tests {
             peaks.iter().any(|&v| (v - n as f64).abs() < 1e-9),
             "peak of windowed sums should reach {n}: {peaks:?}"
         );
+    }
+
+    #[test]
+    fn packed_replay_ingests_the_original_sequence_in_28_bytes_per_tuple() {
+        // Mixed arity (0, 1 and 3 fields) round-trips through the packed
+        // store and the replay pump: a one-peer union query collects every
+        // ingested row, which must be exactly the trace in order.
+        let trace: Vec<(u64, RawTuple)> = (0..30u64)
+            .map(|i| {
+                let vals = match i % 3 {
+                    0 => vec![],
+                    1 => vec![i as f64],
+                    _ => vec![i as f64, -(i as f64), 0.5],
+                };
+                (100_000 + i * 100_000, RawTuple { key: 1_000 + i, vals })
+            })
+            .collect();
+        let mut sim = build_sim(1);
+        sim.app_mut(0).set_replay(trace.clone());
+        let spec = QuerySpec {
+            name: "rows".into(),
+            root: 0,
+            members: vec![0],
+            op: OpKind::Union { cap: 1_000 },
+            window: WindowSpec::time_tumbling_us(1_000_000),
+            filter: None,
+            sensor: SensorSpec::Replay,
+            post: None,
+        };
+        inject_install(&mut sim, spec, TreeSet::new(vec![Tree::from_parents(0, vec![None])]));
+        sim.run_for_secs(10.0);
+        let ingested: Vec<(u64, Vec<f64>)> = sim
+            .app(0)
+            .results
+            .iter()
+            .flat_map(|r| match &r.state {
+                AggState::Rows { rows, .. } => rows.clone(),
+                _ => Vec::new(),
+            })
+            .map(|row| (row.key, row.vals))
+            .collect();
+        let want: Vec<(u64, Vec<f64>)> = trace.into_iter().map(|(_, t)| (t.key, t.vals)).collect();
+        assert_eq!(ingested, want);
+
+        // A 1-field trace's footprint is the four arrays' capacities:
+        // 8 (offset) + 8 (key) + 4 (field start) + 8 (field) bytes a tuple.
+        let n = 10_000u64;
+        let mut peer = MortarPeer::new(0, PeerConfig::default(), OpRegistry::new());
+        peer.set_replay(
+            (0..n).map(|i| (i * 25_000, RawTuple { key: i % 64, vals: vec![1.0] })).collect(),
+        );
+        let bytes = peer.replay.heap_bytes();
+        assert!(bytes <= 28 * n as usize + 64, "{bytes} B for {n} tuples");
     }
 
     #[test]

@@ -30,11 +30,10 @@ use crate::metrics::ResultRecord;
 use crate::msg::{MortarMsg, SummaryFrame};
 use crate::op::OpKind;
 use crate::query::{mix_key, InstallRecord, QueryId};
-use crate::tuple::SummaryTuple;
-use crate::value::AggState;
+use crate::tuple::{RawTuple, SummaryTuple};
+use crate::value::{AggState, KeyedGroups};
 use mortar_net::{Ctx, NodeId, TrafficClass};
 use mortar_overlay::{Decision, HopBins, NodeBitmap, RouteState, MAX_TREES};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// An under-construction outgoing frame for one (destination, tree).
@@ -393,7 +392,7 @@ impl MortarPeer {
             self.stats.evictions += 1;
             let summary = entry.into_summary(local_now);
             if is_root {
-                self.record_result(id, &name, summary, local_now, true_now);
+                self.record_result(id, &name, summary, local_now, true_now, &mut scratch.raw);
                 continue;
             }
             // Keyed states split across the sibling trees by key range at
@@ -401,22 +400,27 @@ impl MortarPeer {
             // map, receivers re-merge the (disjoint) slices key-wise, and
             // exactly one part keeps the participants/truth so the root's
             // completeness accounting sees each constituent once.
-            if split_keyed {
-                if let Some(parts) = split_keyed_summary(&summary, &rec) {
-                    for part in parts {
-                        self.route_summary(
-                            id,
-                            ctx,
-                            &rec,
-                            &parent_live[..width],
-                            live,
-                            &mut frames,
-                            part,
-                        );
+            let summary = if split_keyed {
+                match split_keyed_summary(summary, &rec) {
+                    Ok(parts) => {
+                        for part in parts {
+                            self.route_summary(
+                                id,
+                                ctx,
+                                &rec,
+                                &parent_live[..width],
+                                live,
+                                &mut frames,
+                                part,
+                            );
+                        }
+                        continue;
                     }
-                    continue;
+                    Err(whole) => whole,
                 }
-            }
+            } else {
+                summary
+            };
             self.route_summary(id, ctx, &rec, &parent_live[..width], live, &mut frames, summary);
         }
         frames.finish(self, ctx);
@@ -475,9 +479,9 @@ impl MortarPeer {
     }
 
     /// Finalizes a root eviction into a [`ResultRecord`] and feeds any
-    /// co-located subscribers. The record shares the query's interned name
-    /// and *moves* the summary's truth metadata — no per-emission string
-    /// or map clone.
+    /// co-located subscribers through the tick's scratch tuple `raw`. The
+    /// record shares the query's interned name and *moves* the summary's
+    /// truth metadata — no per-emission string or map clone.
     fn record_result(
         &mut self,
         id: QueryId,
@@ -485,6 +489,7 @@ impl MortarPeer {
         summary: SummaryTuple,
         local_now: i64,
         true_now: u64,
+        raw: &mut RawTuple,
     ) {
         let q = self.queries.get_mut(&id).expect("query exists");
         let mut finalized = q.spec.op.finalize(&self.registry, &summary.state);
@@ -516,7 +521,7 @@ impl MortarPeer {
         // Composition: feed the result into co-located queries subscribed
         // to this one (Section 2.2).
         if let Some(v) = scalar {
-            self.feed_subscribers(name, v, summary.participants, local_now, true_now);
+            self.feed_subscribers(name, v, summary.participants, local_now, true_now, raw);
         }
     }
 
@@ -658,24 +663,42 @@ impl MortarPeer {
 /// keeps the participants count and truth metadata (and is emitted even
 /// when its key slice is empty), so the root's completeness and
 /// ground-truth accounting see each constituent exactly once; the other
-/// parts carry pure keyed payload. Returns `None` when the state holds
-/// fewer than two groups — nothing to split, the caller routes the tuple
-/// whole.
-fn split_keyed_summary(summary: &SummaryTuple, rec: &InstallRecord) -> Option<Vec<SummaryTuple>> {
-    let AggState::Keyed { cap, groups } = &summary.state else { return None };
-    if groups.len() < 2 {
-        return None;
-    }
+/// parts carry pure keyed payload. The groups move into their parts and
+/// none is cloned: a counting pass sizes each other tree's slice exactly,
+/// and one partition pass moves their groups out of the summary's vector,
+/// which stays behind as the home tree's slice. Hands the summary back
+/// (`Err`) when its state holds fewer than two groups — nothing to split,
+/// the caller routes the tuple whole.
+fn split_keyed_summary(
+    mut summary: SummaryTuple,
+    rec: &InstallRecord,
+) -> Result<Vec<SummaryTuple>, SummaryTuple> {
+    let (cap, mut pairs) = match summary.state {
+        AggState::Keyed { cap, groups } if groups.len() >= 2 => (cap, groups.into_vec()),
+        _ => return Err(summary),
+    };
     let width = rec.width();
     let home = (summary.stripe_tree as usize).min(width - 1);
-    let mut parts = Vec::with_capacity(width);
-    for (t, link) in rec.links.iter().enumerate() {
-        let mut slice = BTreeMap::new();
-        for (k, st) in groups {
-            if link.key_range.contains(mix_key(*k)) {
-                slice.insert(*k, st.clone());
-            }
+    let tree_of = |k: u64| rec.links.iter().position(|l| l.key_range.contains(mix_key(k)));
+    let mut counts = [0usize; MAX_TREES];
+    for &(k, _) in &pairs {
+        if let Some(t) = tree_of(k) {
+            counts[t] += 1;
         }
+    }
+    let mut slices: [Vec<(u64, AggState)>; MAX_TREES] =
+        std::array::from_fn(|t| if t == home { Vec::new() } else { Vec::with_capacity(counts[t]) });
+    pairs.retain_mut(|(k, st)| match tree_of(*k) {
+        Some(t) if t == home => true,
+        Some(t) => {
+            slices[t].push((*k, std::mem::replace(st, AggState::None)));
+            false
+        }
+        None => false,
+    });
+    slices[home] = pairs;
+    let mut parts = Vec::with_capacity(width);
+    for (t, slice) in slices.into_iter().enumerate().take(width) {
         if slice.is_empty() && t != home {
             continue;
         }
@@ -685,12 +708,12 @@ fn split_keyed_summary(summary: &SummaryTuple, rec: &InstallRecord) -> Option<Ve
             age_us: summary.age_us,
             participants: if t == home { summary.participants } else { 0 },
             has_value: summary.has_value,
-            state: AggState::Keyed { cap: *cap, groups: slice },
+            state: AggState::Keyed { cap, groups: KeyedGroups::from_sorted(slice) },
             route: summary.route,
             hops: summary.hops,
             stripe_tree: t as u8,
-            truth: if t == home { summary.truth.clone() } else { None },
+            truth: if t == home { summary.truth.take() } else { None },
         });
     }
-    Some(parts)
+    Ok(parts)
 }

@@ -82,7 +82,8 @@ pub enum SensorSpec {
         value: f64,
     },
     /// Replay a peer-resident trace (set via
-    /// [`crate::peer::MortarPeer::set_replay`]).
+    /// [`crate::peer::MortarPeer::set_replay`]) from this query's own
+    /// activation, under a cursor of its own.
     Replay,
     /// Subscribe to another query's output stream: each result the named
     /// query's root operator emits on this peer is ingested as a raw tuple

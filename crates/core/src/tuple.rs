@@ -11,7 +11,7 @@ use mortar_overlay::RouteState;
 use std::collections::BTreeMap;
 
 /// A raw sensor tuple: an ordered set of data elements plus a routing key.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RawTuple {
     /// Discrete key (e.g. a MAC address hash) used by select predicates.
     pub key: u64,
@@ -23,6 +23,13 @@ impl RawTuple {
     /// A single-field tuple with key 0.
     pub fn of(v: f64) -> Self {
         Self { key: 0, vals: vec![v] }
+    }
+
+    /// Overwrites this tuple in place, reusing its field buffer.
+    pub(crate) fn set(&mut self, key: u64, vals: &[f64]) {
+        self.key = key;
+        self.vals.clear();
+        self.vals.extend_from_slice(vals);
     }
 
     /// Field accessor with a default for missing fields.

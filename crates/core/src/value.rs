@@ -98,12 +98,12 @@ pub enum AggState {
     /// same deterministic overflow policy as [`AggState::Freq`]: once full,
     /// keys already tracked keep merging and unseen keys are dropped, so
     /// every merge order converges on the same survivor set (the `cap`
-    /// smallest keys seen, since `BTreeMap` iteration is ordered).
+    /// smallest keys seen, since groups are walked in ascending key order).
     Keyed {
         /// Maximum distinct keys tracked.
         cap: usize,
         /// key → inner partial aggregate.
-        groups: BTreeMap<u64, AggState>,
+        groups: KeyedGroups,
     },
 }
 
@@ -120,6 +120,224 @@ pub fn topk_order(a: &TopKEntry, b: &TopKEntry) -> std::cmp::Ordering {
         .then_with(|| {
             a.payload.iter().map(|v| v.to_bits()).cmp(b.payload.iter().map(|v| v.to_bits()))
         })
+}
+
+/// The groups of an [`AggState::Keyed`] state: `(key, state)` pairs in one
+/// vector sorted by ascending key. A window's handful of groups costs one
+/// allocation of 48 B per group instead of a `BTreeMap` node per handful
+/// (~540 B per leaf), lookups are a binary search, and a merge is a
+/// two-pointer walk over both sorted runs.
+#[derive(Default, PartialEq)]
+pub struct KeyedGroups(Vec<(u64, AggState)>);
+
+/// A clone keeps room for four groups: a TS-list entry opens as a clone
+/// of its first summary (often a leaf's one group) and then absorbs its
+/// siblings' keys, the first few without growing.
+impl Clone for KeyedGroups {
+    fn clone(&self) -> Self {
+        let mut v = Vec::with_capacity(self.0.len().max(4));
+        v.extend(self.0.iter().cloned());
+        Self(v)
+    }
+}
+
+/// The borrowing iterator over [`KeyedGroups`], in ascending key order.
+pub type KeyedGroupsIter<'a> = std::iter::Map<
+    std::slice::Iter<'a, (u64, AggState)>,
+    fn(&(u64, AggState)) -> (&u64, &AggState),
+>;
+
+impl KeyedGroups {
+    /// An empty group map (allocates nothing).
+    pub fn new() -> Self {
+        Self(Vec::new())
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there are no groups.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn find(&self, key: u64) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
+    /// Whether `key` has a group.
+    pub fn contains_key(&self, key: &u64) -> bool {
+        self.find(*key).is_ok()
+    }
+
+    /// The group of `key`, if tracked.
+    pub fn get(&self, key: &u64) -> Option<&AggState> {
+        self.find(*key).ok().map(|i| &self.0[i].1)
+    }
+
+    /// Sets `key`'s group, returning the state it replaced.
+    pub fn insert(&mut self, key: u64, state: AggState) -> Option<AggState> {
+        match self.find(key) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, state)),
+            Err(i) => {
+                self.0.insert(i, (key, state));
+                None
+            }
+        }
+    }
+
+    /// `key`'s group, created by `zero` when absent — unless `cap` groups
+    /// are already tracked, in which case the key is dropped (`None`).
+    pub(crate) fn entry_capped(
+        &mut self,
+        key: u64,
+        cap: usize,
+        zero: impl FnOnce() -> AggState,
+    ) -> Option<&mut AggState> {
+        let i = match self.find(key) {
+            Ok(i) => i,
+            Err(_) if self.0.len() >= cap => return None,
+            Err(i) => {
+                self.0.insert(i, (key, zero()));
+                i
+            }
+        };
+        Some(&mut self.0[i].1)
+    }
+
+    /// `(key, group)` pairs in ascending key order.
+    pub fn iter(&self) -> KeyedGroupsIter<'_> {
+        fn split((k, st): &(u64, AggState)) -> (&u64, &AggState) {
+            (k, st)
+        }
+        self.0.iter().map(split)
+    }
+
+    /// The groups' states in ascending key order.
+    pub fn values(&self) -> impl Iterator<Item = &AggState> {
+        self.0.iter().map(|(_, st)| st)
+    }
+
+    /// The owned `(key, group)` pairs in ascending key order.
+    pub(crate) fn into_vec(self) -> Vec<(u64, AggState)> {
+        self.0
+    }
+
+    /// Wraps pairs already sorted by strictly ascending key.
+    pub(crate) fn from_sorted(pairs: Vec<(u64, AggState)>) -> Self {
+        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "groups not strictly sorted");
+        Self(pairs)
+    }
+
+    /// Merges `other` key-wise under the overflow rule: walking `other` in
+    /// ascending key order, a tracked key merges and an unseen key is
+    /// admitted only while fewer than `cap` groups are tracked. With no key
+    /// to admit the walk merges in place and allocates nothing. Otherwise
+    /// the vector grows once (amortized, like any `Vec` push) by the
+    /// admitted count, and a backward two-pointer walk merges into the
+    /// grown tail, moving each tracked group at most once.
+    pub(crate) fn merge_capped(&mut self, cap: usize, other: &KeyedGroups) {
+        let (admitted, last) = self.admissions(other, cap.saturating_sub(self.0.len()));
+        if admitted == 0 {
+            let mut mine = self.0.iter_mut().peekable();
+            for (k, st) in &other.0 {
+                while mine.next_if(|(m, _)| m < k).is_some() {}
+                if let Some((_, g)) = mine.next_if(|(m, _)| m == k) {
+                    g.merge(st);
+                }
+            }
+            return;
+        }
+        // `[i, w)` is the gap of placeholders still to fill; every pair
+        // at or past `w` is final.
+        let mut i = self.0.len();
+        self.0.resize_with(i + admitted, || (0, AggState::None));
+        let mut w = self.0.len();
+        for (k, st) in other.0.iter().rev() {
+            while i > 0 && self.0[i - 1].0 > *k {
+                i -= 1;
+                w -= 1;
+                self.0.swap(i, w);
+            }
+            if i > 0 && self.0[i - 1].0 == *k {
+                i -= 1;
+                w -= 1;
+                self.0[i].1.merge(st);
+                self.0.swap(i, w);
+            } else if *k <= last {
+                w -= 1;
+                self.0[w] = (*k, st.clone());
+            } // else: bounded state, an overflow key is dropped.
+        }
+        debug_assert_eq!(i, w, "every admitted key filled the gap");
+    }
+
+    /// How many of `other`'s untracked keys fit into `room` free groups,
+    /// and the largest of them: the overflow rule admits untracked keys in
+    /// ascending order until the map is full.
+    fn admissions(&self, other: &KeyedGroups, room: usize) -> (usize, u64) {
+        let (mut i, mut n, mut last) = (0, 0, 0);
+        if room == 0 {
+            return (0, 0);
+        }
+        for &(k, _) in &other.0 {
+            while i < self.0.len() && self.0[i].0 < k {
+                i += 1;
+            }
+            if i < self.0.len() && self.0[i].0 == k {
+                i += 1;
+                continue;
+            }
+            n += 1;
+            last = k;
+            if n == room {
+                break;
+            }
+        }
+        (n, last)
+    }
+}
+
+impl std::fmt::Debug for KeyedGroups {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl std::ops::Index<&u64> for KeyedGroups {
+    type Output = AggState;
+
+    fn index(&self, key: &u64) -> &AggState {
+        self.get(key).expect("no group for key")
+    }
+}
+
+impl FromIterator<(u64, AggState)> for KeyedGroups {
+    /// Collects pairs in any order; a repeated key keeps its last state,
+    /// as collecting into a map would.
+    fn from_iter<I: IntoIterator<Item = (u64, AggState)>>(iter: I) -> Self {
+        let mut pairs: Vec<(u64, AggState)> = iter.into_iter().collect();
+        if !pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+            // The sort is stable, so reversed runs of equal keys start with
+            // the last one given, which is the one `dedup` keeps.
+            pairs.sort_by_key(|&(k, _)| k);
+            pairs.reverse();
+            pairs.dedup_by_key(|(k, _)| *k);
+            pairs.reverse();
+        }
+        Self(pairs)
+    }
+}
+
+impl<'a> IntoIterator for &'a KeyedGroups {
+    type Item = (&'a u64, &'a AggState);
+    type IntoIter = KeyedGroupsIter<'a>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
 }
 
 impl AggState {
@@ -175,12 +393,7 @@ impl AggState {
                 }
             }
             (AggState::Keyed { cap, groups }, AggState::Keyed { groups: other_g, .. }) => {
-                for (k, st) in other_g {
-                    if groups.len() >= *cap && !groups.contains_key(k) {
-                        continue; // Bounded state: overflow keys dropped.
-                    }
-                    groups.entry(*k).or_insert(AggState::None).merge(st);
-                }
+                groups.merge_capped(*cap, other_g);
             }
             (me, other) => {
                 debug_assert!(false, "merging mismatched aggregate variants: {me:?} vs {other:?}");
@@ -210,7 +423,7 @@ impl AggState {
     }
 
     /// The per-key map, when this is a keyed (GROUP-BY) state.
-    pub fn groups(&self) -> Option<&BTreeMap<u64, AggState>> {
+    pub fn groups(&self) -> Option<&KeyedGroups> {
         match self {
             AggState::Keyed { groups, .. } => Some(groups),
             _ => None,
@@ -512,6 +725,43 @@ mod tests {
                 assert!(groups.contains_key(&1), "already-tracked keys survive");
             }
             _ => unreachable!(),
+        }
+    }
+
+    #[test]
+    fn keyed_merge_matches_a_map_under_the_overflow_rule() {
+        // The reference is the rule itself over a `BTreeMap`: walk the
+        // incoming groups in key order, merge tracked keys, admit new ones
+        // only while fewer than `cap` are tracked.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        fn side(next: &mut impl FnMut(u64) -> u64) -> BTreeMap<u64, f64> {
+            let n = next(14);
+            (0..n).map(|_| (next(24), next(100) as f64)).collect()
+        }
+        for _ in 0..2_000 {
+            let cap = 1 + next(12) as usize;
+            let (mine, theirs) = (side(&mut next), side(&mut next));
+            let mine: BTreeMap<u64, f64> = mine.into_iter().take(cap).collect();
+            let mut want = mine.clone();
+            for (k, v) in &theirs {
+                if want.len() >= cap && !want.contains_key(k) {
+                    continue;
+                }
+                *want.entry(*k).or_insert(0.0) += v;
+            }
+            let keyed = |m: &BTreeMap<u64, f64>| AggState::Keyed {
+                cap,
+                groups: m.iter().map(|(&k, &v)| (k, AggState::Sum(v))).collect(),
+            };
+            let mut got = keyed(&mine);
+            got.merge(&keyed(&theirs));
+            assert_eq!(got, keyed(&want), "cap {cap}: {mine:?} + {theirs:?}");
         }
     }
 

@@ -265,3 +265,95 @@ fn cloning_a_summary_batch_frame_is_alloc_free() {
     assert_eq!(allocs, 0, "cloning a summary-batch frame must not allocate");
     drop(copies);
 }
+
+/// Heap allocations performed while a one-member sum with a 20 s window
+/// pumps `sensor` for six sim-seconds inside its first window, which its
+/// first tuple opened long before the measured span.
+fn pump_allocs(
+    sensor: mortar_core::query::SensorSpec,
+    trace: Vec<(u64, mortar_core::tuple::RawTuple)>,
+) -> u64 {
+    use mortar_core::msg::MortarMsg;
+    use mortar_core::op::{OpKind, OpRegistry};
+    use mortar_core::peer::{MortarPeer, PeerConfig};
+    use mortar_core::query::{build_records, QueryId, QuerySpec};
+    use mortar_core::window::WindowSpec;
+    use mortar_net::{SimBuilder, Topology};
+    use mortar_overlay::{Tree, TreeSet};
+    use std::sync::Arc;
+
+    let cfg = PeerConfig { track_truth: false, ..PeerConfig::default() };
+    let reg = OpRegistry::new();
+    let mut sim = SimBuilder::new(Topology::star(2, 1_000), 11)
+        .build(move |id| MortarPeer::new(id, cfg, reg.clone()));
+    sim.app_mut(0).set_replay(trace);
+    let spec = QuerySpec {
+        name: "pump".into(),
+        root: 0,
+        members: vec![0],
+        op: OpKind::Sum { field: 0 },
+        window: WindowSpec::time_tumbling_us(20_000_000),
+        filter: None,
+        sensor,
+        post: None,
+    };
+    let trees = TreeSet::new(vec![Tree::from_parents(0, vec![None])]);
+    let records = build_records(&spec.members, &trees);
+    let msg = MortarMsg::Install {
+        spec: Arc::new(spec),
+        id: QueryId(1),
+        seq: 1,
+        records,
+        issue_age_us: 0,
+    };
+    sim.inject(0, 0, msg, 256);
+    // Past the first hash-carrying heartbeat (6 s), inside the window.
+    sim.run_for_secs(7.0);
+    assert!(sim.app(0).is_active("pump"), "warm-up failed to install");
+    let (allocs, _) = count_allocs(|| sim.run_for_secs(6.0));
+    allocs
+}
+
+#[test]
+fn pumping_sensor_tuples_into_an_open_window_allocates_nothing_per_tuple() {
+    // Every due tuple is written into one reused scratch tuple and lifted
+    // from there: a tick that pumps 64 tuples allocates exactly what a
+    // tick that pumps one does. The default tick is 200 ms.
+    use mortar_core::query::SensorSpec;
+    use mortar_core::tuple::RawTuple;
+
+    let periodic = |n: u64| {
+        pump_allocs(SensorSpec::Periodic { period_us: 200_000 / n, value: 1.0 }, Vec::new())
+    };
+    let (one, many) = (periodic(1), periodic(64));
+    assert_eq!(one, many, "periodic: 1 tuple/tick allocated {one}, 64 tuples/tick {many}");
+
+    let replay = |n: u64| {
+        let trace = (0..100 * n)
+            .map(|i| (i * 200_000 / n, RawTuple { key: i % 7, vals: vec![1.0, 2.0, 3.0] }))
+            .collect();
+        pump_allocs(SensorSpec::Replay, trace)
+    };
+    let (one, many) = (replay(1), replay(64));
+    assert_eq!(one, many, "replay: 1 tuple/tick allocated {one}, 64 tuples/tick {many}");
+}
+
+#[test]
+fn merging_keyed_states_allocates_only_for_new_keys() {
+    // Identical key sets merge in place; new keys cost one growth of the
+    // group vector, whatever their number.
+    let keyed = |keys: std::ops::Range<u64>, v: f64| AggState::Keyed {
+        cap: 128,
+        groups: keys.map(|k| (k, AggState::Sum(v))).collect(),
+    };
+    let mut a = keyed(0..64, 1.0);
+    let same = keyed(0..64, 2.0);
+    let (allocs, _) = count_allocs(|| a.merge(&same));
+    assert_eq!(allocs, 0, "merging identical key sets allocated {allocs} times");
+    assert_eq!(a.groups().unwrap()[&5], AggState::Sum(3.0));
+
+    let fresh = keyed(32..96, 1.0);
+    let (allocs, _) = count_allocs(|| a.merge(&fresh));
+    assert!(allocs <= 1, "admitting 32 new keys allocated {allocs} times");
+    assert_eq!(a.groups().unwrap().len(), 96);
+}

@@ -7,9 +7,8 @@
 use mortar_core::op::{KeyField, OpKind, OpRegistry};
 use mortar_core::query::{mix_key, KeyRange};
 use mortar_core::tuple::RawTuple;
-use mortar_core::value::AggState;
+use mortar_core::value::{AggState, KeyedGroups};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 /// The op under test: per-key sums, keyed by the tuple's routing key.
 fn keyed_sum(cap: usize) -> OpKind {
@@ -100,7 +99,7 @@ proptest! {
         let mut seen = 0usize;
         for t in 0..width {
             let range = KeyRange::of_tree(t, width);
-            let slice: BTreeMap<u64, AggState> = groups
+            let slice: KeyedGroups = groups
                 .iter()
                 .filter(|(k, _)| range.contains(mix_key(**k)))
                 .map(|(k, v)| (*k, v.clone()))
