@@ -1,4 +1,4 @@
-//! Intake-policy burst rows and the adaptive-envelope contrast; emits
+//! Intake-policy burst rows and the idle allocation probe; emits
 //! `BENCH_feeds.json` at the repo root. See `experiments::feeds`.
 //!
 //! This binary installs the counting allocator so the harness can prove

@@ -1,7 +1,7 @@
-//! Feeds: intake-policy burst behavior and the congestion-adaptive
-//! envelope budget, at fleet scale (`BENCH_feeds.json` at the repo root).
+//! Feeds: intake-policy burst behavior at fleet scale
+//! (`BENCH_feeds.json` at the repo root).
 //!
-//! Three measurement families on a 100-host fleet:
+//! Two measurement families on a 100-host fleet:
 //!
 //! 1. **Policy burst rows** — one plain periodic query (the "unrelated
 //!    workload") beside one feed query whose synthetic source bursts 10×
@@ -10,11 +10,7 @@
 //!    counters, peak queue and spill bytes, `overcap`) plus whether the
 //!    unrelated query's results stayed bit-identical to a fleet that
 //!    never hosted the feed.
-//! 2. **Adaptive envelope contrast** — the same burst driven through a
-//!    tight static envelope budget with the AIMD controller off and on:
-//!    outbox peak bytes, budget cuts, and whether the off run reproduces
-//!    the static protocol bit-for-bit.
-//! 3. **Idle allocation probe** — a warm peer with an *exhausted* feed
+//! 2. **Idle allocation probe** — a warm peer with an *exhausted* feed
 //!    installed must tick allocation-free: the feed layer's steady-state
 //!    cost outside active intake is zero heap traffic.
 
@@ -144,46 +140,6 @@ pub fn policy_rows() -> Vec<PolicyRow> {
         .collect()
 }
 
-/// One adaptive-contrast run's measurements.
-#[derive(Debug, PartialEq)]
-pub struct AdaptiveOutcome {
-    pub outbox_peak: u64,
-    pub budget_cuts: u64,
-    /// Result fingerprints of every installed query, for the bit-identity
-    /// contrast between adaptive-off and the static protocol.
-    fp: Vec<(i64, i64, Option<u64>, u32)>,
-}
-
-/// The congestion-controller scenario, in lockstep with `tests/feeds.rs`:
-/// a 128 B static envelope budget (AIMD congestion threshold 32 B of
-/// enqueued payload per destination per 250 ms window), a 200 ms hold
-/// (below `min_timeout_us`, so no tuple is flagged urgent), a warm-up
-/// burst from 2.5 s that engages the controller early, and the heavy 10×
-/// burst from 5 s whose backlog peak the controller must cut.
-pub fn adaptive_run(adaptive: bool) -> AdaptiveOutcome {
-    let mut cfg = EngineConfig::paper(HOSTS, SEED);
-    cfg.plan_on_true_latency = true;
-    cfg.peer.adaptive_envelopes = adaptive;
-    cfg.peer.envelope_budget = 128;
-    cfg.peer.envelope_hold_us = 200_000;
-    let mut eng = Engine::new(cfg).expect("valid config");
-    eng.install(base_spec()).expect("valid base spec");
-    let warm = BurstProfile::steady(300_000, 1.0).with_burst(2_500_000, 10_000_000, 10);
-    let credits = IntakePolicy::Backpressure { credits: 1024 };
-    eng.install(feed_spec("warm", warm, credits, None, 100_000)).expect("valid warm spec");
-    eng.install(feed_spec("burst", burst_profile(500_000), credits, None, 100_000))
-        .expect("valid burst spec");
-    eng.run_secs(SIM_SECS);
-    let mut fp = results_fp(&eng, "base");
-    fp.extend(results_fp(&eng, "warm"));
-    fp.extend(results_fp(&eng, "burst"));
-    AdaptiveOutcome {
-        outbox_peak: eng.outbox_peak_bytes(),
-        budget_cuts: eng.envelope_budget_cuts(),
-        fp,
-    }
-}
-
 /// Measures heap allocations across steady-state idle ticks on a warm
 /// peer that hosts an **exhausted** feed (the source's `until_us` has
 /// passed and its backlog is drained): the feed layer must add zero
@@ -239,13 +195,7 @@ fn json_field(out: &mut String, key: &str, value: String) {
 }
 
 /// Renders the artifact consumed by CI's `feed-burst` gate.
-pub fn to_json(
-    rows: &[PolicyRow],
-    off: &AdaptiveOutcome,
-    off_repeat: &AdaptiveOutcome,
-    on: &AdaptiveOutcome,
-    idle: (u64, f64),
-) -> String {
+pub fn to_json(rows: &[PolicyRow], idle: (u64, f64)) -> String {
     let mut s = String::from("{\n");
     json_field(&mut s, "bench", "\"feeds\"".into());
     json_field(
@@ -270,18 +220,6 @@ pub fn to_json(
     json_field(&mut s, "overcap", arr(&|r| r.stats.overcap.to_string()));
     json_field(&mut s, "conserved", arr(&|r| r.conserved.to_string()));
     json_field(&mut s, "base_bit_identical", arr(&|r| r.base_bit_identical.to_string()));
-    // The adaptive envelope contrast.
-    json_field(&mut s, "static_outbox_peak_bytes", off.outbox_peak.to_string());
-    json_field(&mut s, "adaptive_outbox_peak_bytes", on.outbox_peak.to_string());
-    json_field(&mut s, "static_budget_cuts", off.budget_cuts.to_string());
-    json_field(&mut s, "adaptive_budget_cuts", on.budget_cuts.to_string());
-    json_field(&mut s, "adaptive_engaged", (on.budget_cuts > 0).to_string());
-    json_field(
-        &mut s,
-        "adaptive_peak_below_static",
-        (on.outbox_peak < off.outbox_peak).to_string(),
-    );
-    json_field(&mut s, "adaptive_off_bit_identical", (off == off_repeat).to_string());
     // Steady-state allocation discipline with a (drained) feed installed.
     let (idle_allocs, idle_window) = idle;
     json_field(
@@ -296,7 +234,7 @@ pub fn to_json(
 
 /// Runs the harness and writes `BENCH_feeds.json` at the repo root.
 pub fn run() {
-    crate::banner("feeds", "intake policies and adaptive envelopes under a 10x burst");
+    crate::banner("feeds", "intake policies under a 10x burst");
     let rows = policy_rows();
     println!(
         "\n{:>14} {:>9} {:>9} {:>7} {:>8} {:>8} {:>7} {:>9} {:>8} {:>8}",
@@ -326,22 +264,6 @@ pub fn run() {
             r.base_bit_identical,
         );
     }
-    let off = adaptive_run(false);
-    let off_repeat = adaptive_run(false);
-    let on = adaptive_run(true);
-    println!(
-        "\nadaptive envelope contrast (128 B static budget, 200 ms hold):\n\
-         static:   outbox peak {} B, {} cuts\n\
-         adaptive: outbox peak {} B, {} cuts\n\
-         off-run reproducible: {}, engaged: {}, peak below static: {}",
-        off.outbox_peak,
-        off.budget_cuts,
-        on.outbox_peak,
-        on.budget_cuts,
-        off == off_repeat,
-        on.budget_cuts > 0,
-        on.outbox_peak < off.outbox_peak,
-    );
     let idle = feed_idle_alloc_run();
     println!(
         "\nidle ticks with a drained feed installed: {} allocations over {:.1} simulated \
@@ -350,7 +272,7 @@ pub fn run() {
         idle.1,
         idle.0 as f64 / idle.1
     );
-    let json = to_json(&rows, &off, &off_repeat, &on, idle);
+    let json = to_json(&rows, idle);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_feeds.json");
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {path}"),

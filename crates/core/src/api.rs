@@ -1085,6 +1085,20 @@ mod tests {
         let mut cfg = EngineConfig::paper(4, 1);
         cfg.shards = 0;
         assert!(matches!(Mortar::new(cfg), Err(MortarError::InvalidConfig { .. })));
+        let mut cfg = EngineConfig::paper(4, 1);
+        cfg.peer.install_chunks = 0;
+        assert!(matches!(Mortar::new(cfg), Err(MortarError::InvalidConfig { .. })));
+        for alpha in [f64::NAN, f64::INFINITY, 0.0, -0.1, 1.5] {
+            let mut cfg = EngineConfig::paper(4, 1);
+            cfg.peer.netdist_alpha = alpha;
+            assert!(
+                matches!(Mortar::new(cfg), Err(MortarError::InvalidConfig { .. })),
+                "netdist_alpha = {alpha} must be rejected"
+            );
+        }
+        let mut cfg = EngineConfig::paper(4, 1);
+        cfg.peer.netdist_alpha = 1.0;
+        assert!(Mortar::new(cfg).is_ok(), "netdist_alpha = 1 is in range");
     }
 
     #[test]

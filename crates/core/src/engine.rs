@@ -54,7 +54,8 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Validates the configuration: chaos probabilities in range, a
-    /// positive summary batch size, at least one shard. Everything the
+    /// positive summary batch size and install chunk count, a netDist
+    /// EWMA constant in (0, 1], at least one shard. Everything the
     /// transport or peer runtime would otherwise reject at run time
     /// surfaces here as a typed error — there is no panic left on the
     /// configuration-validation path.
@@ -63,6 +64,17 @@ impl EngineConfig {
         if self.peer.summary_batch_max < 1 {
             return Err(MortarError::InvalidConfig {
                 reason: "summary_batch_max must be at least 1".into(),
+            });
+        }
+        if self.peer.install_chunks == 0 {
+            return Err(MortarError::InvalidConfig {
+                reason: "install_chunks must be at least 1".into(),
+            });
+        }
+        // Written so that NaN fails it too.
+        if !(self.peer.netdist_alpha > 0.0 && self.peer.netdist_alpha <= 1.0) {
+            return Err(MortarError::InvalidConfig {
+                reason: "netdist_alpha must be in (0, 1]".into(),
             });
         }
         if self.shards == 0 {
@@ -374,16 +386,10 @@ impl Engine {
     }
 
     /// Largest total outbox payload any single peer ever held pending in
-    /// envelopes — the memory-side metric the adaptive envelope budget
-    /// drives down under congestion.
+    /// envelopes — one tick's coalescing memory, bounded per destination
+    /// by the envelope budget.
     pub fn outbox_peak_bytes(&self) -> u64 {
         self.sim.apps().map(|p| p.stats.outbox_peak_bytes).max().unwrap_or(0)
-    }
-
-    /// Total AIMD budget cuts taken across the fleet (zero unless
-    /// [`PeerConfig::adaptive_envelopes`] is on and congestion engaged).
-    pub fn envelope_budget_cuts(&self) -> u64 {
-        self.sim.apps().map(|p| p.stats.envelope_budget_cuts).sum()
     }
 
     /// Fleet-wide feed intake accounting: summed/peak-merged

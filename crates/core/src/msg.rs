@@ -45,12 +45,11 @@ pub struct SummaryFrame {
     pub query: QueryId,
     /// Tree the frame is (now) travelling on.
     pub tree: u8,
-    /// Extra local time this frame waited in the sender's outbox for its
-    /// envelope (delay-bounded coalescing), µs. Receivers add it to every
-    /// tuple's age, so held tuples still re-index honestly — the payload
-    /// itself is frozen (shared) the moment the frame is built. Always 0
-    /// unless [`crate::peer::PeerConfig::envelope_hold_us`] > 0; modelled
-    /// as riding the frame header's sequence/flags slot.
+    /// Extra local time this frame waited in the sender's outbox, µs;
+    /// receivers add it to every tuple's age. Always 0 from a peer, which
+    /// flushes its outbox at the end of every tick. Kept because the
+    /// frozen benchmark builds frames with it; modelled as riding the
+    /// frame header's sequence/flags slot.
     pub hold_age_us: i64,
     /// The tuples, in eviction order.
     pub tuples: Arc<[SummaryTuple]>,

@@ -699,12 +699,6 @@ impl MortarPeer {
 
     /// Emits this beat's heartbeats to all distinct children.
     pub(crate) fn send_heartbeats(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
-        // Death half of liveness piggybacking: the beat is the natural
-        // boundary to notice neighbours that have fallen silent past the
-        // horizon and point their linked queries' due entries at now.
-        if self.cfg.liveness_reschedule {
-            self.sweep_liveness_transitions(ctx.local_now_us());
-        }
         self.hb_count += 1;
         let hash = if self.hb_count.is_multiple_of(self.cfg.reconcile_every as u64) {
             Some(self.my_store_hash())

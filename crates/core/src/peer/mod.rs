@@ -117,37 +117,18 @@ pub struct PeerConfig {
     /// (query, tree) frame leaves as its own `SummaryBatch` message,
     /// reproducing the per-query-frame protocol bit-for-bit.
     pub envelope_budget: u32,
-    /// Delay bound for envelope coalescing, local µs: a non-urgent frame
-    /// may wait up to this long (rounded up to the next tick) in the
-    /// outbox for more traffic to share its envelope. Frames carrying a
-    /// tuple whose window is about to close — its estimated downstream
-    /// timeout is within this slack — flush immediately instead of
-    /// waiting, and held tuples age honestly (the hold is added to
-    /// `age_us` at flush). `0` (the default) flushes every envelope at
-    /// the end of the tick that evicted it: cross-query coalescing with
-    /// zero added delay.
-    pub envelope_hold_us: u64,
     /// Due-driven tick scheduling: when `true` (the default) a timer tick
     /// only touches queries whose due instant — next sensor emission,
     /// slide boundary, or earliest TS-list deadline — has arrived,
     /// consulting the peer's due index instead of iterating every
     /// installed query. Idle ticks reduce to a due-index peek, an
-    /// envelope-hold check and the heartbeat clock. `false` restores the
+    /// envelope flush and the heartbeat clock. `false` restores the
     /// legacy full scan (every query pumped/closed/evicted every tick),
     /// which the due index must reproduce bit-for-bit — the parity knob
     /// `prop_batching` locks down. Tick *scheduling* never changes tick
     /// *semantics*: a query does observable work only when something is
     /// due, so skipping the no-work passes is invisible.
     pub due_driven_ticks: bool,
-    /// Adaptive tick arming: instead of a fixed `tick_us` cadence, each
-    /// tick arms the next timer at `min(next due instant, next heartbeat,
-    /// earliest pending-envelope deadline)`, and message arrivals that
-    /// move a due instant earlier re-arm the timer to match. Idle peers
-    /// then wake at the heartbeat period instead of every `tick_us`, and
-    /// due work runs at its due instant instead of the next grid tick.
-    /// Off by default: firing between grid ticks shifts emission and
-    /// eviction timing, so the fixed cadence remains the parity baseline.
-    pub adaptive_ticks: bool,
     /// Three-phase digest anti-entropy (the default): on a store-hash
     /// mismatch the detecting peer sends fixed-size `(id, seq)` digests
     /// of its installed and removed sets; the receiver computes a plan
@@ -157,29 +138,6 @@ pub struct PeerConfig {
     /// the digest protocol is property-tested against (see
     /// [`crate::reconcile::digest_plan`]).
     pub digest_reconcile: bool,
-    /// Congestion-adaptive envelope budgets (AIMD): per destination, the
-    /// peer meters the payload bytes it has recently sent and — when a
-    /// window's load crosses a congestion threshold — halves that
-    /// destination's *effective* envelope budget (flushing envelopes
-    /// earlier, so outbox memory stays small and the burst turns into
-    /// more, smaller wire messages instead of unbounded coalescing
-    /// state); quiet windows add the budget back a step at a time up to
-    /// the static [`Self::envelope_budget`]. A congested destination also
-    /// loses its [`Self::envelope_hold_us`] slack — nothing waits for
-    /// company on a hot link. Driven entirely by local clocks and byte
-    /// counters, so it is deterministic and shard-independent. Off by
-    /// default: when `false` no adaptive path runs and envelope behavior
-    /// is bit-for-bit the static protocol.
-    pub adaptive_envelopes: bool,
-    /// Piggyback liveness transitions on the due index: when a
-    /// record-linked neighbour is first heard after exceeding the
-    /// liveness horizon (it *returned*), or is noticed at a heartbeat
-    /// boundary to have crossed it (it *died*), every query linked to
-    /// that neighbour is rescheduled due-now, so failover and recovery
-    /// routing run on the next tick — with [`Self::adaptive_ticks`],
-    /// immediately — instead of waiting for the query's natural due
-    /// instant. Off by default for the same parity reason.
-    pub liveness_reschedule: bool,
 }
 
 impl Default for PeerConfig {
@@ -202,12 +160,8 @@ impl Default for PeerConfig {
             bucket_gc_cap: 1024,
             result_log_cap: 65_536,
             envelope_budget: 16_384,
-            envelope_hold_us: 0,
             due_driven_ticks: true,
-            adaptive_ticks: false,
             digest_reconcile: true,
-            adaptive_envelopes: false,
-            liveness_reschedule: false,
         }
     }
 }
@@ -260,25 +214,16 @@ pub struct PeerStats {
     /// Timer ticks handled.
     pub ticks: u64,
     /// Ticks on which no query was due (the due index reduced them to a
-    /// heartbeat check and an envelope-hold sweep).
+    /// heartbeat check and an envelope flush).
     pub idle_ticks: u64,
     /// Per-query tick passes actually run (pump + close + evict). With
     /// due-driven scheduling this counts only due queries; the legacy
     /// full scan counts every installed query every tick.
     pub query_wakeups: u64,
-    /// Adaptive arms where a message arrival pulled the timer earlier
-    /// than the wake instant the last tick chose (`adaptive_ticks` only).
-    pub timer_rearms: u64,
-    /// Due-now reschedules forced by a liveness transition of a linked
-    /// neighbour (`liveness_reschedule` only).
-    pub liveness_reschedules: u64,
     /// High-water mark of total pending-envelope payload bytes across the
-    /// outbox — the coalescing memory the adaptive budget exists to bound.
+    /// outbox — the coalescing memory one tick's evictions hold before the
+    /// end-of-tick flush (bounded per destination by `envelope_budget`).
     pub outbox_peak_bytes: u64,
-    /// Multiplicative decreases applied to a destination's effective
-    /// envelope budget (`adaptive_envelopes` only) — nonzero means the
-    /// congestion controller engaged.
-    pub envelope_budget_cuts: u64,
 }
 
 /// One open raw-data window (merging across time).
@@ -429,19 +374,6 @@ pub struct MortarPeer {
     pub(crate) hb_children: BTreeSet<NodeId>,
     pub(crate) hb_count: u64,
     pub(crate) next_hb_local_us: i64,
-    /// Neighbours currently presumed live (only maintained when
-    /// `liveness_reschedule` is on): a sender absent from this set has
-    /// *returned* when its next message arrives; a member that crosses
-    /// the horizon by the next heartbeat boundary has *died*. Either
-    /// transition reschedules the linked queries due-now.
-    pub(crate) presumed_live: BTreeSet<NodeId>,
-    /// Tag of the most recent adaptive timer arm; older arms that fire
-    /// after a re-arm carry a stale tag and are ignored. Starts above
-    /// `TICK` so the two tag spaces never collide.
-    armed_seq: u64,
-    /// Local instant the armed adaptive timer will fire; an arrival
-    /// re-arms (pulls the timer) only when it moves the wake earlier.
-    armed_wake_local_us: i64,
     /// Topology service state (query roots only).
     pub(crate) topo: HashMap<String, Vec<InstallRecord>>,
     /// Subscriber index: upstream query name → co-located queries whose
@@ -455,8 +387,8 @@ pub struct MortarPeer {
     /// change instead of on every hash-carrying tuple.
     pub(crate) store_hash_cache: Cell<Option<u64>>,
     /// Pending per-next-hop envelopes (cross-query frame coalescing);
-    /// flushed at the end of each tick, on budget overflow, or when an
-    /// urgent tuple arrives. Empty whenever `envelope_budget = 0`.
+    /// flushed at the end of each tick or on budget overflow, so every
+    /// bin is empty between ticks. Empty whenever `envelope_budget = 0`.
     pub(crate) outbox: mortar_overlay::HopBins<NodeId, route::PendingEnvelope>,
     /// Total payload bytes currently pending across the outbox —
     /// maintained at enqueue/flush so the high-water mark
@@ -510,9 +442,6 @@ impl MortarPeer {
             hb_children: BTreeSet::new(),
             hb_count: 0,
             next_hb_local_us: i64::MIN,
-            presumed_live: BTreeSet::new(),
-            armed_seq: TICK,
-            armed_wake_local_us: i64::MAX,
             topo: HashMap::new(),
             subscribers: BTreeMap::new(),
             outbox: mortar_overlay::HopBins::new(),
@@ -807,98 +736,6 @@ impl MortarPeer {
         }
         self.hb_children.remove(&self.id);
     }
-
-    /// The earliest local instant at which this peer has anything to do:
-    /// the due index head, the heartbeat clock, and the earliest pending
-    /// envelope hold deadline. The heartbeat clock is always finite, so
-    /// an adaptive peer never sleeps longer than one heartbeat period.
-    fn next_wake_local_us(&self) -> i64 {
-        let mut wake = self.next_hb_local_us;
-        if let Some(&(due, _)) = self.due.first() {
-            wake = wake.min(due);
-        }
-        wake.min(self.earliest_envelope_deadline())
-    }
-
-    /// Arms the next adaptive tick at [`Self::next_wake_local_us`].
-    /// Bumping `armed_seq` retires any timer armed earlier: its tag no
-    /// longer matches, so it fires as a no-op.
-    fn arm_next_tick(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
-        let wake = self.next_wake_local_us();
-        self.armed_seq += 1;
-        self.armed_wake_local_us = wake;
-        let delay = wake.saturating_sub(ctx.local_now_us()).max(1) as u64;
-        ctx.set_timer_local_us(delay, self.armed_seq);
-    }
-
-    /// Re-arms the adaptive timer if new work (an arrival's reschedule, a
-    /// forced liveness reschedule, a fresh envelope hold deadline) is due
-    /// before the currently armed wake — arrivals pull the timer earlier,
-    /// they never push it later.
-    fn maybe_rearm(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
-        if self.next_wake_local_us() < self.armed_wake_local_us {
-            self.stats.timer_rearms += 1;
-            self.arm_next_tick(ctx);
-        }
-    }
-
-    /// Forces `id`'s due-index entry to `at` if it is currently scheduled
-    /// later (or not at all) — the liveness-transition fast path. Never
-    /// called mid-sweep, so no `due_dirty` bookkeeping is needed.
-    fn force_due_at(&mut self, id: QueryId, at: i64) {
-        let Some(q) = self.queries.get_mut(&id) else { return };
-        if !q.active() || q.sched_due_us <= at {
-            return;
-        }
-        if q.sched_due_us != i64::MAX {
-            self.due.remove(&(q.sched_due_us, id));
-        }
-        q.sched_due_us = at;
-        self.due.insert((at, id));
-    }
-
-    /// Reschedules every query whose install record links `peer` (as a
-    /// parent or child on any tree) to due-now: the next tick re-routes
-    /// around a death or back onto a returned neighbour instead of
-    /// waiting for each query's natural due instant.
-    fn reschedule_linked_now(&mut self, peer: NodeId, local_now: i64) {
-        let mut rescheduled = false;
-        let ids: Vec<QueryId> = self
-            .queries
-            .iter()
-            .filter(|(_, q)| {
-                q.record.as_ref().is_some_and(|rec| {
-                    rec.links.iter().any(|l| l.parent == Some(peer) || l.children.contains(&peer))
-                })
-            })
-            .map(|(&id, _)| id)
-            .collect();
-        for id in ids {
-            rescheduled = true;
-            self.force_due_at(id, local_now);
-        }
-        if rescheduled {
-            self.stats.liveness_reschedules += 1;
-        }
-    }
-
-    /// Heartbeat-boundary half of liveness piggybacking: any neighbour
-    /// still presumed live whose last contact has crossed the horizon
-    /// *died* since the last beat — reschedule its linked queries so
-    /// failover starts now. (The *returned* half is detected inline on
-    /// message arrival, where the evidence is.)
-    pub(crate) fn sweep_liveness_transitions(&mut self, local_now: i64) {
-        let horizon = self.liveness_horizon_us();
-        while let Some(peer) = self
-            .presumed_live
-            .iter()
-            .copied()
-            .find(|p| self.last_heard.get(p).is_none_or(|&t| local_now - t > horizon))
-        {
-            self.presumed_live.remove(&peer);
-            self.reschedule_linked_now(peer, local_now);
-        }
-    }
 }
 
 impl App for MortarPeer {
@@ -906,23 +743,12 @@ impl App for MortarPeer {
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
         self.next_hb_local_us = ctx.local_now_us() + self.cfg.hb_period_us as i64;
-        if self.cfg.adaptive_ticks {
-            self.arm_next_tick(ctx);
-        } else {
-            ctx.set_timer_local_us(self.cfg.tick_us, TICK);
-        }
+        ctx.set_timer_local_us(self.cfg.tick_us, TICK);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, MortarMsg>, from: NodeId, msg: MortarMsg, _b: u32) {
-        let local_now = ctx.local_now_us();
         if from != self.id {
-            self.last_heard.insert(from, local_now);
-            // Arrival half of liveness piggybacking: a sender not
-            // presumed live just (re)appeared — point its linked queries'
-            // due entries at now so the next tick routes through it.
-            if self.cfg.liveness_reschedule && self.presumed_live.insert(from) {
-                self.reschedule_linked_now(from, local_now);
-            }
+            self.last_heard.insert(from, ctx.local_now_us());
         }
         match msg {
             MortarMsg::SummaryBatch(frame) => {
@@ -959,18 +785,11 @@ impl App for MortarPeer {
                 self.handle_topo_reply(ctx, id, seq, spec, record, issue_age_us);
             }
         }
-        // Anything the handlers made due (a subscription feed, an install,
-        // a forced liveness reschedule, a fresh envelope hold) may fall
-        // before the armed wake — pull the timer to it.
-        if self.cfg.adaptive_ticks {
-            self.maybe_rearm(ctx);
-        }
     }
 
     // lint:hot-path
     fn on_timer(&mut self, ctx: &mut Ctx<'_, MortarMsg>, tag: u64) {
-        let expected = if self.cfg.adaptive_ticks { self.armed_seq } else { TICK };
-        if tag != expected {
+        if tag != TICK {
             return;
         }
         let local_now = ctx.local_now_us();
@@ -1051,18 +870,14 @@ impl App for MortarPeer {
         }
         self.scratch = scratch;
         // The coalescing flush: everything the tick's eviction passes owe
-        // each next hop leaves as one envelope per destination (frames
-        // under an active hold deadline stay in the outbox).
-        self.flush_due_envelopes(ctx);
+        // each next hop leaves as one envelope per destination, so the
+        // outbox is empty between ticks.
+        self.flush_envelopes(ctx);
         if local_now >= self.next_hb_local_us {
             self.next_hb_local_us += self.cfg.hb_period_us as i64;
             self.send_heartbeats(ctx);
         }
-        if self.cfg.adaptive_ticks {
-            self.arm_next_tick(ctx);
-        } else {
-            ctx.set_timer_local_us(self.cfg.tick_us, TICK);
-        }
+        ctx.set_timer_local_us(self.cfg.tick_us, TICK);
     }
 }
 
@@ -1436,5 +1251,55 @@ mod tests {
             frames * 2 <= tuples,
             "expected ≥2x batching on a fast query: {frames} frames for {tuples} tuples"
         );
+    }
+
+    #[test]
+    fn outbox_is_empty_after_every_tick() {
+        // Two queries on one tree set share next hops, so their frames
+        // coalesce into envelopes. Every frame is enqueued and flushed
+        // inside one tick, so between any two events every peer's outbox
+        // is empty — which is why a peer always sends `hold_age_us = 0`.
+        let n = 8;
+        let mut sim = build_sim(n);
+        let mut fast = count_spec(n);
+        fast.name = "fast".into();
+        fast.window = WindowSpec::time_tumbling_us(100_000);
+        fast.sensor = SensorSpec::Periodic { period_us: 100_000, value: 1.0 };
+        let trees = chain_trees(n);
+        inject_install(&mut sim, count_spec(n), trees.clone());
+        let records = build_records(&fast.members, &trees);
+        sim.inject(
+            0,
+            0,
+            MortarMsg::Install {
+                spec: Arc::new(fast),
+                id: QueryId(2),
+                seq: 2,
+                records,
+                issue_age_us: 0,
+            },
+            256,
+        );
+        // 10 ms steps: finer than the 200 ms tick, so every tick of every
+        // peer is followed by a check before its next tick.
+        for _ in 0..2_000 {
+            sim.run_for_secs(0.01);
+            for id in 0..n as NodeId {
+                let peer = sim.app(id);
+                assert_eq!(peer.outbox_bytes, 0, "peer {id} kept outbox bytes past a tick");
+                assert!(
+                    peer.outbox.iter().all(|(_, env)| env.frames.is_empty()),
+                    "peer {id} kept frames in its outbox past a tick"
+                );
+            }
+        }
+        let envelopes: u64 = (0..n as NodeId).map(|i| sim.app(i).stats.envelopes_out).sum();
+        assert!(envelopes > 0, "no multi-frame envelope was sent; the outbox went unused");
+        for name in ["count", "fast"] {
+            assert!(
+                sim.app(0).results.iter().any(|r| &*r.query == name),
+                "query {name} produced no results"
+            );
+        }
     }
 }

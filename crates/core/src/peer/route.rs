@@ -13,13 +13,9 @@
 //!    leave individually: they accumulate in a per-destination outbox and
 //!    every frame owed to one next hop within the tick — across queries
 //!    and trees — departs as a single [`MortarMsg::Envelope`]. An
-//!    envelope flushes early when its payload exceeds the byte budget or
-//!    when a frame carries an *urgent* tuple (one whose estimated
-//!    downstream timeout falls inside the hold slack); everything else
-//!    flushes at the end of the tick, or — when
-//!    [`super::PeerConfig::envelope_hold_us`] > 0 — may wait additional
-//!    ticks up to the hold deadline, with the hold added to tuple ages at
-//!    flush so receivers still re-index honestly.
+//!    envelope flushes early when its payload reaches the byte budget;
+//!    everything else flushes at the end of the tick, so nothing waits in
+//!    the outbox across ticks and a frame's `hold_age_us` is always 0.
 //!
 //! Envelope payloads freeze into `Arc<[SummaryTuple]>` at flush: the
 //! transport's duplication/fan-out clone of a frame is a pointer bump,
@@ -39,98 +35,57 @@ use std::sync::Arc;
 /// An under-construction outgoing frame for one (destination, tree).
 ///
 /// Lives in the tick scratch's long-lived bins: emitting a frame empties
-/// the bin in place (tuple vector moved out, budget/flags reset), so the
-/// bin map itself never churns nodes across passes.
+/// the bin in place (tuple vector moved out, byte count and hash reset),
+/// so the bin map itself never churns nodes across passes.
 #[derive(Default)]
 pub(crate) struct PendingFrame {
     tuples: Vec<SummaryTuple>,
     store_hash: Option<u64>,
     payload_bytes: u32,
-    urgent: bool,
 }
 
 /// A pending envelope for one next hop: every frame the peer owes that
-/// destination, across queries and trees, plus the budget/deadline state
-/// that decides when it leaves.
+/// destination within the tick, across queries and trees.
 ///
 /// Frames are stored in their wire form (payloads already frozen into
-/// shared `Arc` slices); while parked, each frame's `hold_age_us` carries
-/// its *enqueue instant*, rewritten to the actual hold duration when the
-/// envelope is sealed — so a flush is a pure move plus one subtraction
-/// per frame, never a payload walk. Bins are long-lived: a flush empties
-/// the frame list in place (single-frame flushes even keep its
-/// allocation), so the steady-state outbox never churns the heap.
+/// shared `Arc` slices), so a flush is a pure move, never a payload walk.
+/// Bins are long-lived: a flush empties the frame list in place
+/// (single-frame flushes even keep its allocation), so the steady-state
+/// outbox never churns the heap.
+#[derive(Default)]
 pub(crate) struct PendingEnvelope {
-    frames: Vec<SummaryFrame>,
+    pub(super) frames: Vec<SummaryFrame>,
     payload_bytes: u32,
-    /// Earliest hold deadline across queued frames, local µs.
-    deadline_local_us: i64,
-    /// Windowed payload-byte meter for this destination
-    /// (`adaptive_envelopes` only; idle otherwise).
-    meter: mortar_net::LoadMeter,
-    /// AIMD effective envelope budget for this destination, bytes
-    /// (`adaptive_envelopes` only; `0` = not yet initialized from the
-    /// static budget).
-    eff_budget: u32,
-}
-
-impl Default for PendingEnvelope {
-    fn default() -> Self {
-        Self {
-            frames: Vec::new(),
-            payload_bytes: 0,
-            deadline_local_us: i64::MAX,
-            meter: mortar_net::LoadMeter::default(),
-            eff_budget: 0,
-        }
-    }
 }
 
 impl PendingEnvelope {
-    /// Resets budget/deadline state after a flush (the frame list is
-    /// emptied by the flush itself).
-    fn reset(&mut self) {
-        self.payload_bytes = 0;
-        self.deadline_local_us = i64::MAX;
+    /// Sends every parked frame to `dest` as one wire message and returns
+    /// the payload bytes that left. A lone frame skips the envelope
+    /// wrapper entirely: it ships as a plain `SummaryBatch`,
+    /// byte-identical to the envelope-free protocol, so single-stream
+    /// peers never pay the envelope header (and the bin keeps its
+    /// buffer).
+    // lint:hot-path
+    fn flush(
+        &mut self,
+        stats: &mut super::PeerStats,
+        ctx: &mut Ctx<'_, MortarMsg>,
+        dest: NodeId,
+    ) -> u64 {
+        let msg = if self.frames.len() == 1 {
+            MortarMsg::SummaryBatch(self.frames.pop().expect("length checked"))
+        } else {
+            stats.envelopes_out += 1;
+            MortarMsg::Envelope { frames: std::mem::take(&mut self.frames) }
+        };
+        send_data(ctx, dest, msg);
+        u64::from(std::mem::take(&mut self.payload_bytes))
     }
 }
 
-/// Seals frames (enqueue stamp → hold duration) into one wire message. A
-/// lone frame skips the envelope wrapper entirely: it ships as a plain
-/// `SummaryBatch`, byte-identical to the envelope-free protocol, so
-/// single-stream peers never pay the envelope header.
+/// Puts one data message on the wire at its modelled size.
 // lint:hot-path
-fn seal_and_send(
-    stats: &mut super::PeerStats,
-    ctx: &mut Ctx<'_, MortarMsg>,
-    dest: NodeId,
-    mut frames: Vec<SummaryFrame>,
-    now: i64,
-) {
-    for f in &mut frames {
-        f.hold_age_us = now - f.hold_age_us;
-    }
-    let msg = if frames.len() == 1 {
-        MortarMsg::SummaryBatch(frames.pop().expect("one frame"))
-    } else {
-        stats.envelopes_out += 1;
-        MortarMsg::Envelope { frames }
-    };
-    let bytes = msg.wire_bytes();
-    ctx.send_classified(dest, msg, bytes, TrafficClass::Data);
-}
-
-/// [`seal_and_send`] for a flush that popped a lone frame, leaving its
-/// bin's buffer in place for reuse.
-// lint:hot-path
-fn seal_and_send_single(
-    ctx: &mut Ctx<'_, MortarMsg>,
-    dest: NodeId,
-    mut frame: SummaryFrame,
-    now: i64,
-) {
-    frame.hold_age_us = now - frame.hold_age_us;
-    let msg = MortarMsg::SummaryBatch(frame);
+fn send_data(ctx: &mut Ctx<'_, MortarMsg>, dest: NodeId, msg: MortarMsg) {
     let bytes = msg.wire_bytes();
     ctx.send_classified(dest, msg, bytes, TrafficClass::Data);
 }
@@ -160,7 +115,6 @@ impl<'a> FrameBuilder<'a> {
     }
 
     /// Adds a routed tuple; emits the destination's frame when full.
-    #[allow(clippy::too_many_arguments)]
     // lint:hot-path
     fn push(
         &mut self,
@@ -170,13 +124,11 @@ impl<'a> FrameBuilder<'a> {
         tree: u8,
         tuple: SummaryTuple,
         store_hash: Option<u64>,
-        urgent: bool,
     ) {
         let entry = self.frames.bin_mut((dest, tree));
         entry.payload_bytes += tuple.wire_bytes();
         entry.tuples.push(tuple);
         entry.store_hash = entry.store_hash.or(store_hash);
-        entry.urgent |= urgent;
         if entry.tuples.len() >= self.batch_max {
             Self::emit(peer, ctx, self.id, dest, tree, entry);
         }
@@ -196,8 +148,8 @@ impl<'a> FrameBuilder<'a> {
     /// Hands one finished logical frame to the transport layer: straight
     /// to the wire when envelopes are disabled, into the per-destination
     /// outbox otherwise. The bin is drained in place: its tuple vector
-    /// moves into the wire frame's shared payload and its budget/flag
-    /// state resets for reuse.
+    /// moves into the wire frame's shared payload and its byte count and
+    /// hash reset for reuse.
     // lint:hot-path
     fn emit(
         peer: &mut MortarPeer,
@@ -209,143 +161,55 @@ impl<'a> FrameBuilder<'a> {
     ) {
         let tuples = std::mem::take(&mut frame.tuples);
         let store_hash = frame.store_hash.take();
-        let payload_bytes = frame.payload_bytes;
-        let urgent = frame.urgent;
-        frame.payload_bytes = 0;
-        frame.urgent = false;
+        let payload_bytes = std::mem::take(&mut frame.payload_bytes);
         peer.stats.frames_out += 1;
         peer.stats.summaries_out += tuples.len() as u64;
         peer.stats.summary_payload_bytes_out += payload_bytes as u64;
         let wire =
             SummaryFrame { query: id, tree, hold_age_us: 0, tuples: tuples.into(), store_hash };
         if peer.cfg.envelope_budget == 0 {
-            let msg = MortarMsg::SummaryBatch(wire);
-            let bytes = msg.wire_bytes();
-            ctx.send_classified(dest, msg, bytes, TrafficClass::Data);
+            send_data(ctx, dest, MortarMsg::SummaryBatch(wire));
         } else {
-            peer.enqueue_frame(ctx, dest, wire, payload_bytes, urgent);
+            peer.enqueue_frame(ctx, dest, wire, payload_bytes);
         }
     }
 }
 
-/// AIMD parameters for the congestion-adaptive envelope budget, expressed
-/// relative to the static budget: a congested window halves the effective
-/// budget down to `budget / FLOOR_DIV`; a quiet window restores
-/// `budget / STEP_DIV` of it. A destination counts as congested when the
-/// payload bytes *enqueued* toward it in one closed
-/// [`mortar_net::LoadMeter::WINDOW_US`] window exceed
-/// `budget / CONGEST_DIV`. The meter reads offered load, not flush sizes:
-/// a signal taken at service time collapses as soon as the controller
-/// reacts (smaller, earlier flushes look "quiet"), and the budget saws
-/// back up into the very congestion it just relieved.
-const AIMD_FLOOR_DIV: u32 = 8;
-const AIMD_STEP_DIV: u32 = 16;
-const AIMD_CONGEST_DIV: u32 = 4;
-
 impl MortarPeer {
     /// Parks a finished wire frame in the destination's pending envelope,
-    /// flushing it early on budget overflow or urgency. The frame's
-    /// `hold_age_us` is stamped with the enqueue instant; sealing rewrites
-    /// it to the hold duration.
-    ///
-    /// With [`super::PeerConfig::adaptive_envelopes`] the flush threshold
-    /// is the destination's AIMD *effective* budget: each closed metering
-    /// window either halves it (observed load crossed the congestion
-    /// threshold — envelopes flush earlier, outbox memory shrinks, the
-    /// burst becomes more, smaller messages) or steps it back toward the
-    /// static budget. A congested destination also loses its hold slack.
-    /// When the knob is off none of this runs and behavior is bit-for-bit
-    /// the static protocol.
+    /// flushing the envelope early once its payload reaches the budget.
     // lint:hot-path
     fn enqueue_frame(
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
         dest: NodeId,
-        mut frame: SummaryFrame,
+        frame: SummaryFrame,
         payload_bytes: u32,
-        urgent: bool,
     ) {
-        let now = ctx.local_now_us();
-        frame.hold_age_us = now;
-        let static_budget = self.cfg.envelope_budget;
-        let mut budget = static_budget;
-        let mut hold_us = self.cfg.envelope_hold_us;
         let env = self.outbox.bin_mut(dest);
-        if self.cfg.adaptive_envelopes {
-            if env.eff_budget == 0 {
-                env.eff_budget = static_budget;
-            }
-            if let Some(win_bytes) = env.meter.roll(now) {
-                if win_bytes > u64::from(static_budget / AIMD_CONGEST_DIV) {
-                    env.eff_budget =
-                        (env.eff_budget / 2).max(static_budget / AIMD_FLOOR_DIV).max(1);
-                    self.stats.envelope_budget_cuts += 1;
-                } else {
-                    env.eff_budget = env
-                        .eff_budget
-                        .saturating_add((static_budget / AIMD_STEP_DIV).max(1))
-                        .min(static_budget);
-                }
-            }
-            env.meter.record(now, u64::from(payload_bytes));
-            budget = env.eff_budget;
-            if env.eff_budget < static_budget {
-                // Congested: nothing waits for company on a hot link.
-                hold_us = 0;
-            }
-        }
         env.payload_bytes += payload_bytes;
         self.outbox_bytes += u64::from(payload_bytes);
         self.stats.outbox_peak_bytes = self.stats.outbox_peak_bytes.max(self.outbox_bytes);
-        env.deadline_local_us = env.deadline_local_us.min(now + hold_us as i64);
         env.frames.push(frame);
-        if urgent || env.payload_bytes >= budget {
-            let flushed = u64::from(env.payload_bytes);
-            env.reset();
-            let frames = std::mem::take(&mut env.frames);
-            self.outbox_bytes -= flushed;
-            seal_and_send(&mut self.stats, ctx, dest, frames, now);
+        if env.payload_bytes >= self.cfg.envelope_budget {
+            self.outbox_bytes -= env.flush(&mut self.stats, ctx, dest);
         }
     }
 
-    /// Flushes every pending envelope whose hold deadline has arrived
-    /// (with `envelope_hold_us = 0` that is all of them: the deadline is
-    /// the enqueueing tick itself). Bins persist across flushes so the
-    /// steady-state tick reuses their buffers instead of re-allocating.
+    /// Flushes every pending envelope — the end-of-tick half of
+    /// coalescing, which leaves the outbox empty. Bins persist across
+    /// flushes so the steady-state tick reuses their buffers instead of
+    /// re-allocating.
     // lint:hot-path
-    pub(crate) fn flush_due_envelopes(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
+    pub(crate) fn flush_envelopes(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
         if self.outbox.is_empty() {
             return;
         }
-        let now = ctx.local_now_us();
-        let hold = self.cfg.envelope_hold_us;
         for (&dest, env) in self.outbox.iter_mut() {
-            if env.frames.is_empty() || (hold > 0 && env.deadline_local_us > now) {
-                continue;
-            }
-            let flushed = u64::from(env.payload_bytes);
-            env.reset();
-            self.outbox_bytes -= flushed;
-            if env.frames.len() == 1 {
-                let frame = env.frames.pop().expect("length checked");
-                seal_and_send_single(ctx, dest, frame, now);
-            } else {
-                let frames = std::mem::take(&mut env.frames);
-                seal_and_send(&mut self.stats, ctx, dest, frames, now);
+            if !env.frames.is_empty() {
+                self.outbox_bytes -= env.flush(&mut self.stats, ctx, dest);
             }
         }
-    }
-
-    /// Earliest hold deadline across all pending envelopes (`i64::MAX`
-    /// with nothing parked) — one input to adaptive tick arming, which
-    /// must wake the peer when a held envelope falls due.
-    pub(crate) fn earliest_envelope_deadline(&self) -> i64 {
-        self.outbox
-            .iter()
-            .filter(|(_, env)| !env.frames.is_empty())
-            .map(|(_, env)| env.deadline_local_us)
-            .min()
-            .unwrap_or(i64::MAX)
     }
 
     /// Pops every TS-list entry due this tick and routes it: root entries
@@ -467,15 +331,8 @@ impl MortarPeer {
         let q = self.queries.get_mut(&id).expect("query exists");
         q.tuples_out += 1;
         let need_hash = q.tuples_out.is_multiple_of(self.cfg.data_hash_every as u64);
-        // Urgency (only meaningful under a hold): if the downstream
-        // operator is expected to close this tuple's window within
-        // the hold slack, holding it would risk missing the merge —
-        // flush its envelope immediately instead.
-        let urgent = self.cfg.envelope_hold_us > 0
-            && q.netdist[tree].timeout_us(summary.age_us, self.cfg.min_timeout_us)
-                <= self.cfg.envelope_hold_us;
         let hash = if need_hash { Some(self.my_store_hash()) } else { None };
-        frames.push(self, ctx, dest, tree as u8, summary, hash, urgent);
+        frames.push(self, ctx, dest, tree as u8, summary, hash);
     }
 
     /// Finalizes a root eviction into a [`ResultRecord`] and feeds any
@@ -567,9 +424,8 @@ impl MortarPeer {
             }
             return;
         }
-        // Any hold the frame spent in the sender's outbox is charged to
-        // the age below, so delay-bounded coalescing stays honest to the
-        // syncless re-index.
+        // The frame's outbox hold is charged to every tuple's age below.
+        // A peer flushes its outbox every tick, so the hold it sends is 0.
         let mut tuples = frame.tuples;
         match Arc::get_mut(&mut tuples) {
             Some(slice) => {

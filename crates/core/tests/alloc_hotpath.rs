@@ -183,8 +183,8 @@ fn idle_steady_state_ticks_are_alloc_free() {
     // The PR 5 tentpole pin: once a peer is warm, a tick on which no
     // query is due — no sensor emission, no slide boundary, no TS-list
     // deadline — performs **zero** heap allocations end to end: simulator
-    // timer dispatch, due-index peek, envelope-hold sweep, heartbeat
-    // clock, timer re-arm. This also pins the old per-tick
+    // timer dispatch, due-index peek, envelope flush, heartbeat clock,
+    // timer re-arm. This also pins the old per-tick
     // `queries.keys().collect()` regression: with three installed queries
     // a key collect would allocate on every tick, idle or not.
     //

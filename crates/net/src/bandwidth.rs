@@ -144,72 +144,9 @@ impl BandwidthTracker {
     }
 }
 
-/// A windowed per-hop load meter: the feedback half of the bandwidth
-/// plumbing. Where [`BandwidthTracker`] aggregates the whole fleet's
-/// traffic for reporting, a `LoadMeter` is small enough to embed one per
-/// (peer, destination) and answer the only question a congestion
-/// controller asks: *how many bytes did I push at this hop in the window
-/// that just closed?* Driven purely by the caller's clock and byte counts,
-/// so identical runs meter identically regardless of shard layout.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LoadMeter {
-    /// Index of the current metering window (`now / window_us`).
-    win: i64,
-    /// Bytes recorded in the current window.
-    bytes: u64,
-}
-
-impl LoadMeter {
-    /// Metering window length, µs. A quarter second is fine enough to see
-    /// a burst inside one heartbeat period but coarse enough that a
-    /// window's byte count is a stable load signal.
-    pub const WINDOW_US: i64 = 250_000;
-
-    /// Advances the meter to `now`. If `now` has crossed into a new
-    /// window, returns the byte count of the window that closed (with
-    /// intervening empty windows reported as the most recent closed
-    /// window, i.e. 0) and starts the new one.
-    pub fn roll(&mut self, now_us: i64) -> Option<u64> {
-        let w = now_us.div_euclid(Self::WINDOW_US);
-        if w == self.win {
-            return None;
-        }
-        // More than one window elapsed ⇒ the immediately preceding window
-        // saw no traffic.
-        let closed = if w == self.win + 1 { self.bytes } else { 0 };
-        self.win = w;
-        self.bytes = 0;
-        Some(closed)
-    }
-
-    /// Records `bytes` sent at `now` into the current window.
-    pub fn record(&mut self, now_us: i64, bytes: u64) {
-        self.roll(now_us);
-        self.bytes += bytes;
-    }
-
-    /// Bytes accumulated in the (still open) current window.
-    pub fn current_bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn load_meter_reports_closed_windows() {
-        let mut m = LoadMeter::default();
-        m.record(10_000, 100);
-        m.record(200_000, 50);
-        assert_eq!(m.roll(200_001), None, "same window: nothing closed");
-        assert_eq!(m.roll(260_000), Some(150), "window 0 closed with 150 bytes");
-        assert_eq!(m.current_bytes(), 0);
-        // Skipping several windows reports the latest closed one (empty).
-        m.record(300_000, 7);
-        assert_eq!(m.roll(2_000_000), Some(0));
-    }
 
     #[test]
     fn records_bytes_times_hops() {

@@ -45,7 +45,7 @@ pub mod runtime;
 pub mod time;
 pub mod topology;
 
-pub use bandwidth::{BandwidthTracker, LoadMeter, TrafficClass};
+pub use bandwidth::{BandwidthTracker, TrafficClass};
 pub use chaos::{ChaosConfig, ChaosError, LinkLossMap, PartitionMap};
 pub use clock::{ClockModel, LocalClock};
 pub use runtime::{App, Ctx, SimBuilder, SimStats, Simulator, TRANSPORT_OVERHEAD_BYTES};

@@ -11,11 +11,7 @@
 //!   burst feed installed at all — overload is absorbed at the leaves,
 //!   not exported to innocent queries;
 //! - outcomes are identical across simulator shard counts {1, 2, 4} and
-//!   across repeated runs;
-//! - the congestion-adaptive envelope budget is off by default (zero
-//!   budget cuts), and when enabled engages under the burst: budgets are
-//!   cut and the peak outbox backlog is strictly lower than the static
-//!   budget's.
+//!   across repeated runs.
 
 use mortar::prelude::*;
 
@@ -51,14 +47,12 @@ struct Outcome {
     feed: FeedStats,
     conserved: bool,
     outbox_peak: u64,
-    budget_cuts: u64,
 }
 
-fn run(policy: Option<IntakePolicy>, shards: usize, adaptive: bool) -> Outcome {
+fn run(policy: Option<IntakePolicy>, shards: usize) -> Outcome {
     let mut cfg = EngineConfig::paper(HOSTS, SEED);
     cfg.plan_on_true_latency = true;
     cfg.shards = shards;
-    cfg.peer.adaptive_envelopes = adaptive;
     let mut mortar = Mortar::new(cfg).expect("valid config");
     let base = mortar
         .query("base")
@@ -94,75 +88,6 @@ fn run(policy: Option<IntakePolicy>, shards: usize, adaptive: bool) -> Outcome {
         feed: stats,
         conserved,
         outbox_peak: mortar.engine().outbox_peak_bytes(),
-        budget_cuts: mortar.engine().envelope_budget_cuts(),
-    }
-}
-
-/// The congestion-controller scenario: a tight 128 B static envelope
-/// budget (so the AIMD congestion threshold is 32 B of enqueued payload
-/// per destination per 250 ms window) and fast-emitting feed queries
-/// whose wire load tracks the burst — steady emission stays under the
-/// threshold after tree striping, the 10× burst crosses it.
-fn run_adaptive(adaptive: bool, shards: usize) -> Outcome {
-    let mut cfg = EngineConfig::paper(HOSTS, SEED);
-    cfg.plan_on_true_latency = true;
-    cfg.shards = shards;
-    cfg.peer.adaptive_envelopes = adaptive;
-    cfg.peer.envelope_budget = 128;
-    // A real hold window: the static protocol parks frames waiting for
-    // company; the congested adaptive path drops the hold and flushes,
-    // which is exactly the outbox-peak difference the test asserts. The
-    // hold sits below `min_timeout_us` (250 ms) so no tuple is flagged
-    // urgent — urgency would flush at enqueue and hide the hold entirely.
-    cfg.peer.envelope_hold_us = 200_000;
-    let mut mortar = Mortar::new(cfg).expect("valid config");
-    let base = mortar
-        .query("base")
-        .members(0..HOSTS as NodeId)
-        .periodic_secs(1.0, 1.0)
-        .sum(0)
-        .every_secs(1.0)
-        .install()
-        .expect("valid base query");
-    // Warm-up congestion: a moderate burst from 2.5 s on crosses the
-    // threshold early, so the controller has already cut budgets and
-    // dropped hold slack by the time the heavy burst lands at 5 s. A
-    // reactive controller cannot beat the very first overload window —
-    // what it buys is that a *sustained* overload's peak happens on its
-    // watch, not the static protocol's.
-    let warm = mortar
-        .query("warm")
-        .members(0..HOSTS as NodeId)
-        .feed_bursty(BurstProfile::steady(300_000, 1.0).with_burst(2_500_000, 10_000_000, 10))
-        .intake(IntakePolicy::Backpressure { credits: 1024 })
-        .sum(0)
-        .every_secs(0.1)
-        .install()
-        .expect("valid warm query");
-    let feed = mortar
-        .query("burst")
-        .members(0..HOSTS as NodeId)
-        .feed_bursty(burst_profile(500_000))
-        .intake(IntakePolicy::Backpressure { credits: 1024 })
-        .sum(0)
-        .every_secs(0.1)
-        .install()
-        .expect("valid feed query");
-    mortar.run_secs(20.0);
-    let fp = |rs: &[metrics::ResultRecord]| -> Vec<(i64, i64, Option<u64>, u32)> {
-        rs.iter().map(|r| (r.tb, r.te, r.scalar.map(f64::to_bits), r.participants)).collect()
-    };
-    let base_rows = fp(&mortar.results(&base));
-    let mut feed_rows = fp(&mortar.results(&feed));
-    feed_rows.extend(fp(&mortar.results(&warm)));
-    let (stats, conserved, _held) = mortar.engine().feed_totals();
-    Outcome {
-        base: base_rows,
-        feed_results: feed_rows,
-        feed: stats,
-        conserved,
-        outbox_peak: mortar.engine().outbox_peak_bytes(),
-        budget_cuts: mortar.engine().envelope_budget_cuts(),
     }
 }
 
@@ -175,10 +100,10 @@ const POLICIES: [IntakePolicy; 4] = [
 
 #[test]
 fn every_policy_keeps_intake_bounded_and_isolates_unrelated_queries() {
-    let baseline = run(None, 1, false);
+    let baseline = run(None, 1);
     assert!(!baseline.base.is_empty(), "baseline produced no results");
     for policy in POLICIES {
-        let out = run(Some(policy), 1, false);
+        let out = run(Some(policy), 1);
         assert!(out.feed.offered > 0, "{policy:?}: source never fired");
         assert!(out.feed.delivered > 0, "{policy:?}: intake never drained");
         assert_eq!(out.feed.overcap, 0, "{policy:?}: declared cap exceeded");
@@ -224,31 +149,11 @@ fn every_policy_keeps_intake_bounded_and_isolates_unrelated_queries() {
 #[test]
 fn burst_outcomes_agree_across_shard_counts_and_repeats() {
     for policy in [POLICIES[0], POLICIES[3]] {
-        let single = run(Some(policy), 1, false);
+        let single = run(Some(policy), 1);
         for shards in [2usize, 4] {
-            let parallel = run(Some(policy), shards, false);
+            let parallel = run(Some(policy), shards);
             assert_eq!(single, parallel, "{policy:?}: shards={shards} diverged");
         }
-        assert_eq!(single, run(Some(policy), 1, false), "{policy:?}: repeat run diverged");
+        assert_eq!(single, run(Some(policy), 1), "{policy:?}: repeat run diverged");
     }
-}
-
-#[test]
-fn adaptive_envelope_budget_engages_under_burst_and_is_inert_when_off() {
-    let off = run_adaptive(false, 1);
-    assert_eq!(off.budget_cuts, 0, "adaptive budget acted while disabled");
-    assert_eq!(off, run_adaptive(false, 1), "static-budget runs are not reproducible");
-
-    let on = run_adaptive(true, 1);
-    assert!(on.budget_cuts > 0, "adaptive budget never engaged under a 10× burst");
-    assert!(
-        on.outbox_peak < off.outbox_peak,
-        "adaptive budget should cut the outbox peak: adaptive {} >= static {}",
-        on.outbox_peak,
-        off.outbox_peak
-    );
-    // The controller reads local byte counts, never thread layout:
-    // repeat runs and shard sweeps reproduce exactly.
-    assert_eq!(on, run_adaptive(true, 1), "adaptive runs are not reproducible");
-    assert_eq!(on, run_adaptive(true, 2), "adaptive run diverged at shards=2");
 }
