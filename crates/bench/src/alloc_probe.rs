@@ -1,10 +1,10 @@
-//! A counting allocator probe for the hotpath harness.
+//! A counting allocator probe for the feeds harness.
 //!
-//! The hotpath bench binary installs [`CountingAlloc`] as its global
+//! The feeds bench binary installs [`CountingAlloc`] as its global
 //! allocator; the harness then measures heap-allocation counts across
-//! regions of simulated time — most importantly the steady-state idle
-//! ticks, which `BENCH_hotpath.json` pins at **zero** allocations
-//! (`allocs_per_sim_sec`). The counter is thread-local, so background
+//! regions of simulated time — the steady-state idle ticks with a
+//! drained feed installed, which `BENCH_feeds.json` pins at **zero**
+//! allocations (`allocs_per_sim_sec`). The counter is thread-local, so background
 //! threads cannot pollute a measurement.
 //!
 //! The probe is inert unless the running binary actually declared the

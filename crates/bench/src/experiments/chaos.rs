@@ -1,19 +1,18 @@
-//! Chaos harness: seeded scenario sweep plus the digest-vs-full-map
-//! anti-entropy head-to-head; emits `BENCH_chaos.json` at the repo root.
+//! Chaos harness: seeded scenario sweep plus one churn-storm run; emits
+//! `BENCH_chaos.json` at the repo root.
 //!
 //! Two measurements back the robustness story (paper Sections 4.3–4.4):
 //!
 //! * **Scenario sweep** — generated fault schedules (loss/dup/jitter,
 //!   partitions, churn, clock skew, install/remove storms) run through
 //!   the property oracles. The artifact records per-seed outcomes; a
-//!   clean sweep means every scenario converged, kept removed queries
-//!   removed, and held the completeness floor after healing.
-//! * **Anti-entropy head-to-head** — one churn-storm scenario (five
-//!   hosts dead through an install storm of ~130 queries and a remove
-//!   storm, then revived) run under digest reconciliation and again
-//!   under full-map exchanges. Both must converge the fleet to the same
-//!   store sets; the artifact records the wire bytes each spent doing
-//!   it, which is the savings `EXPERIMENTS.md` tabulates.
+//!   clean sweep means every scenario converged every live store onto
+//!   the command log, kept removed queries removed, and held the
+//!   completeness floor after healing.
+//! * **Churn storm** — five hosts dead through an install storm of ~130
+//!   queries and a remove storm, then revived. Digest anti-entropy must
+//!   converge the fleet onto the command log; the artifact records the
+//!   reconciliation wire cost of doing it.
 
 use crate::{banner, scaled};
 use mortar_chaos::{run_scenario, sweep, Fault, RunConfig, RunReport, Scenario};
@@ -23,9 +22,9 @@ pub const SWEEP_HOSTS: usize = 24;
 /// Fault-window length of each generated sweep scenario, ms.
 pub const SWEEP_DURATION_MS: u64 = 30_000;
 
-/// The churn-storm head-to-head scenario: workload churn against a
-/// partially dead fleet, healed late. Matches the digest-savings
-/// acceptance test in `crates/chaos/tests/acceptance.rs`.
+/// The churn-storm scenario: workload churn against a partially dead
+/// fleet, healed late. Matches the at-scale convergence acceptance test
+/// in `crates/chaos/tests/acceptance.rs`.
 pub fn churn_storm() -> Scenario {
     Scenario::new(11, 20, 15_000)
         .at(0, Fault::Kill { nodes: vec![2, 5, 9, 13, 17] })
@@ -34,13 +33,12 @@ pub fn churn_storm() -> Scenario {
         .at(10_000, Fault::Revive { nodes: vec![2, 5, 9, 13, 17] })
 }
 
-fn head_to_head_config(digest: bool) -> RunConfig {
+fn churn_storm_config() -> RunConfig {
     let mut cfg = RunConfig {
         base_queries: 100,
         members_per_query: 3,
         settle_secs: 0.0,
         converge_secs: 30.0,
-        digest_reconcile: digest,
         ..RunConfig::default()
     };
     cfg.oracles.completeness_floor = 0.0;
@@ -55,8 +53,8 @@ fn json_array<T, F: Fn(&T) -> String>(items: &[T], fmt: F) -> String {
     format!("[{}]", items.iter().map(fmt).collect::<Vec<_>>().join(", "))
 }
 
-/// Renders the sweep outcomes and the two head-to-head runs as JSON.
-pub fn to_json(outcomes: &[(u64, RunReport)], digest: &RunReport, full: &RunReport) -> String {
+/// Renders the sweep outcomes and the churn-storm run as JSON.
+pub fn to_json(outcomes: &[(u64, RunReport)], storm: &RunReport) -> String {
     let mut s = String::from("{\n");
     json_field(&mut s, "bench", "\"chaos\"".into());
     json_field(
@@ -98,37 +96,21 @@ pub fn to_json(outcomes: &[(u64, RunReport)], digest: &RunReport, full: &RunRepo
         }),
     );
 
-    json_field(&mut s, "head_to_head_scenario", "\"churn-storm (seed 11, 20 hosts)\"".into());
-    json_field(&mut s, "head_to_head_queries", digest.installed_total.to_string());
-    json_field(
-        &mut s,
-        "stores_converged_equal",
-        (digest.stores_fingerprint == full.stores_fingerprint).to_string(),
-    );
-    json_field(&mut s, "stores_fingerprint", format!("\"{:#018x}\"", digest.stores_fingerprint));
-    for (tag, r) in [("digest", digest), ("full_map", full)] {
-        json_field(&mut s, &format!("{tag}_reconcile_bytes"), r.reconcile_bytes.to_string());
-        json_field(&mut s, &format!("{tag}_reconcile_msgs"), r.reconcile_msgs.to_string());
-        json_field(&mut s, &format!("{tag}_reconcile_rounds"), r.reconcile_rounds.to_string());
-        json_field(&mut s, &format!("{tag}_violations"), r.violations.len().to_string());
-    }
-    json_field(
-        &mut s,
-        "digest_bytes_saved_pct",
-        format!(
-            "{:.1}",
-            100.0 * (1.0 - digest.reconcile_bytes as f64 / full.reconcile_bytes.max(1) as f64)
-        ),
-    );
+    json_field(&mut s, "churn_storm_scenario", "\"seed 11, 20 hosts\"".into());
+    json_field(&mut s, "churn_storm_queries", storm.installed_total.to_string());
+    json_field(&mut s, "churn_storm_reconcile_bytes", storm.reconcile_bytes.to_string());
+    json_field(&mut s, "churn_storm_reconcile_msgs", storm.reconcile_msgs.to_string());
+    json_field(&mut s, "churn_storm_reconcile_rounds", storm.reconcile_rounds.to_string());
+    json_field(&mut s, "churn_storm_violations", storm.violations.len().to_string());
     s.push_str("  \"scale\": ");
     s.push_str(if crate::full_scale() { "\"full\"" } else { "\"quick\"" });
     s.push_str("\n}\n");
     s
 }
 
-/// Runs the sweep and head-to-head and writes `BENCH_chaos.json`.
+/// Runs the sweep and the churn storm and writes `BENCH_chaos.json`.
 pub fn run() {
-    banner("chaos", "scenario sweep + anti-entropy head-to-head");
+    banner("chaos", "scenario sweep + churn-storm anti-entropy");
 
     let seeds = 0..scaled(6u64, 25u64);
     println!("sweeping {} generated scenarios ({SWEEP_HOSTS} hosts)...", seeds.end);
@@ -148,26 +130,20 @@ pub fn run() {
     println!("sweep failures: {}/{}", report.failures(), report.outcomes.len());
 
     let sc = churn_storm();
-    println!("\nhead-to-head: {}", sc.describe().lines().next().unwrap_or(""));
-    let digest = run_scenario(&sc, &head_to_head_config(true))
-        .expect("head-to-head workload is well-formed");
-    let full = run_scenario(&sc, &head_to_head_config(false))
-        .expect("head-to-head workload is well-formed");
+    println!("\nchurn storm: {}", sc.describe().lines().next().unwrap_or(""));
+    let storm = run_scenario(&sc, &churn_storm_config()).expect("churn storm is well-formed");
     println!(
-        "  digest:   {:>9} bytes, {:>5} msgs, {:>4} rounds",
-        digest.reconcile_bytes, digest.reconcile_msgs, digest.reconcile_rounds
+        "  {:>9} bytes, {:>5} msgs, {:>4} rounds, {} violations",
+        storm.reconcile_bytes,
+        storm.reconcile_msgs,
+        storm.reconcile_rounds,
+        storm.violations.len()
     );
-    println!(
-        "  full-map: {:>9} bytes, {:>5} msgs, {:>4} rounds",
-        full.reconcile_bytes, full.reconcile_msgs, full.reconcile_rounds
-    );
-    println!(
-        "  stores converged equal: {} ({:#018x})",
-        digest.stores_fingerprint == full.stores_fingerprint,
-        digest.stores_fingerprint
-    );
+    for v in &storm.violations {
+        println!("           {v}");
+    }
 
-    let json = to_json(&report.outcomes, &digest, &full);
+    let json = to_json(&report.outcomes, &storm);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_chaos.json");
     match std::fs::write(path, &json) {
         Ok(()) => println!("\nwrote {path}"),
@@ -175,15 +151,5 @@ pub fn run() {
     }
 
     assert_eq!(report.failures(), 0, "sweep produced oracle violations");
-    assert!(digest.violations.is_empty() && full.violations.is_empty());
-    assert_eq!(
-        digest.stores_fingerprint, full.stores_fingerprint,
-        "digest and full-map anti-entropy converged to different store sets"
-    );
-    assert!(
-        digest.reconcile_bytes < full.reconcile_bytes,
-        "digest anti-entropy spent no fewer bytes: {} vs {}",
-        digest.reconcile_bytes,
-        full.reconcile_bytes
-    );
+    assert!(storm.violations.is_empty(), "churn storm produced oracle violations");
 }

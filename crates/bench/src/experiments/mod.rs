@@ -12,4 +12,4 @@ pub mod fig14;
 pub mod fig16;
 pub mod fig17;
 pub mod fig18;
-pub mod hotpath;
+pub mod shards;

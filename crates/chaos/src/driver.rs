@@ -3,7 +3,8 @@
 //! [`run_scenario`] builds an engine seeded from the scenario, installs a
 //! base workload, applies the fault schedule at its simulated instants,
 //! optionally force-heals, lets the fleet converge, then evaluates the
-//! property oracles and folds every observable counter into one
+//! property oracles — against the log of control commands that reached
+//! their roots — and folds every observable counter into one
 //! fingerprint. Two runs of the same scenario — at any shard count —
 //! must produce the same fingerprint; that determinism is itself one of
 //! the properties the test suite asserts.
@@ -12,7 +13,7 @@
 //! schedule to a minimal one by greedy delta debugging (drop one event
 //! at a time, keep the drop whenever the failure survives).
 
-use crate::oracle::{self, BaseQuery, OracleConfig, Violation};
+use crate::oracle::{self, BaseQuery, CommandLog, OracleConfig, Violation};
 use crate::scenario::{Fault, Scenario};
 use mortar_core::engine::{Engine, EngineConfig};
 use mortar_core::query::QuerySpec;
@@ -44,9 +45,6 @@ pub struct RunConfig {
     /// observe what an *unhealed* fleet looks like — used by tests that
     /// plant violations for the oracles to catch.
     pub heal_at_end: bool,
-    /// Reconcile with digest anti-entropy (`true`) or full-map
-    /// exchanges (`false`); the sweep equivalence tests run both.
-    pub digest_reconcile: bool,
     /// Which properties to demand.
     pub oracles: OracleConfig,
 }
@@ -60,7 +58,6 @@ impl Default for RunConfig {
             settle_secs: 5.0,
             converge_secs: 30.0,
             heal_at_end: true,
-            digest_reconcile: true,
             oracles: OracleConfig::default(),
         }
     }
@@ -75,18 +72,11 @@ pub struct RunReport {
     /// fingerprints and stats, base-query result logs, transport stats,
     /// per-class bandwidth. Equal fingerprints = bit-for-bit replay.
     pub fingerprint: u64,
-    /// FNV-1a fold of the per-peer *store* fingerprints alone. Unlike
-    /// [`RunReport::fingerprint`] this is protocol-independent: digest
-    /// and full-map anti-entropy runs of one scenario must converge to
-    /// the same value (the installed/removed sets are minted by roots,
-    /// not by the reconciliation transport).
-    pub stores_fingerprint: u64,
     /// Oracle violations (empty = clean run).
     pub violations: Vec<Violation>,
     /// Reconciliation wire messages sent, summed over the fleet.
     pub reconcile_msgs: u64,
-    /// Reconciliation wire bytes sent, summed over the fleet — the
-    /// quantity digest anti-entropy shrinks versus full-map.
+    /// Reconciliation wire bytes sent, summed over the fleet.
     pub reconcile_bytes: u64,
     /// Reconciliation exchanges triggered (hash mismatches + heartbeat
     /// piggybacks), summed over the fleet.
@@ -147,6 +137,29 @@ fn sum_spec(name: String, members: Vec<NodeId>) -> QuerySpec {
     }
 }
 
+/// A control command injected at its root, not yet delivered:
+/// `(name, root, install)`.
+type Pending = (String, NodeId, bool);
+
+/// Advances simulated time by `secs`. Commands injected since the last
+/// advance are delivered at its first instant, so each one enters `log`
+/// exactly when its root is up now; an inject at a down host is dropped.
+fn advance(eng: &mut Engine, secs: f64, pending: &mut Vec<Pending>, log: &mut CommandLog) {
+    if secs > 0.0 {
+        for (name, root, install) in pending.drain(..) {
+            if !eng.sim.is_up(root) {
+                continue;
+            }
+            if install {
+                log.install(&name);
+            } else {
+                log.remove(&name);
+            }
+        }
+    }
+    eng.run_secs(secs);
+}
+
 /// Execute one scenario and evaluate the oracles over the aftermath.
 ///
 /// Errors only on a malformed configuration or workload; fault-induced
@@ -157,24 +170,25 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> Result<RunReport, MortarE
     let mut ecfg = EngineConfig::paper(hosts, sc.seed);
     ecfg.plan_on_true_latency = true;
     ecfg.shards = cfg.shards;
-    ecfg.peer.digest_reconcile = cfg.digest_reconcile;
     let mut eng = Engine::new(ecfg)?;
 
+    let mut log = CommandLog::default();
+    let mut pending: Vec<Pending> = Vec::new();
     let mut base = Vec::with_capacity(cfg.base_queries);
     for i in 0..cfg.base_queries {
         let members = roster(sc.seed, i as u64, hosts, cfg.members_per_query);
         let spec = sum_spec(format!("base{i}"), members.clone());
         let root = spec.root;
         eng.install(spec)?;
+        pending.push((format!("base{i}"), root, true));
         base.push(BaseQuery { name: format!("base{i}"), root, members: members.len() });
     }
-    eng.run_secs(cfg.settle_secs);
+    advance(&mut eng, cfg.settle_secs, &mut pending, &mut log);
 
     // Apply the schedule. `cursor` tracks simulated ms inside the fault
     // window; events are pre-sorted by the scenario contract.
     let mut cursor = 0u64;
     let mut storms: Vec<(String, NodeId)> = Vec::new();
-    let mut removed: Vec<String> = Vec::new();
     let mut skewed: Vec<NodeId> = Vec::new();
     let mut storm_seq = 0u64;
     let mut bursts: Vec<String> = Vec::new();
@@ -182,7 +196,7 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> Result<RunReport, MortarE
     for ev in &sc.events {
         let at = ev.at_ms.min(sc.duration_ms);
         if at > cursor {
-            eng.run_secs((at - cursor) as f64 / 1000.0);
+            advance(&mut eng, (at - cursor) as f64 / 1000.0, &mut pending, &mut log);
             cursor = at;
         }
         match &ev.fault {
@@ -228,22 +242,22 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> Result<RunReport, MortarE
                     let spec = sum_spec(name.clone(), members);
                     let root = spec.root;
                     eng.install(spec)?;
+                    pending.push((name.clone(), root, true));
                     storms.push((name, root));
                 }
             }
             Fault::RemoveStorm { count } => {
                 // A removal is minted at the query's root; issuing one to
-                // a dead root loses the command (best-effort control
-                // plane) and no tombstone ever exists, so the query
-                // legitimately stays installed — keep such queries on the
-                // storm list instead of telling the no-stale oracle to
-                // expect a propagation that never began.
+                // a dead root would lose the command (best-effort control
+                // plane), so such queries stay on the storm list for a
+                // later wave. A root killed before the next advance still
+                // loses it — the command log only counts delivered ones.
                 let mut kept = Vec::new();
                 for _ in 0..*count {
                     match storms.pop() {
                         Some((name, root)) if eng.sim.is_up(root) => {
                             eng.remove(&name, root)?;
-                            removed.push(name);
+                            pending.push((name, root, false));
                         }
                         Some(dead_rooted) => kept.push(dead_rooted),
                         None => break,
@@ -273,13 +287,15 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> Result<RunReport, MortarE
                 };
                 spec.sensor =
                     SensorSpec::Feed(FeedSpec::new(FeedConnector::Bursty(profile), policy));
+                let root = spec.root;
                 eng.install(spec)?;
+                pending.push((name.clone(), root, true));
                 bursts.push(name);
             }
         }
     }
     if sc.duration_ms > cursor {
-        eng.run_secs((sc.duration_ms - cursor) as f64 / 1000.0);
+        advance(&mut eng, (sc.duration_ms - cursor) as f64 / 1000.0, &mut pending, &mut log);
     }
 
     if cfg.heal_at_end {
@@ -293,7 +309,7 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> Result<RunReport, MortarE
             eng.sim.set_clock(n, LocalClock::perfect());
         }
     }
-    eng.run_secs(cfg.converge_secs);
+    advance(&mut eng, cfg.converge_secs, &mut pending, &mut log);
 
     let mut ocfg = cfg.oracles.clone();
     if sc.events.iter().any(|e| matches!(e.fault, Fault::Skew { offset_us, .. } if offset_us != 0))
@@ -304,17 +320,15 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> Result<RunReport, MortarE
         // skew bursts the property is not observable through this metric.
         ocfg.require_conservation = false;
     }
-    let violations = oracle::evaluate(&eng, &base, &removed, &ocfg);
+    let violations = oracle::evaluate(&eng, &base, &log, &ocfg);
 
     let mut h = FNV_OFFSET;
-    let mut hs = FNV_OFFSET;
     let mut reconcile_msgs = 0u64;
     let mut reconcile_bytes = 0u64;
     let mut reconcile_rounds = 0u64;
     for n in 0..hosts as NodeId {
         let p = eng.sim.app(n);
         fnv(&mut h, p.store_fingerprint());
-        fnv(&mut hs, p.store_fingerprint());
         let s = &p.stats;
         for v in [
             s.route_drops,
@@ -390,7 +404,6 @@ pub fn run_scenario(sc: &Scenario, cfg: &RunConfig) -> Result<RunReport, MortarE
     Ok(RunReport {
         seed: sc.seed,
         fingerprint: h,
-        stores_fingerprint: hs,
         violations,
         reconcile_msgs,
         reconcile_bytes,

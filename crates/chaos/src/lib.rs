@@ -17,7 +17,8 @@
 //! - [`scenario`] — the fault DSL and the single-seed generator.
 //! - [`oracle`] — property oracles evaluated over the engine after the
 //!   run: completeness floors, no-stale-results-after-removal,
-//!   store-fingerprint convergence, duplicate conservation.
+//!   exact store convergence against the driver's command log,
+//!   duplicate conservation.
 //! - [`driver`] — [`driver::run_scenario`] executes a scenario and
 //!   reports violations plus a deterministic counter fingerprint;
 //!   [`driver::sweep`] runs many seeds; [`driver::shrink`] reduces a

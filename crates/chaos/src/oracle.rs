@@ -6,11 +6,12 @@
 //! schedules cheaply). The properties mirror the paper's robustness
 //! claims: results stay complete enough through faults (Section 4.3),
 //! removed queries stay removed everywhere (Section 4.4), anti-entropy
-//! converges every live peer onto one query set, and two-generation
-//! dedup never double-counts a source.
+//! converges every live peer onto exactly the store the driver's command
+//! log implies, and two-generation dedup never double-counts a source.
 
 use mortar_core::engine::Engine;
 use mortar_core::metrics;
+use std::collections::BTreeMap;
 
 /// One broken property.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +36,10 @@ pub struct OracleConfig {
     pub completeness_floor: f64,
     /// Ragged warm-up windows excluded from the completeness mean.
     pub skip_first_windows: usize,
-    /// Demand every live peer agree on one store fingerprint (the
-    /// anti-entropy convergence property).
+    /// Demand every live peer's store hold exactly what the command log
+    /// implies (the anti-entropy convergence property): as installed, the
+    /// names whose last command is an install; as tombstones, the names
+    /// whose last command is a removal.
     pub require_convergence: bool,
     /// Demand removed queries be absent from every live peer (no stale
     /// results / resurrection after tombstone propagation).
@@ -83,14 +86,45 @@ pub struct BaseQuery {
     pub members: usize,
 }
 
-/// Run every enabled oracle; returns all violations (empty = clean run).
+/// The control commands that reached their query roots, reduced to the
+/// last one per name: the independent reference the convergence and
+/// no-stale oracles check every store against.
 ///
-/// `removed` lists query names the scenario removed and never
-/// re-installed — the no-stale oracle demands they are gone everywhere.
+/// A command counts only once it is delivered. An install that never
+/// reached its root exists nowhere, so removing it later mints no
+/// tombstone either.
+#[derive(Debug, Clone, Default)]
+pub struct CommandLog {
+    /// Name → whether the last delivered command was an install (`true`)
+    /// or a removal (`false`).
+    last: BTreeMap<String, bool>,
+}
+
+impl CommandLog {
+    /// Records an install delivered to its root.
+    pub fn install(&mut self, name: &str) {
+        self.last.insert(name.to_string(), true);
+    }
+
+    /// Records a removal delivered to its root. Only a query the log has
+    /// installed becomes a tombstone.
+    pub fn remove(&mut self, name: &str) {
+        if let Some(installed) = self.last.get_mut(name) {
+            *installed = false;
+        }
+    }
+
+    /// Names whose last command is `install` (true) or a removal (false).
+    fn names(&self, install: bool) -> Vec<&str> {
+        self.last.iter().filter(|&(_, &i)| i == install).map(|(n, _)| n.as_str()).collect()
+    }
+}
+
+/// Run every enabled oracle; returns all violations (empty = clean run).
 pub fn evaluate(
     eng: &Engine,
     base: &[BaseQuery],
-    removed: &[String],
+    log: &CommandLog,
     cfg: &OracleConfig,
 ) -> Vec<Violation> {
     let mut out = Vec::new();
@@ -124,7 +158,7 @@ pub fn evaluate(
     }
 
     if cfg.require_no_stale {
-        for name in removed {
+        for name in log.names(false) {
             for &n in &live {
                 if eng.sim.app(n).has_query(name) {
                     out.push(Violation {
@@ -137,23 +171,35 @@ pub fn evaluate(
     }
 
     if cfg.require_convergence {
-        let mut first: Option<(mortar_net::NodeId, u64)> = None;
-        for &n in &live {
-            let fp = eng.sim.app(n).store_fingerprint();
-            match first {
-                None => first = Some((n, fp)),
-                Some((n0, fp0)) if fp != fp0 => {
-                    out.push(Violation {
-                        oracle: "convergence",
-                        detail: format!(
-                            "store fingerprints diverge: peer {n0} has {fp0:#018x}, \
-                             peer {n} has {fp:#018x}"
-                        ),
-                    });
-                    break;
+        let want = (log.names(true), log.names(false));
+        let diverged: Vec<_> = live
+            .iter()
+            .map(|&n| {
+                let mut store: (Vec<&str>, Vec<&str>) = (Vec::new(), Vec::new());
+                for (name, _, removed) in eng.sim.app(n).store_entries() {
+                    if removed { &mut store.1 } else { &mut store.0 }.push(name);
                 }
-                Some(_) => {}
-            }
+                store.0.sort_unstable();
+                store.1.sort_unstable();
+                (n, store)
+            })
+            .filter(|(_, store)| *store != want)
+            .collect();
+        if let Some((n, (installed, tombstones))) = diverged.first() {
+            out.push(Violation {
+                oracle: "convergence",
+                detail: format!(
+                    "{} of {} live peers diverge from the command log; peer {n} holds \
+                     extra installs {:?} and tombstones {:?}, and lacks installs {:?} \
+                     and tombstones {:?}",
+                    diverged.len(),
+                    live.len(),
+                    diff(installed, &want.0),
+                    diff(tombstones, &want.1),
+                    diff(&want.0, installed),
+                    diff(&want.1, tombstones),
+                ),
+            });
         }
     }
 
@@ -210,4 +256,9 @@ pub fn evaluate(
     }
 
     out
+}
+
+/// The names of `a` missing from `b` (both sorted).
+fn diff<'a>(a: &[&'a str], b: &[&str]) -> Vec<&'a str> {
+    a.iter().copied().filter(|n| b.binary_search(n).is_err()).collect()
 }

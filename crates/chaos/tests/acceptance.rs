@@ -6,9 +6,8 @@
 //! - The property oracles demonstrably catch a planted violation (a
 //!   removal stranded behind an unhealed partition), and the shrinker
 //!   reduces that failing schedule to a minimal one that still fails.
-//! - Digest anti-entropy converges to the same installed/removed sets
-//!   as full-map exchanges on swept scenarios, while spending fewer
-//!   reconciliation bytes once the query set is large (>= 100 queries).
+//! - Digest anti-entropy converges every live peer onto exactly the
+//!   installed/removed sets the command log implies, at >= 100 queries.
 
 use mortar_chaos::{run_scenario, shrink, sweep, Fault, RunConfig, Scenario};
 
@@ -129,7 +128,7 @@ fn sweep_reports_per_seed_outcomes() {
 }
 
 #[test]
-fn digest_anti_entropy_matches_full_map_and_spends_fewer_bytes_at_scale() {
+fn digest_anti_entropy_converges_stores_to_the_command_log_at_scale() {
     // 100 queries of 3 members over 20 hosts; five hosts are dead while
     // every install propagates, so revival forces reconciliation of the
     // entire query set plus a storm of removals.
@@ -138,7 +137,7 @@ fn digest_anti_entropy_matches_full_map_and_spends_fewer_bytes_at_scale() {
         .at(1_000, Fault::InstallStorm { count: 30 })
         .at(3_000, Fault::RemoveStorm { count: 10 })
         .at(10_000, Fault::Revive { nodes: vec![2, 5, 9, 13, 17] });
-    let base = RunConfig {
+    let cfg = RunConfig {
         base_queries: 100,
         members_per_query: 3,
         settle_secs: 0.0,
@@ -152,29 +151,11 @@ fn digest_anti_entropy_matches_full_map_and_spends_fewer_bytes_at_scale() {
         ..RunConfig::default()
     };
 
-    let digest = run_scenario(&sc, &RunConfig { digest_reconcile: true, ..base.clone() })
-        .expect("valid scenario");
-    let full = run_scenario(&sc, &RunConfig { digest_reconcile: false, ..base.clone() })
-        .expect("valid scenario");
-
-    // Both protocols converge every live peer onto one store (the
-    // convergence oracle is armed in both runs)...
-    assert!(!digest.failed(), "digest run violated oracles: {:?}", digest.violations);
-    assert!(!full.failed(), "full-map run violated oracles: {:?}", full.violations);
-    // ...and onto the *same* installed/removed sets.
-    assert_eq!(
-        digest.stores_fingerprint, full.stores_fingerprint,
-        "digest and full-map anti-entropy converged to different query sets"
-    );
-
-    assert!(digest.reconcile_msgs > 0, "scenario never exercised reconciliation");
-    assert!(
-        digest.reconcile_bytes < full.reconcile_bytes,
-        "digest anti-entropy should spend fewer reconcile bytes than full-map at \
-         {} queries: digest {} >= full {}",
-        digest.installed_total,
-        digest.reconcile_bytes,
-        full.reconcile_bytes
-    );
-    assert!(digest.installed_total >= 100, "test needs >= 100 live queries");
+    let report = run_scenario(&sc, &cfg).expect("valid scenario");
+    // The convergence oracle is exact: every live peer holds as installed
+    // exactly the names whose last delivered command is an install, and
+    // as tombstones exactly those whose last one is a removal.
+    assert!(!report.failed(), "digest run violated oracles: {:?}", report.violations);
+    assert!(report.reconcile_msgs > 0, "scenario never exercised reconciliation");
+    assert!(report.installed_total >= 100, "test needs >= 100 live queries");
 }

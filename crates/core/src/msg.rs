@@ -14,10 +14,11 @@
 //! `Arc<[SummaryTuple]>` slices, so the transport's fan-out/duplication
 //! clone is a pointer bump, never a tuple-vector copy. Control messages
 //! (install/reconcile/topology) ship whole query specs behind
-//! `Arc<QuerySpec>` (multicast chunking and reconciliation exchanges clone
+//! `Arc<QuerySpec>` (multicast chunking and reconciliation pushes clone
 //! the pointer, not the spec) and therefore carry the id → name binding
-//! each peer records in its [`crate::query::QueryDirectory`]. Removal
-//! caches travel as `(QueryId, seq)` pairs — no name strings on the wire.
+//! each peer records in its [`crate::query::QueryDirectory`]. Digests
+//! carry the removal cache as `(QueryId, seq)` pairs; a tombstone travels
+//! with its name only when the receiver must adopt it.
 
 use crate::query::{InstallRecord, QueryId, QuerySpec};
 use crate::tuple::SummaryTuple;
@@ -97,30 +98,12 @@ pub enum MortarMsg {
         /// Store hash, present on reconciliation beats.
         store_hash: Option<u64>,
     },
-    /// Pair-wise reconciliation exchange: the sender's installed set and
-    /// removal cache.
-    Reconcile {
-        /// Installed queries with their interned id, install sequence and
-        /// the query's age (µs since issuance, per the sender's reference
-        /// clock). Specs are shared — building the exchange clones
-        /// pointers, not specs.
-        installed: Vec<(Arc<QuerySpec>, QueryId, u64, i64)>,
-        /// Cached removals as `(name, id, seq)`. The name rides along so a
-        /// receiver that never installed the query can still *adopt* the
-        /// tombstone (bind the id, cache the removal) — without it, peers
-        /// that missed both the install and the removal can never match
-        /// the remover's store hash and re-reconcile on every hash beat
-        /// forever.
-        removed: Vec<(Arc<str>, QueryId, u64)>,
-        /// Whether the receiver should reply with its own sets.
-        reply: bool,
-    },
-    /// Phase 1 of three-phase digest anti-entropy, sent instead of a full
-    /// [`MortarMsg::Reconcile`] when
-    /// [`crate::peer::PeerConfig::digest_reconcile`] is on: the sender's
-    /// store as fixed-size `(id, seq)` entries. No spec travels until a
-    /// concrete difference is identified, so a hash mismatch over a large
-    /// mostly-agreeing store costs digests, not full sets.
+    /// Phase 1 of three-phase digest anti-entropy (Section 6.1's
+    /// pair-wise reconciliation), sent on a store-hash mismatch or on data
+    /// for a removed query: the sender's store as fixed-size `(id, seq)`
+    /// entries. No spec travels until a concrete difference is
+    /// identified, so a mismatch over a large mostly-agreeing store costs
+    /// digests, not full sets.
     ReconcileDigest {
         /// Installed queries as (interned id, install sequence).
         installed: Vec<(QueryId, u64)>,
@@ -140,8 +123,12 @@ pub enum MortarMsg {
         /// named, in the transfer so the planner can adopt them.
         want_removed: Vec<QueryId>,
         /// The planner's tombstones the digest lacks or holds at an older
-        /// sequence, as `(name, id, seq)` — named for the same adoption
-        /// reason as [`MortarMsg::Reconcile`]'s.
+        /// sequence, as `(name, id, seq)`. The name rides along so a
+        /// receiver that never installed the query can still *adopt* the
+        /// tombstone (bind the id, cache the removal) — without it, peers
+        /// that missed both the install and the removal could never
+        /// match the remover's store hash and would re-reconcile on every
+        /// hash beat forever.
         removed: Vec<(Arc<str>, QueryId, u64)>,
     },
     /// Phase 3: full entries answering a plan's `want` list.
@@ -206,10 +193,6 @@ impl MortarMsg {
                 ENVELOPE_HEADER_BYTES + frames.iter().map(SummaryFrame::wire_bytes).sum::<u32>()
             }
             MortarMsg::Heartbeat { store_hash } => 24 + if store_hash.is_some() { 8 } else { 0 },
-            MortarMsg::Reconcile { installed, removed, .. } => {
-                16 + installed.iter().map(|(s, _, _, _)| s.wire_bytes() + 20).sum::<u32>()
-                    + removed.iter().map(|(n, _, _)| 12 + n.len() as u32).sum::<u32>()
-            }
             MortarMsg::ReconcileDigest { installed, removed } => {
                 16 + (installed.len() + removed.len()) as u32 * 12
             }
@@ -340,11 +323,10 @@ mod tests {
     fn removal_entries_charge_for_their_names() {
         // Applied removal entries carry the name so any receiver can adopt
         // the tombstone: 12 bytes of (id, seq) plus the name itself.
-        let base = MortarMsg::Reconcile { installed: vec![], removed: vec![], reply: false };
-        let two = MortarMsg::Reconcile {
-            installed: vec![],
+        let base = MortarMsg::ReconcileTransfer { entries: vec![], removed: vec![] };
+        let two = MortarMsg::ReconcileTransfer {
+            entries: vec![],
             removed: vec![(Arc::from("abc"), QueryId(7), 3), (Arc::from("x"), QueryId(900), 12)],
-            reply: false,
         };
         assert_eq!(two.wire_bytes() - base.wire_bytes(), (12 + 3) + (12 + 1));
     }

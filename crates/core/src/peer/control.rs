@@ -1,20 +1,24 @@
 //! Control plane: install / remove / pair-wise reconciliation / heartbeats
 //! and the query-root topology service (Section 6).
 //!
+//! Anti-entropy is one protocol, the three-phase digest exchange
+//! (`trigger_reconcile`), started by any of three signals: a
+//! mismatching store hash on a heartbeat, a mismatching store hash on a
+//! data frame, or data arriving for a query this peer removed.
+//!
 //! Spec-carrying control messages ship `Arc<QuerySpec>`: multicast
-//! chunking, install forwarding, reconciliation exchanges and topology
+//! chunking, install forwarding, reconciliation pushes and topology
 //! replies clone a pointer, never the spec. The removal cache is id-keyed
 //! end to end — tombstones live under [`crate::query::QueryId`] and travel
 //! as `(id, seq)` pairs; names are resolved through the directory only
-//! where the reconciliation *algorithm* (which joins peers' sets by name)
-//! or the portable store hash needs them.
+//! where a receiver must adopt a tombstone it cannot name, or where the
+//! portable store hash needs them.
 
 use super::{MortarPeer, QueryState};
 use crate::install::{chunk_components_with_peers, component_root, forward_groups};
 use crate::msg::MortarMsg;
 use crate::netdist::NetDist;
 use crate::query::{InstallRecord, QueryId, QuerySpec, SensorSpec};
-use crate::reconcile::{reconcile, SeqMap};
 use crate::tslist::TimeSpaceList;
 use crate::window::WindowKind;
 use mortar_net::{Ctx, NodeId, TrafficClass};
@@ -28,40 +32,6 @@ fn route_template(record: Option<&InstallRecord>) -> RouteState {
     match record {
         Some(rec) => RouteState::from_levels(&rec.levels()),
         None => RouteState::from_levels(&[]),
-    }
-}
-
-/// Zero-copy [`SeqMap`] view of a peer's installed set (name → install
-/// sequence), so reconciliation needs no per-exchange map materialization.
-struct InstalledView<'a>(&'a MortarPeer);
-
-impl SeqMap for InstalledView<'_> {
-    fn seq_of(&self, name: &str) -> Option<u64> {
-        self.0.query_by_name(name).map(|q| q.seq)
-    }
-    fn pairs(&self) -> Box<dyn Iterator<Item = (&str, u64)> + '_> {
-        Box::new(self.0.queries.values().map(|q| (q.spec.name.as_str(), q.seq)))
-    }
-}
-
-/// Zero-copy [`SeqMap`] view of the id-keyed removal cache, resolving
-/// names through the directory (which retains retired bindings — every
-/// tombstone was minted with its binding in place, so resolution never
-/// misses).
-struct RemovedView<'a>(&'a MortarPeer);
-
-impl SeqMap for RemovedView<'_> {
-    fn seq_of(&self, name: &str) -> Option<u64> {
-        let id = self.0.directory.id_of(name)?;
-        self.0.removed.get(&id).copied()
-    }
-    fn pairs(&self) -> Box<dyn Iterator<Item = (&str, u64)> + '_> {
-        Box::new(
-            self.0
-                .removed
-                .iter()
-                .filter_map(|(&id, &s)| self.0.directory.name_of(id).map(|n| (n, s))),
-        )
     }
 }
 
@@ -240,48 +210,8 @@ impl MortarPeer {
         }
     }
 
-    /// Builds this peer's reconciliation message. Specs ship as shared
-    /// pointers; removal-cache entries carry their name so any receiver
-    /// can adopt the tombstone (see [`Self::adopt_removal`]).
-    pub(crate) fn reconcile_payload(&self, local_now: i64, reply: bool) -> MortarMsg {
-        MortarMsg::Reconcile {
-            installed: self
-                .queries
-                .values()
-                .map(|q| (q.spec.clone(), q.id, q.seq, local_now - q.t_ref_base_us))
-                .collect(),
-            removed: self.named_removals(|_, _| true),
-            reply,
-        }
-    }
-
-    /// The removal-cache entries `keep` accepts, as named `(name, id, seq)`
-    /// entries. Tombstones whose id no longer resolves (the name was
-    /// re-bound to a newer incarnation, evicting the old binding) are
-    /// invisible to the store hash and so are not advertised either.
-    pub(crate) fn named_removals(
-        &self,
-        keep: impl Fn(QueryId, u64) -> bool,
-    ) -> Vec<(Arc<str>, QueryId, u64)> {
-        self.removed
-            .iter()
-            .filter(|&(&id, &s)| keep(id, s))
-            .filter_map(|(&id, &s)| self.directory.name_of(id).map(|n| (Arc::from(n), id, s)))
-            .collect()
-    }
-
-    /// Builds this peer's fixed-size store digest (phase 1 of digest
-    /// anti-entropy): `(id, seq)` pairs only, no specs.
-    pub(crate) fn digest_payload(&self) -> MortarMsg {
-        MortarMsg::ReconcileDigest {
-            installed: self.queries.values().map(|q| (q.id, q.seq)).collect(),
-            removed: self.removed.iter().map(|(&id, &s)| (id, s)).collect(),
-        }
-    }
-
     /// Sends a reconciliation message, charging the reconcile-traffic
-    /// counters (both protocols count here, so full-map vs digest byte
-    /// comparisons read straight off [`super::PeerStats`]).
+    /// counters of [`super::PeerStats`].
     fn send_reconcile_msg(&mut self, ctx: &mut Ctx<'_, MortarMsg>, to: NodeId, msg: MortarMsg) {
         let bytes = msg.wire_bytes();
         self.stats.reconcile_msgs_out += 1;
@@ -289,18 +219,19 @@ impl MortarPeer {
         ctx.send_classified(to, msg, bytes, TrafficClass::Control);
     }
 
-    /// Starts a reconciliation with `from` after a store-hash mismatch
-    /// (heartbeat- or data-path-carried): a fixed-size digest under
-    /// [`super::PeerConfig::digest_reconcile`], the legacy full-map
-    /// exchange otherwise.
+    /// Starts a reconciliation with `from` by sending this peer's store
+    /// digest (phase 1): `(id, seq)` pairs only, no specs. Every
+    /// divergence signal lands here: a store-hash mismatch (heartbeat- or
+    /// data-path-carried), or data for a query this peer removed — the
+    /// digest carries the tombstone, and the receiver removes the query
+    /// on arrival.
     pub(crate) fn trigger_reconcile(&mut self, ctx: &mut Ctx<'_, MortarMsg>, from: NodeId) {
         self.stats.reconciles += 1;
-        let payload = if self.cfg.digest_reconcile {
-            self.digest_payload()
-        } else {
-            self.reconcile_payload(ctx.local_now_us(), true)
+        let digest = MortarMsg::ReconcileDigest {
+            installed: self.queries.values().map(|q| (q.id, q.seq)).collect(),
+            removed: self.removed.iter().map(|(&id, &s)| (id, s)).collect(),
         };
-        self.send_reconcile_msg(ctx, from, payload);
+        self.send_reconcile_msg(ctx, from, digest);
     }
 
     /// Handles a heartbeat, answering hash mismatches with a
@@ -318,50 +249,14 @@ impl MortarPeer {
         }
     }
 
-    /// Applies a reconciliation exchange (Section 6.1).
-    pub(crate) fn handle_reconcile(
-        &mut self,
-        ctx: &mut Ctx<'_, MortarMsg>,
-        from: NodeId,
-        installed: Vec<(Arc<QuerySpec>, QueryId, u64, i64)>,
-        removed: Vec<(Arc<str>, QueryId, u64)>,
-        reply: bool,
-    ) {
-        let local_now = ctx.local_now_us();
-        // `BTreeMap` so `reconcile`'s pairs() walk over the remote sets is
-        // ordered — the outcome vectors are sorted anyway, but the ordered
-        // map keeps every intermediate step hash-seed independent.
-        let other_installed: BTreeMap<String, u64> =
-            installed.iter().map(|(s, _, q, _)| (s.name.clone(), *q)).collect();
-        let other_removed: BTreeMap<String, u64> =
-            removed.iter().map(|(n, _, s)| (n.to_string(), *s)).collect();
-        let outcome =
-            reconcile(&InstalledView(self), &RemovedView(self), &other_installed, &other_removed);
-        if reply {
-            let payload = self.reconcile_payload(local_now, false);
-            self.send_reconcile_msg(ctx, from, payload);
-        }
-        for (name, seq) in outcome.to_install {
-            if let Some((spec, id, _, age)) = installed.iter().find(|(s, _, _, _)| s.name == name) {
-                self.reconcile_install(ctx, spec.clone(), *id, seq, *age, local_now);
-            }
-        }
-        // Adoption subsumes `outcome.to_remove`: `adopt_removal` tears
-        // down live installs the removal beats, and additionally caches
-        // tombstones for queries never seen here.
-        for (name, id, rseq) in &removed {
-            self.adopt_removal(name, *id, *rseq);
-        }
-    }
-
-    /// Installs one entry learned through reconciliation (full-map or
-    /// digest) and fetches this peer's physical-plan record from the
-    /// query root. Entries the local state already beats — an equal or
+    /// Installs one entry learned through reconciliation (a plan's push
+    /// or a transfer) and fetches this peer's physical-plan record from
+    /// the query root. Entries the local state already beats — an equal or
     /// newer install, or an equal or newer tombstone — are skipped, so no
     /// spurious topology fetch goes out; these are exactly the
-    /// [`reconcile`] `to_install` conditions, re-checked here because a
-    /// digest plan was computed from a snapshot that may have raced a
-    /// direct install or removal in flight.
+    /// [`crate::reconcile::reconcile`] `to_install` conditions, re-checked
+    /// here because a digest plan was computed from a snapshot that may
+    /// have raced a direct install or removal in flight.
     fn reconcile_install(
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
@@ -418,10 +313,10 @@ impl MortarPeer {
     /// sender's gaps in full, requests this peer's own gaps, and carries
     /// the tombstones of this peer's removal cache that the digest lacks.
     /// The decisions are exactly [`crate::reconcile::digest_plan`]'s —
-    /// [`reconcile`] run in both directions — expressed in id space (ids
-    /// bind 1:1 to names through the single-writer object store; a
-    /// colliding id from a second injector is refused at install, same as
-    /// the full-map path).
+    /// [`crate::reconcile::reconcile`] run in both directions — expressed
+    /// in id space (ids bind 1:1 to names through the single-writer object
+    /// store; a colliding id from a second injector is refused at
+    /// install).
     pub(crate) fn handle_reconcile_digest(
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
@@ -470,14 +365,22 @@ impl MortarPeer {
         // Ship only the tombstones the digest lacks or holds at an older
         // sequence: the receiver would skip any other one anyway (it
         // already caches an equal or newer tombstone, which only a newer
-        // install — one that outranks ours — can have cleared).
-        let tombstones = self.named_removals(|id, s| other_removed.get(&id).is_none_or(|&r| r < s));
+        // install — one that outranks ours — can have cleared). Tombstones
+        // whose id no longer resolves (the name was re-bound to a newer
+        // incarnation) are invisible to the store hash and are not
+        // shipped either.
+        let tombstones: Vec<(Arc<str>, QueryId, u64)> = self
+            .removed
+            .iter()
+            .filter(|&(id, &s)| other_removed.get(id).is_none_or(|&r| r < s))
+            .filter_map(|(&id, &s)| self.directory.name_of(id).map(|n| (Arc::from(n), id, s)))
+            .collect();
         let plan = MortarMsg::ReconcilePlan { push, want, want_removed, removed: tombstones };
         self.send_reconcile_msg(ctx, from, plan);
         // Apply the digest's resolvable tombstones after the plan is
-        // built from the pre-exchange snapshot — the same ordering as the
-        // full exchange, which replies before applying its outcome.
-        // (Unresolvable ones were requested above and adopt on transfer.)
+        // built from the pre-exchange snapshot, so the plan reflects what
+        // this peer held when the digest arrived. (Unresolvable ones were
+        // requested above and adopt on transfer.)
         for (id, rseq) in removed {
             if let Some(name) = self.directory.name_of(id).map(str::to_string) {
                 self.adopt_removal(&name, id, rseq);

@@ -129,15 +129,6 @@ pub struct PeerConfig {
     /// *semantics*: a query does observable work only when something is
     /// due, so skipping the no-work passes is invisible.
     pub due_driven_ticks: bool,
-    /// Three-phase digest anti-entropy (the default): on a store-hash
-    /// mismatch the detecting peer sends fixed-size `(id, seq)` digests
-    /// of its installed and removed sets; the receiver computes a plan
-    /// and only the entries that actually differ travel with their
-    /// specs. `false` restores the full-map exchange (both sides ship
-    /// their complete installed sets) — kept as the equivalence baseline
-    /// the digest protocol is property-tested against (see
-    /// [`crate::reconcile::digest_plan`]).
-    pub digest_reconcile: bool,
 }
 
 impl Default for PeerConfig {
@@ -161,7 +152,6 @@ impl Default for PeerConfig {
             result_log_cap: 65_536,
             envelope_budget: 16_384,
             due_driven_ticks: true,
-            digest_reconcile: true,
         }
     }
 }
@@ -194,11 +184,10 @@ pub struct PeerStats {
     pub summary_payload_bytes_out: u64,
     /// Reconciliation exchanges initiated.
     pub reconciles: u64,
-    /// Reconciliation wire messages sent (full exchanges, or
-    /// digest/plan/transfer phases, whichever protocol is active).
+    /// Reconciliation wire messages sent (digest, plan and transfer
+    /// phases).
     pub reconcile_msgs_out: u64,
-    /// Modelled wire bytes of all reconciliation messages sent — the
-    /// quantity digest anti-entropy exists to shrink.
+    /// Modelled wire bytes of all reconciliation messages sent.
     pub reconcile_bytes_out: u64,
     /// Installs applied (including via reconciliation).
     pub installs: u64,
@@ -759,9 +748,6 @@ impl App for MortarPeer {
             }
             MortarMsg::Heartbeat { store_hash } => {
                 self.handle_heartbeat(ctx, from, store_hash);
-            }
-            MortarMsg::Reconcile { installed, removed, reply } => {
-                self.handle_reconcile(ctx, from, installed, removed, reply);
             }
             MortarMsg::ReconcileDigest { installed, removed } => {
                 self.handle_reconcile_digest(ctx, from, installed, removed);

@@ -408,20 +408,17 @@ impl MortarPeer {
         self.stats.frames_in += 1;
         self.stats.summaries_in += frame.tuples.len() as u64;
         let local_now = ctx.local_now_us();
-        if let Some(h) = frame.store_hash {
-            if h != self.my_store_hash() {
-                self.trigger_reconcile(ctx, from);
-            }
+        let installed = self.queries.contains_key(&id);
+        // Two divergence signals ride the data path (Section 6.1's
+        // overloading of the child→parent data flow): a mismatching store
+        // hash, and data for a query we removed. Either starts one digest
+        // exchange; the digest carries the id-keyed tombstone, so the
+        // sender removes the query on arrival.
+        let hash_mismatch = frame.store_hash.is_some_and(|h| h != self.my_store_hash());
+        if hash_mismatch || (!installed && self.removed.contains_key(&id)) {
+            self.trigger_reconcile(ctx, from);
         }
-        if !self.queries.contains_key(&id) {
-            // Data for a query we removed: tell the sender (Section 6.1's
-            // overloading of the child→parent data flow). The tombstone is
-            // id-keyed, so no name resolution is needed to notice.
-            if self.removed.contains_key(&id) {
-                let payload = self.reconcile_payload(local_now, false);
-                let bytes = payload.wire_bytes();
-                ctx.send_classified(from, payload, bytes, TrafficClass::Control);
-            }
+        if !installed {
             return;
         }
         // The frame's outbox hold is charged to every tuple's age below.

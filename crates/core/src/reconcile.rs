@@ -1,7 +1,9 @@
 //! Pair-wise reconciliation (Section 6.1).
 //!
 //! Nodes periodically exchange a hash of their installed-query set; on
-//! disagreement they exchange full sets and each side computes:
+//! disagreement (or when one receives data for a query it removed) they
+//! run a three-phase digest exchange — `(id, seq)` digests first, specs
+//! only for the entries that differ — whose decisions are, for each side:
 //!
 //! ```text
 //! IC_A = I_B − (I_B ∩ I_A) − (I_B ∩ R_A)      (installs A missed)
@@ -14,7 +16,7 @@
 //! removal. The protocol is eventually consistent (single-writer storage,
 //! structured communication — the paper's streamlining of Bayou).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The outcome of one reconciliation computation for the local node.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -25,69 +27,38 @@ pub struct ReconcileOutcome {
     pub to_remove: Vec<(String, u64)>,
 }
 
-/// Read-only view of a name → sequence set, so callers can pass whatever
-/// storage they naturally hold (hash map, ordered map, or live peer state)
-/// without building a temporary map per exchange.
-pub trait SeqMap {
-    /// The sequence recorded for `name`, if any.
-    fn seq_of(&self, name: &str) -> Option<u64>;
-    /// Iterates all (name, seq) pairs.
-    fn pairs(&self) -> Box<dyn Iterator<Item = (&str, u64)> + '_>;
-}
-
-impl SeqMap for HashMap<String, u64> {
-    fn seq_of(&self, name: &str) -> Option<u64> {
-        self.get(name).copied()
-    }
-    fn pairs(&self) -> Box<dyn Iterator<Item = (&str, u64)> + '_> {
-        // lint:order-insensitive(every pairs() consumer sorts: reconcile sorts its outcome vectors and store_hash sorts before hashing)
-        Box::new(self.iter().map(|(n, &s)| (n.as_str(), s)))
-    }
-}
-
-impl SeqMap for std::collections::BTreeMap<String, u64> {
-    fn seq_of(&self, name: &str) -> Option<u64> {
-        self.get(name).copied()
-    }
-    fn pairs(&self) -> Box<dyn Iterator<Item = (&str, u64)> + '_> {
-        Box::new(self.iter().map(|(n, &s)| (n.as_str(), s)))
-    }
-}
-
 /// Computes the local node's install/remove candidates.
 ///
 /// `my_installed`/`my_removed` map names to sequences; likewise for the
-/// remote sets.
+/// remote sets. Both outcome vectors come out sorted by name.
 pub fn reconcile(
-    my_installed: &impl SeqMap,
-    my_removed: &impl SeqMap,
-    other_installed: &impl SeqMap,
-    other_removed: &impl SeqMap,
+    my_installed: &BTreeMap<String, u64>,
+    my_removed: &BTreeMap<String, u64>,
+    other_installed: &BTreeMap<String, u64>,
+    other_removed: &BTreeMap<String, u64>,
 ) -> ReconcileOutcome {
     let mut out = ReconcileOutcome::default();
     // IC: remote installs I don't have and haven't removed with a newer seq.
-    for (name, seq) in other_installed.pairs() {
-        let have = my_installed.seq_of(name).is_some_and(|mine| mine >= seq);
-        let removed_newer = my_removed.seq_of(name).is_some_and(|r| r >= seq);
+    for (name, &seq) in other_installed {
+        let have = my_installed.get(name).is_some_and(|&mine| mine >= seq);
+        let removed_newer = my_removed.get(name).is_some_and(|&r| r >= seq);
         if !have && !removed_newer {
-            out.to_install.push((name.to_string(), seq));
+            out.to_install.push((name.clone(), seq));
         }
     }
     // RC: my installs the remote has removed with a newer sequence.
-    for (name, mine) in my_installed.pairs() {
-        if let Some(rseq) = other_removed.seq_of(name) {
+    for (name, &mine) in my_installed {
+        if let Some(&rseq) = other_removed.get(name) {
             if rseq > mine {
-                out.to_remove.push((name.to_string(), rseq));
+                out.to_remove.push((name.clone(), rseq));
             }
         }
     }
-    out.to_install.sort();
-    out.to_remove.sort();
     out
 }
 
 /// The planner's half of a three-phase digest exchange: what a peer
-/// decides on receiving a fixed-size store digest instead of a full set.
+/// decides on receiving a fixed-size store digest.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DigestPlan {
     /// Entries the digest sender is missing (or holds at a stale
@@ -102,22 +73,19 @@ pub struct DigestPlan {
 }
 
 /// Computes the digest-exchange plan: [`reconcile`] run in both
-/// directions. The three-phase protocol therefore applies *exactly* the
-/// full exchange's install/remove decisions — only the wire shape differs
-/// (12-byte digest entries and targeted spec transfers instead of both
-/// sides shipping their complete installed sets).
+/// directions, so each side applies exactly the pair-wise decisions while
+/// only 12-byte digest entries and the specs that differ travel.
 ///
 /// The digest sender's own removals (`reconcile` from its perspective)
 /// are not computed here: the plan ships the planner's tombstones that
 /// the digest lacks (or holds at an older sequence) and the sender applies
-/// them under the same sequence rules, exactly as it would a full
-/// exchange's `removed` field — the tombstones left out are ones it would
-/// skip.
+/// them under the same sequence rules — the tombstones left out are ones
+/// it would skip.
 pub fn digest_plan(
-    my_installed: &impl SeqMap,
-    my_removed: &impl SeqMap,
-    other_installed: &impl SeqMap,
-    other_removed: &impl SeqMap,
+    my_installed: &BTreeMap<String, u64>,
+    my_removed: &BTreeMap<String, u64>,
+    other_installed: &BTreeMap<String, u64>,
+    other_removed: &BTreeMap<String, u64>,
 ) -> DigestPlan {
     let mine = reconcile(my_installed, my_removed, other_installed, other_removed);
     let theirs = reconcile(other_installed, other_removed, my_installed, my_removed);
@@ -126,7 +94,7 @@ pub fn digest_plan(
 
 /// FNV-1a hash of the (name, seq) pairs ordered by name — the summary the
 /// paper computes with MD5. Identical sets ⇒ identical hashes; used to skip
-/// full exchanges.
+/// digest exchanges between agreeing peers.
 pub fn store_hash<'a>(entries: impl Iterator<Item = (&'a str, u64)>) -> u64 {
     let mut pairs: Vec<(&str, u64)> = entries.collect();
     pairs.sort();
@@ -146,7 +114,7 @@ pub fn store_hash<'a>(entries: impl Iterator<Item = (&'a str, u64)>) -> u64 {
 mod tests {
     use super::*;
 
-    fn map(entries: &[(&str, u64)]) -> HashMap<String, u64> {
+    fn map(entries: &[(&str, u64)]) -> BTreeMap<String, u64> {
         entries.iter().map(|(n, s)| (n.to_string(), *s)).collect()
     }
 
@@ -230,8 +198,8 @@ mod tests {
     /// or newer tombstone or incumbent; a removal only cancels an install
     /// with a smaller sequence.
     fn apply(
-        installed: &mut HashMap<String, u64>,
-        removed: &mut HashMap<String, u64>,
+        installed: &mut BTreeMap<String, u64>,
+        removed: &mut BTreeMap<String, u64>,
         to_install: &[(String, u64)],
         to_remove: &[(String, u64)],
     ) {
@@ -253,49 +221,41 @@ mod tests {
         }
     }
 
-    /// A sorted `(name, seq)` listing of one side of a state pair.
-    type Canon = Vec<(String, u64)>;
-
-    /// Canonical sorted view of a state pair for equivalence assertions.
-    fn canon(installed: &HashMap<String, u64>, removed: &HashMap<String, u64>) -> (Canon, Canon) {
-        let mut i: Vec<_> = installed.iter().map(|(n, &s)| (n.clone(), s)).collect();
-        let mut r: Vec<_> = removed.iter().map(|(n, &s)| (n.clone(), s)).collect();
-        i.sort();
-        r.sort();
-        (i, r)
-    }
-
     #[test]
-    fn digest_flow_converges_identically_to_full_map_on_random_states() {
+    fn digest_flow_lands_both_peers_on_the_newest_command_per_name() {
         // Property: for random peer-state pairs over a small name/seq
         // space (so installs, tombstones, races and re-installs collide
         // constantly), running the three-phase digest flow end to end
-        // lands both peers in exactly the state the full-map exchange
-        // would — and that state is symmetric (both agree).
+        // leaves both peers running exactly the names whose newest
+        // command either of them knew is an install — the reference is
+        // the command history itself, not another implementation.
         // States are generated per the single-writer store model: each
         // name has one strictly alternating install/remove history with
         // strictly increasing sequences, and each peer knows some prefix
         // of it. (Arbitrary independent (seq, seq) pairs can mint an
         // install and a removal *tying* on a sequence — a state the store
-        // never issues, and one where neither protocol converges in a
-        // single round: the tombstone blocks the install locally but is
-        // too old to cancel it remotely.)
+        // never issues, and one where pair-wise reconciliation cannot
+        // converge in a single round: the tombstone blocks the install
+        // locally but is too old to cancel it remotely.)
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(0xD16E57);
         for case in 0..500 {
-            let mut a_i0 = HashMap::new();
-            let mut a_r0 = HashMap::new();
-            let mut b_i0 = HashMap::new();
-            let mut b_r0 = HashMap::new();
+            let mut a_i0 = BTreeMap::new();
+            let mut a_r0 = BTreeMap::new();
+            let mut b_i0 = BTreeMap::new();
+            let mut b_r0 = BTreeMap::new();
+            let mut expected: Vec<String> = Vec::new();
             for n in 0..6 {
                 let name = format!("q{n}");
                 let hist_len = rng.gen_range(0..7u64);
                 // Command k of the history: odd = install(seq k), even =
                 // remove(seq k). A peer knowing prefix k holds the state
                 // the k-th command leaves behind (0 = never heard of it).
+                let mut newest = 0;
                 for (i, r) in [(&mut a_i0, &mut a_r0), (&mut b_i0, &mut b_r0)] {
                     let k = rng.gen_range(0..=hist_len);
+                    newest = newest.max(k);
                     if k == 0 {
                         continue;
                     }
@@ -305,27 +265,21 @@ mod tests {
                         r.insert(name.clone(), k);
                     }
                 }
+                if newest % 2 == 1 {
+                    expected.push(name);
+                }
             }
-
-            // Full-map flow: both sides compute their outcome from the
-            // pre-exchange states, then apply.
-            let a_out = reconcile(&a_i0, &a_r0, &b_i0, &b_r0);
-            let b_out = reconcile(&b_i0, &b_r0, &a_i0, &a_r0);
-            let (mut fa_i, mut fa_r) = (a_i0.clone(), a_r0.clone());
-            let (mut fb_i, mut fb_r) = (b_i0.clone(), b_r0.clone());
-            apply(&mut fa_i, &mut fa_r, &a_out.to_install, &a_out.to_remove);
-            apply(&mut fb_i, &mut fb_r, &b_out.to_install, &b_out.to_remove);
 
             // Digest flow: B digests to A; A plans (pushes B's gaps,
             // wants its own, ships its removal cache); B applies the
             // pushes and A's removals and transfers A's wants; A applies
             // the transfer and B's removal cache (carried by the digest).
             let plan = digest_plan(&a_i0, &a_r0, &b_i0, &b_r0);
-            let (mut da_i, mut da_r) = (a_i0.clone(), a_r0.clone());
-            let (mut db_i, mut db_r) = (b_i0.clone(), b_r0.clone());
+            let (mut a_i, mut a_r) = (a_i0.clone(), a_r0.clone());
+            let (mut b_i, mut b_r) = (b_i0.clone(), b_r0.clone());
             let a_removed_cache: Vec<(String, u64)> =
                 a_r0.iter().map(|(n, &s)| (n.clone(), s)).collect();
-            apply(&mut db_i, &mut db_r, &plan.push, &a_removed_cache);
+            apply(&mut b_i, &mut b_r, &plan.push, &a_removed_cache);
             // The transfer answers `want` from B's live pre-plan set.
             let transfer: Vec<(String, u64)> = plan
                 .want
@@ -334,23 +288,12 @@ mod tests {
                 .collect();
             let b_removed_cache: Vec<(String, u64)> =
                 b_r0.iter().map(|(n, &s)| (n.clone(), s)).collect();
-            apply(&mut da_i, &mut da_r, &transfer, &b_removed_cache);
+            apply(&mut a_i, &mut a_r, &transfer, &b_removed_cache);
 
-            assert_eq!(
-                canon(&da_i, &da_r),
-                canon(&fa_i, &fa_r),
-                "case {case}: A diverged (digest vs full-map)"
-            );
-            assert_eq!(
-                canon(&db_i, &db_r),
-                canon(&fb_i, &fb_r),
-                "case {case}: B diverged (digest vs full-map)"
-            );
-            assert_eq!(
-                canon(&da_i, &da_r).0,
-                canon(&db_i, &db_r).0,
-                "case {case}: peers failed to agree on the installed set"
-            );
+            let a_names: Vec<String> = a_i.into_keys().collect();
+            let b_names: Vec<String> = b_i.into_keys().collect();
+            assert_eq!(a_names, expected, "case {case}: A diverged from the command history");
+            assert_eq!(b_names, expected, "case {case}: B diverged from the command history");
         }
     }
 

@@ -188,10 +188,9 @@ fn idle_steady_state_ticks_are_alloc_free() {
     // `queries.keys().collect()` regression: with three installed queries
     // a key collect would allocate on every tick, idle or not.
     //
-    // Keep the scenario in lockstep with `mortar-bench`'s
-    // `experiments::hotpath::idle_alloc_run`, which measures the same
-    // regime into BENCH_hotpath.json's `allocs_per_sim_sec` for the CI
-    // gate.
+    // This pin is the zero-alloc idle-tick gate. `mortar-bench`'s
+    // `experiments::feeds::feed_idle_alloc_run` measures the same kind of
+    // window with a drained feed installed, for the feed-burst CI job.
     use mortar_core::msg::MortarMsg;
     use mortar_core::op::{OpKind, OpRegistry};
     use mortar_core::peer::{MortarPeer, PeerConfig};

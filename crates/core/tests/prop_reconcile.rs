@@ -1,9 +1,10 @@
 //! Property-based tests of the reconciliation algebra (Section 6.1):
 //! convergence, idempotence, and removal-cache correctness — plus the
 //! peers' digest exchange, whose plan ships only the tombstones the
-//! digest lacks.
+//! digest lacks, and the removal notice a peer sends when data arrives
+//! for a query it removed.
 
-use mortar_core::msg::MortarMsg;
+use mortar_core::msg::{MortarMsg, SummaryFrame};
 use mortar_core::op::{OpKind, OpRegistry};
 use mortar_core::peer::{MortarPeer, PeerConfig};
 use mortar_core::query::{build_records, QueryId, QuerySpec, SensorSpec};
@@ -12,10 +13,10 @@ use mortar_core::window::WindowSpec;
 use mortar_net::{NodeId, SimBuilder, Simulator, Topology};
 use mortar_overlay::{Tree, TreeSet};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-type Store = (HashMap<String, u64>, HashMap<String, u64>);
+type Store = (BTreeMap<String, u64>, BTreeMap<String, u64>);
 
 /// A global command history: the injector's object store issues strictly
 /// increasing, unique sequence numbers (single-writer semantics), so a
@@ -35,8 +36,8 @@ fn arb_history() -> impl Strategy<Value = History> {
 /// (per-name latest command wins; best-effort delivery loses arbitrary
 /// commands, which is what reconciliation must repair).
 fn replay(history: &History, mask: u64) -> Store {
-    let mut installed: HashMap<String, u64> = HashMap::new();
-    let mut removed: HashMap<String, u64> = HashMap::new();
+    let mut installed: BTreeMap<String, u64> = BTreeMap::new();
+    let mut removed: BTreeMap<String, u64> = BTreeMap::new();
     for (i, (name, seq, is_install)) in history.iter().enumerate() {
         if (mask >> (i % 63)) & 1 == 0 {
             continue; // This command was lost in transit.
@@ -164,11 +165,7 @@ proptest! {
         let snap_b2 = sb.clone();
         apply(&mut sa, &snap_b2);
         apply(&mut sb, &snap_a2);
-        let mut ia: Vec<_> = sa.0.iter().collect();
-        let mut ib: Vec<_> = sb.0.iter().collect();
-        ia.sort();
-        ib.sort();
-        prop_assert_eq!(ia, ib, "installed sets diverged");
+        prop_assert_eq!(sa.0, sb.0, "installed sets diverged");
     }
 
     #[test]
@@ -196,7 +193,7 @@ proptest! {
         // A removal with a higher sequence than any install must purge the
         // query from the local store after reconciliation.
         let name = format!("q{name}");
-        let mut other: Store = (HashMap::new(), HashMap::new());
+        let mut other: Store = (BTreeMap::new(), BTreeMap::new());
         other.1.insert(name.clone(), 1_000);
         let mut sa = replay(&history, mask);
         apply(&mut sa, &other);
@@ -237,4 +234,42 @@ proptest! {
         prop_assert_eq!(&a, &b, "a dropped tombstone changed a store");
         prop_assert_eq!(a[0].1, a[1].1, "one digest exchange did not converge");
     }
+}
+
+#[test]
+fn data_for_a_removed_query_starts_one_counted_digest_exchange() {
+    // Both peers installed q0 and q1..q20; only peer 0 saw q0's removal,
+    // so peer 1 still runs q0. A data frame for q0 from 1 to 0 is the
+    // divergence signal: peer 0 answers with its store digest, which
+    // carries the tombstone and so removes q0 at peer 1. (Mask bit 1 is
+    // the removal, which only peer 0 received.)
+    let mut history: History = vec![("q0".into(), 1, true), ("q0".into(), 2, false)];
+    history.extend((1..=20u64).map(|n| (format!("q{n}"), n + 2, true)));
+    let mut sim = peer_pair(&history, [u64::MAX, !0b10]);
+    assert!(sim.app(1).has_query("q0") && !sim.app(0).has_query("q0"));
+    let before = sim.app(0).stats;
+    let frame = SummaryFrame {
+        query: id_of("q0"),
+        tree: 0,
+        hold_age_us: 0,
+        tuples: Arc::from(Vec::new()),
+        store_hash: None,
+    };
+    sim.inject(0, 1, MortarMsg::SummaryBatch(frame), 64);
+    sim.run_for_secs(1.0);
+
+    assert!(!sim.app(1).has_query("q0"), "the removal notice did not remove q0 at peer 1");
+    let after = sim.app(0).stats;
+    let (msgs, bytes) = (
+        after.reconcile_msgs_out - before.reconcile_msgs_out,
+        after.reconcile_bytes_out - before.reconcile_bytes_out,
+    );
+    assert!(msgs >= 1, "the removal notice was not counted as reconciliation traffic");
+    // The notice is a digest: 16 B plus 12 B per store entry (20
+    // installs and one tombstone), whatever the specs weigh.
+    let entries = sim.app(0).store_entries().count() as u64;
+    assert_eq!(entries, 21);
+    assert!(bytes <= 16 + 12 * entries, "the notice cost {bytes} B, more than a digest");
+    let view = stores(&sim);
+    assert_eq!(view[0], view[1], "one notice did not converge the pair");
 }

@@ -86,7 +86,7 @@ fn d2_fires_on_clock_sleep_and_entropy() {
 #[test]
 fn d2_is_scoped_to_sim_deterministic_crates() {
     let src = fixture("d2_violation.rs");
-    let findings = lint_source("crates/bench/src/experiments/hotpath.rs", &src);
+    let findings = lint_source("crates/bench/src/experiments/shards.rs", &src);
     assert!(
         findings.is_empty(),
         "D2 must not apply to the bench harness (true wall-clock is fine there): {findings:#?}"
