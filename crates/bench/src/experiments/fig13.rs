@@ -79,9 +79,10 @@ pub fn batching_run(n: usize, batch_max: usize, seed: u64, secs: f64) -> Batchin
     eng.install(spec).expect("valid spec");
     eng.run_secs(secs);
     let results = eng.results(0);
+    let totals = eng.peer_totals();
     BatchingOutcome {
-        frames: eng.summary_frames_sent(),
-        tuples: eng.summary_tuples_sent(),
+        frames: totals.frames_out,
+        tuples: totals.summaries_out,
         by_index: participants_by_index(results),
         completeness: mean_completeness(results, n, 40),
     }
@@ -140,10 +141,11 @@ pub fn envelope_run(
         .fold(f64::INFINITY, f64::min);
     let first: Vec<_> =
         eng.results(roots[0]).iter().filter(|r| &*r.query == "q0").cloned().collect();
+    let totals = eng.peer_totals();
     EnvelopeOutcome {
         wire_msgs: eng.sim.bandwidth().msgs_total(mortar_net::TrafficClass::Data),
-        frames: eng.summary_frames_sent(),
-        tuples: eng.summary_tuples_sent(),
+        frames: totals.frames_out,
+        tuples: totals.summaries_out,
         by_index: participants_by_index(&first),
         completeness,
     }

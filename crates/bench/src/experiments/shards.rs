@@ -32,8 +32,8 @@ pub const SLIDES_US: [u64; 3] = [25_000, 1_000_000, 10_000_000];
 
 /// Fleet-wide queries installed per slide tier. One 25 ms query keeps the
 /// data plane hot; the twelve slow queries are idle on ≥ 96% of ticks —
-/// the regime the due index exists for: a full scan would pay 13 query
-/// passes per peer per tick, due-driven ticks pay ~3.
+/// the regime the due index exists for: waking every query would pay 13
+/// query passes per peer per tick, the due index pays ~3.
 pub const QUERIES_PER_SLIDE: [usize; 3] = [1, 4, 8];
 
 /// One timed run's measurements.

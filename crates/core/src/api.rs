@@ -1088,6 +1088,21 @@ mod tests {
         let mut cfg = EngineConfig::paper(4, 1);
         cfg.peer.install_chunks = 0;
         assert!(matches!(Mortar::new(cfg), Err(MortarError::InvalidConfig { .. })));
+        let zeroed: [fn(&mut crate::peer::PeerConfig); 5] = [
+            |p| p.tick_us = 0,
+            |p| p.hb_period_us = 0,
+            |p| p.hb_timeout_beats = 0,
+            |p| p.reconcile_every = 0,
+            |p| p.data_hash_every = 0,
+        ];
+        for (i, zero) in zeroed.iter().enumerate() {
+            let mut cfg = EngineConfig::paper(4, 1);
+            zero(&mut cfg.peer);
+            assert!(
+                matches!(Mortar::new(cfg), Err(MortarError::InvalidConfig { .. })),
+                "zeroed cadence #{i} must be rejected"
+            );
+        }
         for alpha in [f64::NAN, f64::INFINITY, 0.0, -0.1, 1.5] {
             let mut cfg = EngineConfig::paper(4, 1);
             cfg.peer.netdist_alpha = alpha;

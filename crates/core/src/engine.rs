@@ -12,7 +12,7 @@ use crate::error::MortarError;
 use crate::metrics::ResultRecord;
 use crate::msg::MortarMsg;
 use crate::op::OpRegistry;
-use crate::peer::{MortarPeer, PeerConfig};
+use crate::peer::{MortarPeer, PeerConfig, PeerStats};
 use crate::query::{build_records, QueryId, QuerySpec};
 use crate::store::ObjectStore;
 use mortar_coords::VivaldiSystem;
@@ -64,6 +64,23 @@ impl EngineConfig {
         if self.peer.summary_batch_max < 1 {
             return Err(MortarError::InvalidConfig {
                 reason: "summary_batch_max must be at least 1".into(),
+            });
+        }
+        // Zero periods and counts are no cadence at all: `tick_us = 0`
+        // ticks every µs, `hb_timeout_beats = 0` presumes a neighbour down
+        // a tick after its last message, and `n.is_multiple_of(0)` is
+        // false for every n ≥ 1, so a zero `reconcile_every` or
+        // `data_hash_every` silently disables that anti-entropy trigger.
+        let cadences = [
+            ("tick_us", self.peer.tick_us),
+            ("hb_period_us", self.peer.hb_period_us),
+            ("hb_timeout_beats", u64::from(self.peer.hb_timeout_beats)),
+            ("reconcile_every", u64::from(self.peer.reconcile_every)),
+            ("data_hash_every", u64::from(self.peer.data_hash_every)),
+        ];
+        if let Some((name, _)) = cadences.iter().find(|&&(_, v)| v == 0) {
+            return Err(MortarError::InvalidConfig {
+                reason: format!("{name} must be at least 1"),
             });
         }
         if self.peer.install_chunks == 0 {
@@ -358,38 +375,17 @@ impl Engine {
         total as f64 / hosts as f64
     }
 
-    /// Total summary frames sent across all peers (the per-message cost
-    /// batching amortizes). Summed from peer counters rather than the
-    /// transport's data-class totals so co-hosted non-summary data traffic
-    /// can never leak into the metric.
-    pub fn summary_frames_sent(&self) -> u64 {
-        self.sim.apps().map(|p| p.stats.frames_out).sum()
-    }
-
-    /// Total summary tuples sent across all peers (invariant across batch
-    /// sizes: batching regroups tuples, it never adds or drops them).
-    pub fn summary_tuples_sent(&self) -> u64 {
-        self.sim.apps().map(|p| p.stats.summaries_out).sum()
-    }
-
-    /// Total modelled summary payload bytes sent (frame headers excluded).
-    pub fn summary_payload_bytes_sent(&self) -> u64 {
-        self.sim.apps().map(|p| p.stats.summary_payload_bytes_out).sum()
-    }
-
-    /// Total envelope wire messages sent across all peers. With envelopes
-    /// enabled this is the data-plane message-event count (each envelope
-    /// coalesces `summary_frames_sent` logical frames across queries);
-    /// zero when `envelope_budget = 0`.
-    pub fn summary_envelopes_sent(&self) -> u64 {
-        self.sim.apps().map(|p| p.stats.envelopes_out).sum()
-    }
-
-    /// Largest total outbox payload any single peer ever held pending in
-    /// envelopes — one tick's coalescing memory, bounded per destination
-    /// by the envelope budget.
-    pub fn outbox_peak_bytes(&self) -> u64 {
-        self.sim.apps().map(|p| p.stats.outbox_peak_bytes).max().unwrap_or(0)
+    /// Every peer's counters folded into one [`PeerStats`] (see
+    /// [`PeerStats::absorb`]): counts sum across the fleet, and
+    /// `ts_peak_entries` / `outbox_peak_bytes` are the largest any single
+    /// peer reached. Summed from peer counters rather than the transport's
+    /// data-class totals, so co-hosted non-summary traffic never leaks in.
+    pub fn peer_totals(&self) -> PeerStats {
+        let mut total = PeerStats::default();
+        for p in self.sim.apps() {
+            total.absorb(&p.stats);
+        }
+        total
     }
 
     /// Fleet-wide feed intake accounting: summed/peak-merged

@@ -163,8 +163,9 @@ pub enum MortarError {
     },
     /// An engine/session configuration violates an invariant (an
     /// out-of-range chaos probability, a zero batch size, a zero shard
-    /// count). Surfaced by [`crate::engine::EngineConfig::validate`] at
-    /// construction instead of panicking inside the runtime.
+    /// count, a zero tick, heartbeat or anti-entropy cadence). Surfaced
+    /// by [`crate::engine::EngineConfig::validate`] at construction
+    /// instead of panicking inside the runtime.
     InvalidConfig {
         /// Human-readable description of the violated invariant.
         reason: String,

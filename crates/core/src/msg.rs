@@ -80,8 +80,9 @@ pub enum MortarMsg {
     /// A frame of routed summary tuples for one query, travelling on
     /// `tree`. All tuples share the same next hop; receivers process them
     /// in order, exactly as if they had arrived as individual messages.
-    /// This is the wire shape when envelopes are disabled
-    /// (`envelope_budget = 0`) — one message per (query, tree) stream.
+    /// This is the wire shape of a frame that flushes alone: the only
+    /// frame owed to its next hop in a tick, or any frame at
+    /// `envelope_budget = 0` — one message per (query, tree) stream.
     SummaryBatch(SummaryFrame),
     /// Every summary frame a peer owes one next hop within a tick —
     /// across queries and trees — in a single wire message. Receivers

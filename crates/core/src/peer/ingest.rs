@@ -301,9 +301,8 @@ impl MortarPeer {
             // A fed tuple-window subscriber may now hold a TS entry due
             // sooner than its scheduled instant (and a time-window one may
             // have minted buckets past the GC cap); keep the due index
-            // honest so the subscriber wakes when the full scan would —
-            // the tick's id-ordered sweep picks a newly due subscriber up
-            // in this very tick when its id lies ahead of the sweep.
+            // honest. A subscriber this makes due now runs on the next
+            // tick, never later in the current sweep.
             self.reschedule(sub);
         }
     }

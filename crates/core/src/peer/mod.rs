@@ -113,22 +113,11 @@ pub struct PeerConfig {
     /// coalescing): every summary frame owed to one next hop within a
     /// tick — across queries and trees — stacks into a single
     /// [`MortarMsg::Envelope`] wire message, flushed early once its
-    /// payload reaches this many bytes. `0` disables envelopes: each
-    /// (query, tree) frame leaves as its own `SummaryBatch` message,
-    /// reproducing the per-query-frame protocol bit-for-bit.
+    /// payload reaches this many bytes. At `0` every frame overflows the
+    /// budget on arrival and flushes alone: each (query, tree) frame
+    /// leaves as its own `SummaryBatch` message, the per-query-frame
+    /// protocol.
     pub envelope_budget: u32,
-    /// Due-driven tick scheduling: when `true` (the default) a timer tick
-    /// only touches queries whose due instant — next sensor emission,
-    /// slide boundary, or earliest TS-list deadline — has arrived,
-    /// consulting the peer's due index instead of iterating every
-    /// installed query. Idle ticks reduce to a due-index peek, an
-    /// envelope flush and the heartbeat clock. `false` restores the
-    /// legacy full scan (every query pumped/closed/evicted every tick),
-    /// which the due index must reproduce bit-for-bit — the parity knob
-    /// `prop_batching` locks down. Tick *scheduling* never changes tick
-    /// *semantics*: a query does observable work only when something is
-    /// due, so skipping the no-work passes is invisible.
-    pub due_driven_ticks: bool,
 }
 
 impl Default for PeerConfig {
@@ -151,7 +140,6 @@ impl Default for PeerConfig {
             bucket_gc_cap: 1024,
             result_log_cap: 65_536,
             envelope_budget: 16_384,
-            due_driven_ticks: true,
         }
     }
 }
@@ -205,14 +193,42 @@ pub struct PeerStats {
     /// Ticks on which no query was due (the due index reduced them to a
     /// heartbeat check and an envelope flush).
     pub idle_ticks: u64,
-    /// Per-query tick passes actually run (pump + close + evict). With
-    /// due-driven scheduling this counts only due queries; the legacy
-    /// full scan counts every installed query every tick.
+    /// Per-query tick passes run (pump + close + evict): one per query
+    /// the due index woke, so an idle query costs nothing.
     pub query_wakeups: u64,
     /// High-water mark of total pending-envelope payload bytes across the
     /// outbox — the coalescing memory one tick's evictions hold before the
-    /// end-of-tick flush (bounded per destination by `envelope_budget`).
+    /// end-of-tick flush (bounded per destination by `envelope_budget`
+    /// plus one frame).
     pub outbox_peak_bytes: u64,
+}
+
+impl PeerStats {
+    /// Sums another peer's counters into this one (the high-water marks
+    /// `ts_peak_entries` and `outbox_peak_bytes` take the max).
+    pub fn absorb(&mut self, o: &PeerStats) {
+        self.route_drops += o.route_drops;
+        self.evictions += o.evictions;
+        self.summaries_in += o.summaries_in;
+        self.frames_in += o.frames_in;
+        self.summaries_out += o.summaries_out;
+        self.frames_out += o.frames_out;
+        self.envelopes_out += o.envelopes_out;
+        self.envelopes_in += o.envelopes_in;
+        self.summary_payload_bytes_out += o.summary_payload_bytes_out;
+        self.reconciles += o.reconciles;
+        self.reconcile_msgs_out += o.reconcile_msgs_out;
+        self.reconcile_bytes_out += o.reconcile_bytes_out;
+        self.installs += o.installs;
+        self.removals += o.removals;
+        self.hops_accum += o.hops_accum;
+        self.hops_samples += o.hops_samples;
+        self.ts_peak_entries = self.ts_peak_entries.max(o.ts_peak_entries);
+        self.ticks += o.ticks;
+        self.idle_ticks += o.idle_ticks;
+        self.query_wakeups += o.query_wakeups;
+        self.outbox_peak_bytes = self.outbox_peak_bytes.max(o.outbox_peak_bytes);
+    }
 }
 
 /// One open raw-data window (merging across time).
@@ -314,9 +330,8 @@ impl QueryState {
 /// through the tick stages so the steady-state tick performs no heap
 /// allocation:
 ///
-/// * `due_ids` — the tick's reused id worklist: the drained due-now
-///   prefix under due-driven scheduling, every installed query under the
-///   legacy scan (replacing the per-tick `Vec<QueryId>` key collect);
+/// * `due_ids` — the tick's reused id worklist: the due-now prefix
+///   drained from the due index, sorted by id;
 /// * `live` — the tick's liveness snapshot as packed bitset words, built
 ///   in one pass over `last_heard` (replaces the per-query `Vec<bool>`
 ///   parent snapshot and `Vec<Vec<bool>>` child vectors, and collapses
@@ -388,16 +403,9 @@ pub struct MortarPeer {
     /// boundary, sensor cadence, or TS-list deadline has arrived.
     /// Maintained at install/remove, after every per-query tick pass, and
     /// whenever an arriving frame or subscription feed could move a
-    /// query's due instant earlier. Unused (and unmaintained) in legacy
-    /// scan mode.
+    /// query's due instant earlier. Debug builds check it every tick
+    /// against each skipped query's raw state.
     pub(crate) due: BTreeSet<(i64, QueryId)>,
-    /// The current tick's local instant while `on_timer` is sweeping
-    /// (`i64::MIN` outside a tick): lets `reschedule` detect a mid-sweep
-    /// insert that is already due and set `due_dirty`.
-    tick_now_us: i64,
-    /// Set by `reschedule` when a mid-sweep insert landed at ≤ the
-    /// tick's instant; tells the sweep to re-consult the index.
-    due_dirty: bool,
     /// Long-lived per-tick scratch (id buffer, liveness bitmap, frame
     /// bins): the steady-state tick reuses these buffers instead of
     /// allocating per query or per pass.
@@ -436,8 +444,6 @@ impl MortarPeer {
             outbox: mortar_overlay::HopBins::new(),
             outbox_bytes: 0,
             due: BTreeSet::new(),
-            tick_now_us: i64::MIN,
-            due_dirty: false,
             scratch: TickScratch::default(),
             store_hash_cache: Cell::new(None),
             results: ResultLog::new(cfg.result_log_cap),
@@ -595,7 +601,7 @@ impl MortarPeer {
     /// earliest TS-list eviction deadline (`i64::MAX` = nothing pending,
     /// leave unscheduled). A bucket census past the GC cap forces an
     /// immediate wake so the close-stage garbage collector runs on the
-    /// next tick, exactly as the full scan would.
+    /// next tick.
     fn next_due_of(&self, q: &QueryState) -> i64 {
         if !q.active() {
             return i64::MAX;
@@ -645,14 +651,10 @@ impl MortarPeer {
 
     /// Recomputes `id`'s due instant and moves its due-index entry, if the
     /// instant changed. Cheap to call defensively: an unchanged instant
-    /// returns without touching the index, an unknown id is a no-op, and
-    /// legacy scan mode (which never consults the index) skips the
-    /// maintenance entirely — the parity baseline pays nothing for the
-    /// machinery it is being compared against.
+    /// returns without touching the index, and an unknown id is a no-op.
+    /// An entry that lands at or before the current instant mid-tick is
+    /// swept on the next tick.
     pub(crate) fn reschedule(&mut self, id: QueryId) {
-        if !self.cfg.due_driven_ticks {
-            return;
-        }
         let Some(q) = self.queries.get(&id) else { return };
         let new_due = self.next_due_of(q);
         let q = self.queries.get_mut(&id).expect("present above");
@@ -665,12 +667,6 @@ impl MortarPeer {
         q.sched_due_us = new_due;
         if new_due != i64::MAX {
             self.due.insert((new_due, id));
-            // A mid-tick insert that is already due belongs in this
-            // tick's sweep (if its position lies ahead); flag it so the
-            // sweep re-consults the index only when something moved.
-            if new_due <= self.tick_now_us {
-                self.due_dirty = true;
-            }
         }
     }
 
@@ -684,33 +680,43 @@ impl MortarPeer {
         }
     }
 
-    /// Pulls every index entry that became due mid-sweep at a position
-    /// the sweep has not yet passed (`id > cursor`) into the worklist's
-    /// pending tail (`worklist[from..]`, kept sorted). Called only when a
-    /// pass actually moved a due instant to ≤ now — the rare
-    /// subscription-feed / GC-overflow case — so the common sweep walks
-    /// the due-now prefix exactly once.
-    fn merge_newly_due(
-        &mut self,
-        worklist: &mut Vec<QueryId>,
-        from: usize,
-        cursor: QueryId,
-        now: i64,
-    ) {
-        loop {
-            let found = self
-                .due
-                .iter()
-                .take_while(|&&(due, _)| due <= now)
-                .find(|&&(_, id)| id > cursor && worklist[from..].binary_search(&id).is_err())
-                .copied();
-            let Some((due, id)) = found else { break };
-            self.due.remove(&(due, id));
-            if let Some(q) = self.queries.get_mut(&id) {
-                q.sched_due_us = i64::MAX;
+    /// The due index's oracle, run in debug builds at the start of each
+    /// tick's sweep: every active query the index did not wake (`woken`,
+    /// sorted by id) must have nothing due at `now`. It reads each query's
+    /// raw state and never `next_due_of`, so a due instant that function
+    /// omits, or a state change that skipped `reschedule`, fails on the
+    /// first tick that leaves the work undone.
+    #[cfg(debug_assertions)]
+    fn check_skipped_queries_idle(&self, woken: &[QueryId], now: i64) {
+        use crate::query::SensorSpec;
+        for (&id, q) in &self.queries {
+            if !q.active() || woken.binary_search(&id).is_ok() {
+                continue;
             }
-            let pos = from + worklist[from..].binary_search(&id).unwrap_err();
-            worklist.insert(pos, id);
+            let sensor_due = match q.spec.sensor {
+                SensorSpec::Periodic { .. } => q.next_emit_local_us <= now,
+                SensorSpec::Replay => self
+                    .replay
+                    .offs
+                    .get(q.replay_pos)
+                    .is_some_and(|&off| q.t_ref_base_us + off as i64 <= now),
+                SensorSpec::Feed(_) => {
+                    q.feed.as_ref().is_some_and(|f| f.next_due_us() <= now - q.t_ref_base_us)
+                }
+                SensorSpec::Subscribe { .. } | SensorSpec::FanIn { .. } | SensorSpec::None => false,
+            };
+            let slide = q.spec.window.slide as i64;
+            let close_due = q.spec.window.kind == crate::window::WindowKind::Time
+                && q.next_close_k < q.frame_now(self.cfg.indexing, now).div_euclid(slide);
+            let due = [
+                (q.ts.entries().any(|e| e.deadline_us <= now), "a TS entry"),
+                (sensor_due, "its sensor"),
+                (close_due, "a window close"),
+                (q.buckets.len() > self.cfg.bucket_gc_cap, "a bucket GC"),
+            ];
+            if let Some((_, what)) = due.iter().find(|&&(d, _)| d) {
+                panic!("peer {} skipped query {} at local {now} with {what} due", self.id, q.name);
+            }
         }
     }
 
@@ -783,76 +789,38 @@ impl App for MortarPeer {
         // The scratch moves out of the peer for the tick so the stages can
         // borrow it alongside `&mut self`; its buffers live across ticks.
         let mut scratch = std::mem::take(&mut self.scratch);
-        let mut processed = 0u64;
-        if self.cfg.due_driven_ticks {
-            // Sweep due-now queries in ascending id order — exactly the
-            // full scan's single ascending pass, restricted to queries
-            // with work (a non-due query's pass does no observable work:
-            // no state change, no send, no RNG draw — so skipping it is
-            // invisible). The due-now entries form the prefix of the
-            // (due, id)-ordered index; drain it once into the reused
-            // worklist (idle ticks peek one element and stop). Work that
-            // becomes due *mid-sweep* (a subscription feed, a bucket-GC
-            // overflow) sets `due_dirty`, and `merge_newly_due` splices
-            // it into the pending tail when its position lies ahead of
-            // the sweep — while work at an already-passed position waits
-            // a tick. Both are precisely what the scan would do, without
-            // re-walking the index prefix on every pass.
-            self.tick_now_us = local_now;
-            scratch.due_ids.clear();
-            while let Some(&(due, id)) = self.due.first() {
-                if due > local_now {
-                    break;
-                }
-                self.due.pop_first();
-                if let Some(q) = self.queries.get_mut(&id) {
-                    q.sched_due_us = i64::MAX;
-                }
-                scratch.due_ids.push(id);
+        // Drain the due-now prefix of the (due, id)-ordered index into the
+        // reused worklist (an idle tick peeks one entry and stops) and
+        // sweep it in ascending id order. A query that becomes due during
+        // the sweep — a subscriber fed past the bucket GC cap, or handed a
+        // TS entry that is already due — waits in the index for the next
+        // tick.
+        scratch.due_ids.clear();
+        while let Some(&(due, id)) = self.due.first() {
+            if due > local_now {
+                break;
             }
-            // The index yields (due, id) order; the sweep runs in the
-            // scan's ascending-id order.
-            scratch.due_ids.sort_unstable();
-            if !scratch.due_ids.is_empty() {
-                self.rebuild_liveness(&mut scratch.live, local_now);
+            self.due.pop_first();
+            if let Some(q) = self.queries.get_mut(&id) {
+                q.sched_due_us = i64::MAX;
             }
-            let mut i = 0;
-            while i < scratch.due_ids.len() {
-                let id = scratch.due_ids[i];
-                i += 1;
-                processed += 1;
-                self.due_dirty = false;
-                self.pump_sensor(id, ctx, &mut scratch.raw);
-                self.close_windows(id, local_now);
-                self.evict_and_route(id, ctx, &mut scratch);
-                self.reschedule(id);
-                if self.due_dirty {
-                    self.due_dirty = false;
-                    self.merge_newly_due(&mut scratch.due_ids, i, id, local_now);
-                }
-            }
-            self.tick_now_us = i64::MIN;
-        } else {
-            // Legacy full scan: every installed query, every tick, in
-            // stable BTreeMap key order (the parity baseline).
-            scratch.due_ids.clear();
-            scratch.due_ids.extend(self.queries.keys().copied());
-            if !scratch.due_ids.is_empty() {
-                self.rebuild_liveness(&mut scratch.live, local_now);
-            }
-            for i in 0..scratch.due_ids.len() {
-                let id = scratch.due_ids[i];
-                processed += 1;
-                self.pump_sensor(id, ctx, &mut scratch.raw);
-                self.close_windows(id, local_now);
-                self.evict_and_route(id, ctx, &mut scratch);
-                self.reschedule(id);
-            }
+            scratch.due_ids.push(id);
         }
-        if processed == 0 {
+        scratch.due_ids.sort_unstable();
+        #[cfg(debug_assertions)]
+        self.check_skipped_queries_idle(&scratch.due_ids, local_now);
+        if scratch.due_ids.is_empty() {
             self.stats.idle_ticks += 1;
         } else {
-            self.stats.query_wakeups += processed;
+            self.stats.query_wakeups += scratch.due_ids.len() as u64;
+            self.rebuild_liveness(&mut scratch.live, local_now);
+        }
+        for i in 0..scratch.due_ids.len() {
+            let id = scratch.due_ids[i];
+            self.pump_sensor(id, ctx, &mut scratch.raw);
+            self.close_windows(id, local_now);
+            self.evict_and_route(id, ctx, &mut scratch);
+            self.reschedule(id);
         }
         self.scratch = scratch;
         // The coalescing flush: everything the tick's eviction passes owe

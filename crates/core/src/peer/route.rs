@@ -8,14 +8,15 @@
 //!    [`SummaryFrame`] of at most [`super::PeerConfig::summary_batch_max`]
 //!    tuples. With a batch cap of 1 the frame sequence is exactly the
 //!    unbatched one-tuple-per-message protocol.
-//! 2. **Cross-query envelopes** — with
-//!    [`super::PeerConfig::envelope_budget`] > 0, finished frames do not
-//!    leave individually: they accumulate in a per-destination outbox and
-//!    every frame owed to one next hop within the tick — across queries
-//!    and trees — departs as a single [`MortarMsg::Envelope`]. An
-//!    envelope flushes early when its payload reaches the byte budget;
-//!    everything else flushes at the end of the tick, so nothing waits in
-//!    the outbox across ticks and a frame's `hold_age_us` is always 0.
+//! 2. **Cross-query envelopes** — finished frames do not leave
+//!    individually: they accumulate in a per-destination outbox and every
+//!    frame owed to one next hop within the tick — across queries and
+//!    trees — departs as a single [`MortarMsg::Envelope`]. An envelope
+//!    flushes early when its payload reaches
+//!    [`super::PeerConfig::envelope_budget`] (so at budget 0 every frame
+//!    flushes alone, as a plain [`MortarMsg::SummaryBatch`]); everything
+//!    else flushes at the end of the tick, so nothing waits in the outbox
+//!    across ticks and a frame's `hold_age_us` is always 0.
 //!
 //! Envelope payloads freeze into `Arc<[SummaryTuple]>` at flush: the
 //! transport's duplication/fan-out clone of a frame is a pointer bump,
@@ -61,10 +62,9 @@ pub(crate) struct PendingEnvelope {
 impl PendingEnvelope {
     /// Sends every parked frame to `dest` as one wire message and returns
     /// the payload bytes that left. A lone frame skips the envelope
-    /// wrapper entirely: it ships as a plain `SummaryBatch`,
-    /// byte-identical to the envelope-free protocol, so single-stream
-    /// peers never pay the envelope header (and the bin keeps its
-    /// buffer).
+    /// wrapper entirely: it ships as a plain `SummaryBatch`, so
+    /// single-stream peers (and every frame at `envelope_budget = 0`)
+    /// never pay the envelope header, and the bin keeps its buffer.
     // lint:hot-path
     fn flush(
         &mut self,
@@ -78,16 +78,10 @@ impl PendingEnvelope {
             stats.envelopes_out += 1;
             MortarMsg::Envelope { frames: std::mem::take(&mut self.frames) }
         };
-        send_data(ctx, dest, msg);
+        let bytes = msg.wire_bytes();
+        ctx.send_classified(dest, msg, bytes, TrafficClass::Data);
         u64::from(std::mem::take(&mut self.payload_bytes))
     }
-}
-
-/// Puts one data message on the wire at its modelled size.
-// lint:hot-path
-fn send_data(ctx: &mut Ctx<'_, MortarMsg>, dest: NodeId, msg: MortarMsg) {
-    let bytes = msg.wire_bytes();
-    ctx.send_classified(dest, msg, bytes, TrafficClass::Data);
 }
 
 /// Outgoing frames for one query's eviction pass, keyed (deterministically)
@@ -145,11 +139,11 @@ impl<'a> FrameBuilder<'a> {
         }
     }
 
-    /// Hands one finished logical frame to the transport layer: straight
-    /// to the wire when envelopes are disabled, into the per-destination
-    /// outbox otherwise. The bin is drained in place: its tuple vector
-    /// moves into the wire frame's shared payload and its byte count and
-    /// hash reset for reuse.
+    /// Hands one finished logical frame to the per-destination outbox (at
+    /// `envelope_budget = 0` every frame overflows the budget and leaves
+    /// at once as a plain `SummaryBatch`). The bin is drained in place:
+    /// its tuple vector moves into the wire frame's shared payload and its
+    /// byte count and hash reset for reuse.
     // lint:hot-path
     fn emit(
         peer: &mut MortarPeer,
@@ -167,11 +161,7 @@ impl<'a> FrameBuilder<'a> {
         peer.stats.summary_payload_bytes_out += payload_bytes as u64;
         let wire =
             SummaryFrame { query: id, tree, hold_age_us: 0, tuples: tuples.into(), store_hash };
-        if peer.cfg.envelope_budget == 0 {
-            send_data(ctx, dest, MortarMsg::SummaryBatch(wire));
-        } else {
-            peer.enqueue_frame(ctx, dest, wire, payload_bytes);
-        }
+        peer.enqueue_frame(ctx, dest, wire, payload_bytes);
     }
 }
 
@@ -453,7 +443,7 @@ impl MortarPeer {
         }
         // The merges may have opened TS entries with deadlines earlier
         // than the query's scheduled due instant; refresh the due index so
-        // the eviction tick fires exactly when the full scan would notice.
+        // the first tick at or past the earliest deadline evicts them.
         self.reschedule(id);
     }
 

@@ -174,15 +174,15 @@ fn envelopes_under_chaos_uphold_the_per_query_frame_contract() {
         // Chaos exercised the dedup layer (every duplicated envelope is a
         // whole bundle of frames that must be suppressed exactly once).
         assert!(eng.sim.stats().duplicates_suppressed > 0, "dup chaos never fired");
+        let totals = eng.peer_totals();
         if envelope_budget > 0 {
-            let envelopes = eng.summary_envelopes_sent();
-            assert!(envelopes > 0, "envelopes never engaged");
+            assert!(totals.envelopes_out > 0, "envelopes never engaged");
             assert!(
-                envelopes < eng.summary_frames_sent(),
+                totals.envelopes_out < totals.frames_out,
                 "cross-query coalescing never shared a wire message"
             );
         } else {
-            assert_eq!(eng.summary_envelopes_sent(), 0);
+            assert_eq!(totals.envelopes_out, 0);
         }
         // Conservation under duplication: no (source, window) contribution
         // may ever be double-counted, enveloped or not.

@@ -87,7 +87,7 @@ fn run(policy: Option<IntakePolicy>, shards: usize) -> Outcome {
         feed_results: feed_rows,
         feed: stats,
         conserved,
-        outbox_peak: mortar.engine().outbox_peak_bytes(),
+        outbox_peak: mortar.engine().peer_totals().outbox_peak_bytes,
     }
 }
 

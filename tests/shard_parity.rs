@@ -73,6 +73,7 @@ fn run(shards: usize) -> Fingerprint {
     let eng = mortar.engine();
     let stats = eng.sim.stats();
     let bw = eng.sim.bandwidth();
+    let totals = eng.peer_totals();
     Fingerprint {
         results: mortar
             .results(&q)
@@ -96,9 +97,9 @@ fn run(shards: usize) -> Fingerprint {
             })
             .collect(),
         completeness_bits: mortar.completeness(&q, 5).to_bits(),
-        tuples_sent: eng.summary_tuples_sent(),
-        frames_sent: eng.summary_frames_sent(),
-        envelopes_sent: eng.summary_envelopes_sent(),
+        tuples_sent: totals.summaries_out,
+        frames_sent: totals.frames_out,
+        envelopes_sent: totals.envelopes_out,
         delivered: stats.delivered,
         dropped: stats.dropped,
         data_msgs: bw.msgs_total(TrafficClass::Data),
