@@ -1,13 +1,15 @@
 //! Criterion micro-benchmarks of Mortar's core data structures: TS-list
 //! insert/evict, the routing-policy decision, sibling derivation, k-means,
-//! Vivaldi rounds, and the reconciliation hash.
+//! tree-set planning on 1000-host latency rows, Vivaldi rounds, and the
+//! reconciliation hash.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mortar_cluster::kmeans;
 use mortar_coords::VivaldiSystem;
 use mortar_core::tslist::{summary, TimeSpaceList};
 use mortar_core::value::AggState;
-use mortar_overlay::planner::{derive_sibling, plan_primary};
+use mortar_net::Topology;
+use mortar_overlay::planner::{derive_sibling, plan_primary, plan_tree_set, PlannerConfig};
 use mortar_overlay::{route_decision, RouteState, TreeSet};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -223,6 +225,12 @@ fn bench_planning(c: &mut Criterion) {
     c.bench_function("cluster/kmeans_512x2_k16", |b| {
         let mut rng = SmallRng::seed_from_u64(6);
         b.iter(|| kmeans(black_box(&coords), 16, 20, &mut rng));
+    });
+    // The shape that costs: fleet1000 plans on 1000-dimensional latency rows.
+    let lat = Topology::paper_inet(1000, 13).latency_matrix_ms();
+    c.bench_function("planner/plan_tree_set_1000", |b| {
+        let mut rng = SmallRng::seed_from_u64(7);
+        b.iter(|| plan_tree_set(black_box(&lat), 0, &PlannerConfig::default(), &mut rng));
     });
 }
 

@@ -1,7 +1,11 @@
 //! Lloyd's algorithm with k-means++ seeding.
 
-use crate::{dist2, Point};
+use crate::{dist2, dist2_each, first_min, Point};
 use rand::Rng;
+
+/// Centroids per assignment tile: one pass over a point's row feeds this
+/// many distances.
+const LANES: usize = 16;
 
 /// Result of a clustering run.
 #[derive(Debug, Clone)]
@@ -21,16 +25,26 @@ impl Clustering {
     }
 
     /// Total within-cluster sum of squared distances.
-    pub fn inertia(&self, points: &[Point]) -> f64 {
-        points.iter().zip(&self.assignments).map(|(p, &a)| dist2(p, &self.centroids[a])).sum()
+    pub fn inertia<P: AsRef<[f64]>>(&self, points: &[P]) -> f64 {
+        points
+            .iter()
+            .zip(&self.assignments)
+            .map(|(p, &a)| dist2(p.as_ref(), &self.centroids[a]))
+            .sum()
     }
 }
 
 /// k-means++ initial centroid selection.
-fn seed_centroids<R: Rng + ?Sized>(points: &[Point], k: usize, rng: &mut R) -> Vec<Point> {
+fn seed_centroids<P: AsRef<[f64]>, R: Rng + ?Sized>(
+    points: &[P],
+    k: usize,
+    rng: &mut R,
+) -> Vec<Point> {
     let mut centroids: Vec<Point> = Vec::with_capacity(k);
-    centroids.push(points[rng.gen_range(0..points.len())].clone());
-    let mut d2: Vec<f64> = points.iter().map(|p| dist2(p, &centroids[0])).collect();
+    centroids.push(points[rng.gen_range(0..points.len())].as_ref().to_vec());
+    let mut d2 = vec![0.0; points.len()];
+    dist2_each(points, &centroids[0], &mut d2);
+    let mut fresh = vec![0.0; points.len()];
     while centroids.len() < k {
         let total: f64 = d2.iter().sum();
         let next = if total <= f64::EPSILON {
@@ -48,12 +62,42 @@ fn seed_centroids<R: Rng + ?Sized>(points: &[Point], k: usize, rng: &mut R) -> V
             }
             idx
         };
-        centroids.push(points[next].clone());
-        for (i, p) in points.iter().enumerate() {
-            d2[i] = d2[i].min(dist2(p, centroids.last().expect("just pushed")));
+        centroids.push(points[next].as_ref().to_vec());
+        if centroids.len() < k {
+            dist2_each(points, &centroids[centroids.len() - 1], &mut fresh);
+            for (d, f) in d2.iter_mut().zip(&fresh) {
+                *d = d.min(*f);
+            }
         }
     }
     centroids
+}
+
+/// Lays `centroids` out as tiles of [`LANES`] centroids, each tile a
+/// `dim × LANES` block holding centroid `t·LANES + l`'s coordinate `j` at
+/// `[j][l]`. Lanes past the last centroid are zero and never read back.
+fn transpose(centroids: &[Point], dim: usize, tiles: &mut Vec<[f64; LANES]>) {
+    tiles.clear();
+    tiles.resize(centroids.len().div_ceil(LANES) * dim, [0.0; LANES]);
+    for (c, row) in centroids.iter().enumerate() {
+        let tile = &mut tiles[c / LANES * dim..][..dim];
+        for (t, &x) in tile.iter_mut().zip(row) {
+            t[c % LANES] = x;
+        }
+    }
+}
+
+/// `dist2(p, centroid)` for every centroid of one tile, bit for bit: each
+/// lane sums its terms in index order from `-0.0`, as `dist2` does.
+fn tile_dist2(p: &[f64], tile: &[[f64; LANES]]) -> [f64; LANES] {
+    let mut acc = [-0.0f64; LANES];
+    for (&x, c) in p.iter().zip(tile) {
+        for (a, &y) in acc.iter_mut().zip(c) {
+            let d = x - y;
+            *a += d * d;
+        }
+    }
+    acc
 }
 
 /// Clusters `points` into at most `k` groups.
@@ -61,38 +105,40 @@ fn seed_centroids<R: Rng + ?Sized>(points: &[Point], k: usize, rng: &mut R) -> V
 /// Returns fewer than `k` clusters if there are fewer distinct points.
 /// Empty clusters arising during iteration are re-seeded from the point
 /// farthest from its centroid, so the output never contains empty clusters.
-pub fn kmeans<R: Rng + ?Sized>(
-    points: &[Point],
+/// Each point joins the first of its nearest centroids.
+pub fn kmeans<P: AsRef<[f64]>, R: Rng + ?Sized>(
+    points: &[P],
     k: usize,
     max_iter: usize,
     rng: &mut R,
 ) -> Clustering {
     assert!(!points.is_empty(), "kmeans requires at least one point");
     let k = k.clamp(1, points.len());
+    let dim = points[0].as_ref().len();
     let mut centroids = seed_centroids(points, k, rng);
     let mut assignments = vec![0usize; points.len()];
+    let mut tiles = Vec::new();
+    let mut dists = vec![0.0; k.div_ceil(LANES) * LANES];
     for _ in 0..max_iter {
         let mut changed = false;
+        transpose(&centroids, dim, &mut tiles);
         for (i, p) in points.iter().enumerate() {
-            let best = (0..k)
-                .min_by(|&a, &b| {
-                    dist2(p, &centroids[a])
-                        .partial_cmp(&dist2(p, &centroids[b]))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("k >= 1");
+            let p = p.as_ref();
+            for (t, out) in dists.chunks_exact_mut(LANES).enumerate() {
+                out.copy_from_slice(&tile_dist2(p, &tiles[t * dim..][..dim]));
+            }
+            let best = first_min(&dists[..k]).expect("k >= 1");
             if assignments[i] != best {
                 assignments[i] = best;
                 changed = true;
             }
         }
         // Recompute centroids; re-seed empties from the worst-fit point.
-        let dim = points[0].len();
         let mut sums = vec![vec![0.0; dim]; k];
         let mut counts = vec![0usize; k];
         for (p, &a) in points.iter().zip(&assignments) {
             counts[a] += 1;
-            for (s, v) in sums[a].iter_mut().zip(p) {
+            for (s, v) in sums[a].iter_mut().zip(p.as_ref()) {
                 *s += v;
             }
         }
@@ -100,12 +146,12 @@ pub fn kmeans<R: Rng + ?Sized>(
             if counts[c] == 0 {
                 let far = (0..points.len())
                     .max_by(|&a, &b| {
-                        dist2(&points[a], &centroids[assignments[a]])
-                            .partial_cmp(&dist2(&points[b], &centroids[assignments[b]]))
+                        dist2(points[a].as_ref(), &centroids[assignments[a]])
+                            .partial_cmp(&dist2(points[b].as_ref(), &centroids[assignments[b]]))
                             .unwrap_or(std::cmp::Ordering::Equal)
                     })
                     .expect("points nonempty");
-                centroids[c] = points[far].clone();
+                centroids[c] = points[far].as_ref().to_vec();
                 assignments[far] = c;
                 changed = true;
             } else {

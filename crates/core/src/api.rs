@@ -1103,6 +1103,16 @@ mod tests {
                 "zeroed cadence #{i} must be rejected"
             );
         }
+        let zeroed: [fn(&mut mortar_overlay::PlannerConfig); 3] =
+            [|p| p.tree_count = 0, |p| p.branching_factor = 0, |p| p.kmeans_iters = 0];
+        for (i, zero) in zeroed.iter().enumerate() {
+            let mut cfg = EngineConfig::paper(4, 1);
+            zero(&mut cfg.planner);
+            assert!(
+                matches!(Mortar::new(cfg), Err(MortarError::InvalidConfig { .. })),
+                "zeroed planner setting #{i} must be rejected"
+            );
+        }
         for alpha in [f64::NAN, f64::INFINITY, 0.0, -0.1, 1.5] {
             let mut cfg = EngineConfig::paper(4, 1);
             cfg.peer.netdist_alpha = alpha;

@@ -55,7 +55,8 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// Validates the configuration: chaos probabilities in range, a
     /// positive summary batch size and install chunk count, a netDist
-    /// EWMA constant in (0, 1], at least one shard. Everything the
+    /// EWMA constant in (0, 1], at least one shard, and a planner with at
+    /// least one tree, branch and Lloyd iteration. Everything the
     /// transport or peer runtime would otherwise reject at run time
     /// surfaces here as a typed error — there is no panic left on the
     /// configuration-validation path.
@@ -96,6 +97,19 @@ impl EngineConfig {
         }
         if self.shards == 0 {
             return Err(MortarError::InvalidConfig { reason: "shards must be at least 1".into() });
+        }
+        // A zero tree count or branching factor has no tree to plan, and
+        // zero Lloyd iterations leave every member in cluster 0, so the
+        // planner would peel one member per level into a chain.
+        let planner = [
+            ("planner.tree_count", self.planner.tree_count),
+            ("planner.branching_factor", self.planner.branching_factor),
+            ("planner.kmeans_iters", self.planner.kmeans_iters),
+        ];
+        if let Some((name, _)) = planner.iter().find(|&&(_, v)| v == 0) {
+            return Err(MortarError::InvalidConfig {
+                reason: format!("{name} must be at least 1"),
+            });
         }
         Ok(())
     }
@@ -148,7 +162,7 @@ impl Engine {
             // Use latency rows directly as high-dimensional coordinates:
             // close nodes have similar rows, so clustering behaves like
             // clustering converged network coordinates.
-            lat.clone()
+            lat
         } else {
             let mut viv = VivaldiSystem::new(hosts, cfg.vivaldi_dim, cfg.seed ^ 0x5eed);
             viv.run(&lat, cfg.vivaldi_rounds, 8);
@@ -251,8 +265,8 @@ impl Engine {
     /// Plans a tree set for `spec.members` rooted at `spec.root`.
     pub fn plan(&mut self, spec: &QuerySpec) -> Result<TreeSet, MortarError> {
         self.validate(spec)?;
-        let member_coords: Vec<Vec<f64>> =
-            spec.members.iter().map(|&p| self.coords[p as usize].clone()).collect();
+        let member_coords: Vec<&[f64]> =
+            spec.members.iter().map(|&p| self.coords[p as usize].as_slice()).collect();
         let root_member = spec.member_of(spec.root).expect("validated") as usize;
         Ok(plan_tree_set(&member_coords, root_member, &self.planner, &mut self.rng))
     }
@@ -425,6 +439,44 @@ mod tests {
             sensor: SensorSpec::Periodic { period_us: 1_000_000, value: 1.0 },
             post: None,
         }
+    }
+
+    /// FNV-1a over every tree's parent vector (`u64::MAX` for the root).
+    fn plan_hash(trees: &TreeSet) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for t in trees.trees() {
+            for m in 0..t.len() {
+                let p = t.parent(m).map_or(u64::MAX, |p| p as u64);
+                for b in p.to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Hash of the paper planner's tree set over all `n` hosts of the seed-13
+    /// topology, planned on true latency rows.
+    fn plan_pin(n: usize) -> u64 {
+        let mut cfg = EngineConfig::paper(n, 13);
+        cfg.plan_on_true_latency = true;
+        let mut eng = Engine::new(cfg).expect("valid config");
+        plan_hash(&eng.plan(&sum_spec(n)).expect("valid spec"))
+    }
+
+    // The pinned hashes were taken from the planner before its distance
+    // kernels were rewritten: the kernels reorder no sum, so every plan
+    // must stay bit-identical.
+    #[test]
+    fn plan_pin_200_hosts() {
+        assert_eq!(plan_pin(200), 0xdd4e_1c94_72bd_729d);
+    }
+
+    #[test]
+    #[ignore = "slow in debug builds; run with --release -- --ignored plan_pin"]
+    fn plan_pin_1000_hosts() {
+        assert_eq!(plan_pin(1000), 0x0659_cecc_d937_d7fe);
     }
 
     #[test]

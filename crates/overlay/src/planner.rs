@@ -14,7 +14,7 @@
 //! the root operator on the injecting peer.
 
 use crate::tree::{Tree, TreeSet};
-use mortar_cluster::{kmeans, nearest_to, Point};
+use mortar_cluster::{kmeans, nearest_to};
 use rand::Rng;
 
 /// Planner parameters.
@@ -39,9 +39,9 @@ impl Default for PlannerConfig {
 /// `coords[m]` is member `m`'s network coordinate; `root` is the query root
 /// member (the injecting peer). Coordinates typically come from
 /// `mortar_coords::VivaldiSystem::coords` (the overlay crate itself is
-/// coordinate-source agnostic).
-pub fn plan_primary<R: Rng + ?Sized>(
-    coords: &[Point],
+/// coordinate-source agnostic). Rows are borrowed, never copied.
+pub fn plan_primary<P: AsRef<[f64]>, R: Rng + ?Sized>(
+    coords: &[P],
     root: usize,
     bf: usize,
     kmeans_iters: usize,
@@ -56,8 +56,8 @@ pub fn plan_primary<R: Rng + ?Sized>(
     Tree::from_parents(root, parent)
 }
 
-fn recurse<R: Rng + ?Sized>(
-    coords: &[Point],
+fn recurse<P: AsRef<[f64]>, R: Rng + ?Sized>(
+    coords: &[P],
     root: usize,
     members: Vec<usize>,
     bf: usize,
@@ -75,14 +75,14 @@ fn recurse<R: Rng + ?Sized>(
         }
         return;
     }
-    let pts: Vec<Point> = members.iter().map(|&m| coords[m].clone()).collect();
+    let pts: Vec<&[f64]> = members.iter().map(|&m| coords[m].as_ref()).collect();
     let clustering = kmeans(&pts, bf, iters, rng);
     for c in 0..clustering.k {
         let local: Vec<usize> = clustering.members(c);
         if local.is_empty() {
             continue;
         }
-        let cluster_pts: Vec<Point> = local.iter().map(|&i| pts[i].clone()).collect();
+        let cluster_pts: Vec<&[f64]> = local.iter().map(|&i| pts[i]).collect();
         let head_local =
             nearest_to(&cluster_pts, &clustering.centroids[c]).expect("cluster is nonempty");
         let head = members[local[head_local]];
@@ -118,8 +118,8 @@ pub fn derive_sibling<R: Rng + ?Sized>(primary: &Tree, rng: &mut R) -> Tree {
 }
 
 /// Plans a full tree set: the primary plus `tree_count − 1` siblings.
-pub fn plan_tree_set<R: Rng + ?Sized>(
-    coords: &[Point],
+pub fn plan_tree_set<P: AsRef<[f64]>, R: Rng + ?Sized>(
+    coords: &[P],
     root: usize,
     cfg: &PlannerConfig,
     rng: &mut R,
@@ -160,6 +160,7 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mortar_cluster::Point;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
