@@ -92,7 +92,7 @@ fn sibling_quality() {
         let p90 = set
             .trees()
             .iter()
-            .map(|t| percentile(&root_latencies(t, &lat), 0.9))
+            .map(|t| percentile(&root_latencies(t, |a, b| lat[a][b]), 0.9))
             .fold(0.0f64, f64::max);
         // Path diversity: union-graph survival at 30% link failures.
         let div = union_survival(&set, 0.3, 40, &mut rng);

@@ -236,11 +236,10 @@ fn bench_planning(c: &mut Criterion) {
 
 fn bench_vivaldi(c: &mut Criterion) {
     let n = 256;
-    let lat: Vec<Vec<f64>> =
-        (0..n).map(|a| (0..n).map(|b| ((a as f64) - (b as f64)).abs() + 1.0).collect()).collect();
+    let lat = |a: usize, b: usize| black_box(a.abs_diff(b) as f64 + 1.0);
     c.bench_function("vivaldi/round_256x8", |b| {
         let mut sys = VivaldiSystem::new(n, 3, 7);
-        b.iter(|| sys.round(black_box(&lat), 8));
+        b.iter(|| sys.round(lat, 8));
     });
 }
 

@@ -10,7 +10,7 @@
 
 use crate::{banner, header, row, scaled};
 use mortar_coords::VivaldiSystem;
-use mortar_net::Topology;
+use mortar_net::{NodeId, Topology};
 use mortar_overlay::planner::{derive_sibling, percentile, plan_primary, root_latencies};
 use mortar_overlay::tree::random_tree;
 use rand::rngs::SmallRng;
@@ -24,26 +24,21 @@ pub fn run() {
     let n = 179;
     let trials = scaled(10, 30);
     let topo = Topology::paper_inet(hosts, 170);
-    let full_lat = topo.latency_matrix_ms();
     let mut rng = SmallRng::seed_from_u64(170);
 
     // 179 randomly chosen nodes.
-    let mut ids: Vec<usize> = (0..hosts).collect();
+    let mut ids: Vec<NodeId> = (0..hosts as NodeId).collect();
     ids.shuffle(&mut rng);
-    let members: Vec<usize> = ids.into_iter().take(n).collect();
-    let lat: Vec<Vec<f64>> =
-        members.iter().map(|&a| members.iter().map(|&b| full_lat[a][b]).collect()).collect();
+    let members: Vec<NodeId> = ids.into_iter().take(n).collect();
+    let lat = |i: usize, j: usize| topo.latency_ms(members[i], members[j]);
 
     // Vivaldi for at least ten rounds before interconnecting operators
     // (we run more: each round is 8 samples, and an under-converged
     // embedding directly caps the planner's advantage).
     let mut viv = VivaldiSystem::new(n, 3, 171);
-    viv.run(&lat, scaled(30, 60), 8);
-    println!(
-        "Vivaldi embedding error after warm-up: {:.1}%",
-        100.0 * viv.mean_relative_error(&lat)
-    );
-    let coords: Vec<Vec<f64>> = viv.coords().into_iter().map(|c| c.0).collect();
+    viv.run(lat, scaled(30, 60), 8);
+    println!("Vivaldi embedding error after warm-up: {:.1}%", 100.0 * viv.mean_relative_error(lat));
+    let coords = viv.coords();
 
     let bfs = [2usize, 4, 8, 16, 32];
     header("avg p90 latency (ms), bf=", &bfs.iter().map(|b| b.to_string()).collect::<Vec<_>>());
@@ -63,7 +58,7 @@ pub fn run() {
                         }
                     };
                     let _ = t;
-                    acc += percentile(&root_latencies(&tree, &lat), 0.9);
+                    acc += percentile(&root_latencies(&tree, lat), 0.9);
                 }
                 acc / trials as f64
             })

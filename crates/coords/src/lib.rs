@@ -12,16 +12,12 @@
 //! use mortar_coords::VivaldiSystem;
 //!
 //! // Three nodes on a line: 0 —10ms— 1 —10ms— 2.
-//! let lat = vec![
-//!     vec![0.0, 10.0, 20.0],
-//!     vec![10.0, 0.0, 10.0],
-//!     vec![20.0, 10.0, 0.0],
-//! ];
+//! let lat = |a: usize, b: usize| 10.0 * a.abs_diff(b) as f64;
 //! let mut sys = VivaldiSystem::new(3, 3, 42);
 //! for _ in 0..50 {
-//!     sys.round(&lat, 2);
+//!     sys.round(lat, 2);
 //! }
-//! let err = sys.mean_relative_error(&lat);
+//! let err = sys.mean_relative_error(lat);
 //! assert!(err < 0.35, "embedding error {err}");
 //! ```
 

@@ -121,11 +121,13 @@ impl VivaldiNode {
     }
 }
 
-/// A whole system of Vivaldi nodes driven from a latency matrix.
+/// A whole system of Vivaldi nodes driven from a latency function.
 ///
 /// The Mortar evaluation runs "Vivaldi for at least ten rounds before
 /// interconnecting operators" (Section 7.3); [`VivaldiSystem::round`] is one
-/// such round (every node samples `k` random peers).
+/// such round (every node samples `k` random peers). `lat_ms(i, j)` is the
+/// measured latency from node `i` to node `j` in milliseconds; a round asks
+/// it only for the pairs it samples, so no n² structure is needed.
 #[derive(Debug)]
 pub struct VivaldiSystem {
     cfg: VivaldiConfig,
@@ -143,19 +145,8 @@ impl VivaldiSystem {
         }
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the system is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// One round: every node samples `k` random distinct peers.
-    #[allow(clippy::needless_range_loop)] // i/j index both `nodes` and `lat_ms`.
-    pub fn round(&mut self, lat_ms: &[Vec<f64>], k: usize) {
+    pub fn round(&mut self, lat_ms: impl Fn(usize, usize) -> f64, k: usize) {
         let n = self.nodes.len();
         if n < 2 {
             return;
@@ -167,42 +158,35 @@ impl VivaldiSystem {
                     j = self.rng.gen_range(0..n);
                 }
                 let (pc, pe) = (self.nodes[j].coord.clone(), self.nodes[j].error);
-                self.nodes[i].observe(&self.cfg, &pc, pe, lat_ms[i][j], &mut self.rng);
+                self.nodes[i].observe(&self.cfg, &pc, pe, lat_ms(i, j), &mut self.rng);
             }
         }
     }
 
     /// Runs `rounds` rounds of `k` samples each.
-    pub fn run(&mut self, lat_ms: &[Vec<f64>], rounds: usize, k: usize) {
+    pub fn run(&mut self, lat_ms: impl Fn(usize, usize) -> f64, rounds: usize, k: usize) {
         for _ in 0..rounds {
-            self.round(lat_ms, k);
+            self.round(&lat_ms, k);
         }
     }
 
-    /// The current coordinates (planner input).
-    pub fn coords(&self) -> Vec<Coord> {
-        self.nodes.iter().map(|n| n.coord.clone()).collect()
+    /// The current coordinates, one row per node (planner input).
+    pub fn coords(&self) -> Vec<Vec<f64>> {
+        self.nodes.iter().map(|n| n.coord.0.clone()).collect()
     }
 
-    /// A node's state.
-    pub fn node(&self, i: usize) -> &VivaldiNode {
-        &self.nodes[i]
-    }
-
-    /// Mean relative embedding error over sampled pairs (quality metric).
-    #[allow(clippy::needless_range_loop)] // i/j index both `nodes` and `lat_ms`.
-    pub fn mean_relative_error(&self, lat_ms: &[Vec<f64>]) -> f64 {
-        let n = self.nodes.len();
+    /// Mean relative embedding error over every pair `i < j` with a
+    /// positive latency (quality metric).
+    pub fn mean_relative_error(&self, lat_ms: impl Fn(usize, usize) -> f64) -> f64 {
         let mut sum = 0.0;
         let mut cnt = 0usize;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let actual = lat_ms[i][j];
+        for (i, a) in self.nodes.iter().enumerate() {
+            for (j, b) in self.nodes.iter().enumerate().skip(i + 1) {
+                let actual = lat_ms(i, j);
                 if actual <= 0.0 {
                     continue;
                 }
-                let pred = self.nodes[i].coord.dist(&self.nodes[j].coord);
-                sum += (pred - actual).abs() / actual;
+                sum += (a.coord.dist(&b.coord) - actual).abs() / actual;
                 cnt += 1;
             }
         }
@@ -218,8 +202,9 @@ impl VivaldiSystem {
 mod tests {
     use super::*;
 
-    fn line_matrix(n: usize, step: f64) -> Vec<Vec<f64>> {
-        (0..n).map(|i| (0..n).map(|j| (i as f64 - j as f64).abs() * step).collect()).collect()
+    /// Nodes on a line, `step` ms apart.
+    fn line(step: f64) -> impl Fn(usize, usize) -> f64 {
+        move |i, j| i.abs_diff(j) as f64 * step
     }
 
     #[test]
@@ -256,10 +241,9 @@ mod tests {
 
     #[test]
     fn system_embeds_line_topology() {
-        let lat = line_matrix(10, 8.0);
         let mut sys = VivaldiSystem::new(10, 3, 7);
-        sys.run(&lat, 60, 3);
-        assert!(sys.mean_relative_error(&lat) < 0.3);
+        sys.run(line(8.0), 60, 3);
+        assert!(sys.mean_relative_error(line(8.0)) < 0.3);
     }
 
     #[test]
@@ -284,11 +268,10 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let lat = line_matrix(6, 5.0);
         let run = || {
             let mut s = VivaldiSystem::new(6, 3, 99);
-            s.run(&lat, 10, 2);
-            s.coords().iter().map(|c| c.0.clone()).collect::<Vec<_>>()
+            s.run(line(5.0), 10, 2);
+            s.coords()
         };
         assert_eq!(run(), run());
     }

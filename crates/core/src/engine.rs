@@ -22,6 +22,13 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// Vivaldi rounds before planning (the paper runs at least ten, §7.3).
+const VIVALDI_ROUNDS: usize = 10;
+/// Peers each host samples per Vivaldi round.
+const VIVALDI_SAMPLES: usize = 8;
+/// Coordinate dimensionality (the prototype's Vivaldi is 3-D).
+const VIVALDI_DIM: usize = 3;
+
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -35,12 +42,10 @@ pub struct EngineConfig {
     pub clock_model: ClockModel,
     /// Planner configuration (branching factor, tree count).
     pub planner: PlannerConfig,
-    /// Vivaldi rounds before planning (paper: at least ten).
-    pub vivaldi_rounds: usize,
-    /// Coordinate dimensionality (the prototype uses 3).
-    pub vivaldi_dim: usize,
-    /// If true, plan directly on the true latency matrix instead of running
-    /// Vivaldi (faster for large parameter sweeps; same tree shapes).
+    /// If true, skip Vivaldi and plan on the rows of the true n × n latency
+    /// matrix as n-dimensional coordinates. The matrix costs n² memory,
+    /// k-means over n-dimensional rows plans slower than over 3-D
+    /// coordinates, and the trees differ from the Vivaldi path's.
     pub plan_on_true_latency: bool,
     /// Transport fault injection (loss / duplication / reorder jitter);
     /// defaults to none.
@@ -122,8 +127,6 @@ impl EngineConfig {
             peer: PeerConfig::default(),
             clock_model: ClockModel::perfect(),
             planner: PlannerConfig::default(),
-            vivaldi_rounds: 10,
-            vivaldi_dim: 3,
             plan_on_true_latency: false,
             chaos: ChaosConfig::none(),
             shards: 1,
@@ -156,17 +159,18 @@ impl Engine {
     /// Builds the system with user-defined operators registered.
     pub fn with_registry(cfg: EngineConfig, registry: OpRegistry) -> Result<Self, MortarError> {
         cfg.validate()?;
-        let hosts = cfg.topology.hosts();
-        let lat = cfg.topology.latency_matrix_ms();
-        let coords: Vec<Vec<f64>> = if cfg.plan_on_true_latency {
+        let topo = &cfg.topology;
+        let coords = if cfg.plan_on_true_latency {
             // Use latency rows directly as high-dimensional coordinates:
             // close nodes have similar rows, so clustering behaves like
             // clustering converged network coordinates.
-            lat
+            topo.latency_matrix_ms()
         } else {
-            let mut viv = VivaldiSystem::new(hosts, cfg.vivaldi_dim, cfg.seed ^ 0x5eed);
-            viv.run(&lat, cfg.vivaldi_rounds, 8);
-            viv.coords().into_iter().map(|c| c.0).collect()
+            // Vivaldi asks the topology for the pairs it samples only.
+            let mut viv = VivaldiSystem::new(topo.hosts(), VIVALDI_DIM, cfg.seed ^ 0x5eed);
+            let lat = |i: usize, j: usize| topo.latency_ms(i as NodeId, j as NodeId);
+            viv.run(lat, VIVALDI_ROUNDS, VIVALDI_SAMPLES);
+            viv.coords()
         };
         let peer_cfg = cfg.peer;
         let builder =
@@ -183,11 +187,6 @@ impl Engine {
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0x9e37),
             registry,
         })
-    }
-
-    /// The planner's coordinate view (for diagnostics and custom planning).
-    pub fn coords(&self) -> &[Vec<f64>] {
-        &self.coords
     }
 
     /// Number of hosts in the deployed topology.
@@ -477,6 +476,32 @@ mod tests {
     #[ignore = "slow in debug builds; run with --release -- --ignored plan_pin"]
     fn plan_pin_1000_hosts() {
         assert_eq!(plan_pin(1000), 0x0659_cecc_d937_d7fe);
+    }
+
+    /// Hashes of the Vivaldi-planned tree set and of every coordinate's
+    /// `to_bits` (FNV-1a over the little-endian bytes, host order) over all
+    /// `n` hosts of the seed-13 topology.
+    fn vivaldi_pin(n: usize) -> (u64, u64) {
+        let mut eng = Engine::new(EngineConfig::paper(n, 13)).expect("valid config");
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in eng.coords.iter().flatten().flat_map(|x| x.to_bits().to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        (plan_hash(&eng.plan(&sum_spec(n)).expect("valid spec")), h)
+    }
+
+    // Taken before Vivaldi sampled the topology through a latency function
+    // instead of a matrix: the same RNG draws and the same f64 values, so
+    // the coordinates and the plans must stay bit-identical.
+    #[test]
+    fn plan_pin_vivaldi_200_hosts() {
+        assert_eq!(vivaldi_pin(200), (0xbe29_ba9b_44fa_efcf, 0xbd71_68fa_af45_2c7f));
+    }
+
+    #[test]
+    fn plan_pin_vivaldi_1000_hosts() {
+        assert_eq!(vivaldi_pin(1000), (0x7f9b_7935_1037_bef6, 0x1a1e_4235_b4cd_bdf2));
     }
 
     #[test]

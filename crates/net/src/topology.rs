@@ -255,15 +255,21 @@ impl Topology {
         max + 2 * worst_link
     }
 
-    /// A full host-to-host latency matrix in milliseconds (planner input).
+    /// One-way latency between two hosts in milliseconds, 0.0 from a host
+    /// to itself: the one latency source for coordinates and diagnostics.
+    pub fn latency_ms(&self, a: NodeId, b: NodeId) -> f64 {
+        if a == b {
+            0.0
+        } else {
+            self.latency_us(a, b) as f64 / MS as f64
+        }
+    }
+
+    /// A full host-to-host [`Topology::latency_ms`] matrix, for callers that
+    /// use its rows as points (n² memory: planning on true latency only).
     pub fn latency_matrix_ms(&self) -> Vec<Vec<f64>> {
-        (0..self.hosts as NodeId)
-            .map(|a| {
-                (0..self.hosts as NodeId)
-                    .map(|b| if a == b { 0.0 } else { self.latency_us(a, b) as f64 / MS as f64 })
-                    .collect()
-            })
-            .collect()
+        let ids = 0..self.hosts as NodeId;
+        ids.clone().map(|a| ids.clone().map(|b| self.latency_ms(a, b)).collect()).collect()
     }
 }
 
@@ -374,5 +380,17 @@ mod tests {
         assert_eq!(m[0].len(), 5);
         assert_eq!(m[2][2], 0.0);
         assert!((m[0][1] - 1.0).abs() < 1e-9);
+        // The matrix is `latency_ms` entry for entry, diagonal included.
+        for seed in [1, 7, 2008] {
+            let t = Topology::paper_inet(120, seed);
+            let m = t.latency_matrix_ms();
+            for a in 0..120u32 {
+                assert_eq!(t.latency_ms(a, a).to_bits(), 0.0f64.to_bits());
+                for b in 0..120u32 {
+                    let (x, y) = (m[a as usize][b as usize], t.latency_ms(a, b));
+                    assert_eq!(x.to_bits(), y.to_bits(), "seed {seed} pair {a},{b}");
+                }
+            }
+        }
     }
 }

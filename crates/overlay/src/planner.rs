@@ -136,12 +136,13 @@ pub fn plan_tree_set<P: AsRef<[f64]>, R: Rng + ?Sized>(
 }
 
 /// Overlay latency from every member to the root: the sum of pairwise
-/// latencies along the member's overlay path (Figure 17's metric).
-pub fn root_latencies(tree: &Tree, lat_ms: &[Vec<f64>]) -> Vec<f64> {
+/// latencies `lat_ms(a, b)` along the member's overlay path (Figure 17's
+/// metric).
+pub fn root_latencies(tree: &Tree, lat_ms: impl Fn(usize, usize) -> f64) -> Vec<f64> {
     (0..tree.len())
         .map(|m| {
             let path = tree.path_to_root(m);
-            path.windows(2).map(|w| lat_ms[w[0]][w[1]]).sum()
+            path.windows(2).map(|w| lat_ms(w[0], w[1])).sum()
         })
         .collect()
 }
@@ -252,8 +253,8 @@ mod tests {
     #[test]
     fn root_latency_of_root_is_zero() {
         let t = Tree::from_parents(0, vec![None, Some(0), Some(1)]);
-        let lat = vec![vec![0.0, 5.0, 9.0], vec![5.0, 0.0, 2.0], vec![9.0, 2.0, 0.0]];
-        let r = root_latencies(&t, &lat);
+        let lat = [[0.0, 5.0, 9.0], [5.0, 0.0, 2.0], [9.0, 2.0, 0.0]];
+        let r = root_latencies(&t, |a, b| lat[a][b]);
         assert_eq!(r[0], 0.0);
         assert_eq!(r[1], 5.0);
         assert_eq!(r[2], 7.0); // 2 (2→1) + 5 (1→0).
@@ -282,9 +283,9 @@ mod tests {
         let mut random_p90 = 0.0;
         for _ in 0..5 {
             let p = plan_primary(&coords, 0, 8, 30, &mut rng);
-            planned_p90 += percentile(&root_latencies(&p, &lat), 0.9);
+            planned_p90 += percentile(&root_latencies(&p, |a, b| lat[a][b]), 0.9);
             let r = crate::tree::random_tree(n, 0, 8, &mut rng);
-            random_p90 += percentile(&root_latencies(&r, &lat), 0.9);
+            random_p90 += percentile(&root_latencies(&r, |a, b| lat[a][b]), 0.9);
         }
         assert!(planned_p90 < random_p90, "planned {planned_p90} should beat random {random_p90}");
     }
