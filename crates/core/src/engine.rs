@@ -59,12 +59,14 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Validates the configuration: chaos probabilities in range, a
-    /// positive summary batch size and install chunk count, a netDist
-    /// EWMA constant in (0, 1], at least one shard, and a planner with at
-    /// least one tree, branch and Lloyd iteration. Everything the
-    /// transport or peer runtime would otherwise reject at run time
-    /// surfaces here as a typed error — there is no panic left on the
-    /// configuration-validation path.
+    /// positive summary batch size, tick, reconcile cadence and install
+    /// chunk count, at least one shard, and a planner with at least one
+    /// tree, branch and Lloyd iteration. Everything the transport or peer
+    /// runtime would otherwise reject at run time surfaces here as a typed
+    /// error — there is no panic left on the configuration-validation
+    /// path. The protocol's fixed parameters (heartbeats, netDist's
+    /// initial estimate and α, the timeout floor, …) are constants in
+    /// [`crate::peer`] and [`crate::netdist`] and need no check.
     pub fn validate(&self) -> Result<(), MortarError> {
         self.chaos.validate().map_err(|e| MortarError::InvalidConfig { reason: e.reason })?;
         if self.peer.summary_batch_max < 1 {
@@ -73,16 +75,12 @@ impl EngineConfig {
             });
         }
         // Zero periods and counts are no cadence at all: `tick_us = 0`
-        // ticks every µs, `hb_timeout_beats = 0` presumes a neighbour down
-        // a tick after its last message, and `n.is_multiple_of(0)` is
-        // false for every n ≥ 1, so a zero `reconcile_every` or
-        // `data_hash_every` silently disables that anti-entropy trigger.
+        // ticks every µs, and `n.is_multiple_of(0)` is false for every
+        // n ≥ 1, so a zero `reconcile_every` silently disables
+        // reconciliation.
         let cadences = [
             ("tick_us", self.peer.tick_us),
-            ("hb_period_us", self.peer.hb_period_us),
-            ("hb_timeout_beats", u64::from(self.peer.hb_timeout_beats)),
             ("reconcile_every", u64::from(self.peer.reconcile_every)),
-            ("data_hash_every", u64::from(self.peer.data_hash_every)),
         ];
         if let Some((name, _)) = cadences.iter().find(|&&(_, v)| v == 0) {
             return Err(MortarError::InvalidConfig {
@@ -92,12 +90,6 @@ impl EngineConfig {
         if self.peer.install_chunks == 0 {
             return Err(MortarError::InvalidConfig {
                 reason: "install_chunks must be at least 1".into(),
-            });
-        }
-        // Written so that NaN fails it too.
-        if !(self.peer.netdist_alpha > 0.0 && self.peer.netdist_alpha <= 1.0) {
-            return Err(MortarError::InvalidConfig {
-                reason: "netdist_alpha must be in (0, 1]".into(),
             });
         }
         if self.shards == 0 {

@@ -17,11 +17,12 @@
 //! regroups a tick's tuples) preserve results bit-for-bit on multi-tree
 //! plans.
 
+/// The EWMA smoothing factor (Section 4.3: α = 10 %).
+const ALPHA: f64 = 0.1;
+
 /// EWMA-of-maximum latency estimator.
 #[derive(Debug, Clone, Copy)]
 pub struct NetDist {
-    /// Smoothing factor (paper: 0.10).
-    pub alpha: f64,
     /// The committed estimate, updated only at [`NetDist::roll`].
     rolled_us: f64,
     window_max_us: f64,
@@ -35,9 +36,8 @@ pub struct NetDist {
 
 impl NetDist {
     /// Creates an estimator with the given initial estimate.
-    pub fn new(initial_us: u64, alpha: f64) -> Self {
+    pub fn new(initial_us: u64) -> Self {
         Self {
-            alpha,
             rolled_us: initial_us as f64,
             window_max_us: 0.0,
             samples_above: 0,
@@ -69,7 +69,7 @@ impl NetDist {
     pub fn roll(&mut self) {
         if self.samples_in_window > 0 {
             self.rolled_us = self.effective_us();
-            self.rolled_us += self.alpha * (self.window_max_us - self.rolled_us);
+            self.rolled_us += ALPHA * (self.window_max_us - self.rolled_us);
             self.window_max_us = 0.0;
             self.samples_above = 0;
             self.samples_in_window = 0;
@@ -88,7 +88,7 @@ impl NetDist {
         }
         let m = self.window_max_us;
         let k = self.samples_above.min(1_000) as i32;
-        m - (m - self.rolled_us) * (1.0 - self.alpha).powi(k)
+        m - (m - self.rolled_us) * (1.0 - ALPHA).powi(k)
     }
 
     /// Current estimate, microseconds.
@@ -120,14 +120,14 @@ mod tests {
 
     #[test]
     fn initial_estimate_used() {
-        let nd = NetDist::new(2_000_000, 0.1);
+        let nd = NetDist::new(2_000_000);
         assert_eq!(nd.estimate_us(), 2_000_000);
         assert_eq!(nd.timeout_us(0, 100_000), 2_000_000);
     }
 
     #[test]
     fn old_tuples_wait_less() {
-        let nd = NetDist::new(2_000_000, 0.1);
+        let nd = NetDist::new(2_000_000);
         assert_eq!(nd.timeout_us(1_500_000, 100_000), 500_000);
         // Already older than the estimate: floor at min timeout.
         assert_eq!(nd.timeout_us(5_000_000, 100_000), 100_000);
@@ -135,13 +135,13 @@ mod tests {
 
     #[test]
     fn negative_age_clamped() {
-        let nd = NetDist::new(1_000_000, 0.1);
+        let nd = NetDist::new(1_000_000);
         assert_eq!(nd.timeout_us(-3_000_000, 100_000), 1_000_000);
     }
 
     #[test]
     fn estimate_rises_quickly_on_larger_samples() {
-        let mut nd = NetDist::new(1_000_000, 0.1);
+        let mut nd = NetDist::new(1_000_000);
         for _ in 0..40 {
             nd.observe(4_000_000);
             nd.roll();
@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn estimate_decays_toward_smaller_max() {
-        let mut nd = NetDist::new(4_000_000, 0.1);
+        let mut nd = NetDist::new(4_000_000);
         for _ in 0..60 {
             nd.observe(500_000);
             nd.roll();
@@ -170,7 +170,7 @@ mod tests {
         // fast-raise path, samples below exercise the max-fold.
         let samples = [3_000_000i64, 500_000, 4_000_000, 1_200_000, 2_800_000, 3_999_999];
         let run = |order: &[i64]| {
-            let mut nd = NetDist::new(1_000_000, 0.1);
+            let mut nd = NetDist::new(1_000_000);
             for &s in order {
                 // black_box: in release builds LLVM const-folds the whole
                 // fold for a compile-time-known order (evaluating `powi`
@@ -197,7 +197,7 @@ mod tests {
 
     #[test]
     fn fast_raise_applies_before_roll() {
-        let mut nd = NetDist::new(1_000_000, 0.1);
+        let mut nd = NetDist::new(1_000_000);
         nd.observe(4_000_000);
         // One spike = one provisional α-step, visible immediately.
         assert_eq!(nd.estimate_us(), 1_300_000);
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn has_samples_tracks_first_observation() {
-        let mut nd = NetDist::new(1_000_000, 0.1);
+        let mut nd = NetDist::new(1_000_000);
         assert!(!nd.has_samples());
         nd.roll();
         assert!(!nd.has_samples(), "a roll is not a sample");
@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn roll_without_samples_is_noop() {
-        let mut nd = NetDist::new(1_000_000, 0.1);
+        let mut nd = NetDist::new(1_000_000);
         nd.roll();
         assert_eq!(nd.estimate_us(), 1_000_000);
     }

@@ -14,7 +14,7 @@
 //! where a receiver must adopt a tombstone it cannot name, or where the
 //! portable store hash needs them.
 
-use super::{MortarPeer, QueryState};
+use super::{MortarPeer, QueryState, HOP_AGE_EST_US, NETDIST_INIT_US};
 use crate::install::{chunk_components_with_peers, component_root, forward_groups};
 use crate::msg::MortarMsg;
 use crate::netdist::NetDist;
@@ -89,7 +89,7 @@ impl MortarPeer {
             record,
             t_ref_base_us: t_ref_base,
             ts: TimeSpaceList::new(),
-            netdist: [NetDist::new(self.cfg.netdist_init_us, self.cfg.netdist_alpha); MAX_TREES],
+            netdist: [NetDist::new(NETDIST_INIT_US); MAX_TREES],
             stripe_rr: self.id as usize, // Stagger striping across peers.
             buckets: BTreeMap::new(),
             next_close_k: if window.kind == WindowKind::Time {
@@ -137,12 +137,8 @@ impl MortarPeer {
     /// (idempotent: re-installs refresh in place).
     fn index_subscriptions(&mut self, id: QueryId, sensor: &SensorSpec) {
         self.unindex_subscriptions(id);
-        let upstreams: &[String] = match sensor {
-            SensorSpec::Subscribe { query } => std::slice::from_ref(query),
-            SensorSpec::FanIn { queries } => queries,
-            _ => return,
-        };
-        for up in upstreams {
+        let SensorSpec::Subscribe { queries } = sensor else { return };
+        for up in queries {
             let subs = self.subscribers.entry(up.clone()).or_default();
             if !subs.contains(&id) {
                 subs.push(id);
@@ -271,7 +267,7 @@ impl MortarPeer {
         if have || removed_newer {
             return;
         }
-        let age = age + self.cfg.hop_age_est_us as i64;
+        let age = age + HOP_AGE_EST_US as i64;
         let root = spec.root;
         let name = spec.name.clone();
         self.install_query(spec, id, seq, None, age, local_now);
@@ -482,7 +478,7 @@ impl MortarPeer {
             }
             let chunks =
                 chunk_components_with_peers(&records, Some(&spec.members), self.cfg.install_chunks);
-            let age = issue_age_us + self.cfg.hop_age_est_us as i64;
+            let age = issue_age_us + HOP_AGE_EST_US as i64;
             for chunk in chunks {
                 let croot = component_root(&chunk, Some(&spec.members));
                 let croot_peer = spec.members[croot as usize];
@@ -515,7 +511,7 @@ impl MortarPeer {
                 );
             }
         }
-        let age = issue_age_us + self.cfg.hop_age_est_us as i64;
+        let age = issue_age_us + HOP_AGE_EST_US as i64;
         self.forward_install(ctx, &spec, id, seq, &records, age);
     }
 
@@ -576,7 +572,7 @@ impl MortarPeer {
         issue_age_us: i64,
     ) {
         let local_now = ctx.local_now_us();
-        let age = issue_age_us + self.cfg.hop_age_est_us as i64;
+        let age = issue_age_us + HOP_AGE_EST_US as i64;
         match self.queries.get_mut(&id) {
             Some(q) if q.record.is_none() => {
                 q.record = Some(record);

@@ -1,7 +1,7 @@
 //! Ingest stage: sensor pumping, raw-tuple lift (merging across time), and
 //! window close (Sections 4–5).
 
-use super::MortarPeer;
+use super::{MortarPeer, BUCKET_GC_CAP};
 use crate::msg::MortarMsg;
 use crate::netdist::NetDist;
 use crate::query::{QueryId, SensorSpec};
@@ -136,7 +136,7 @@ impl MortarPeer {
                         stripe_tree: q.stripe_rr as u8,
                         truth: None,
                     };
-                    let timeout = q.local_timeout_us(q.stripe_rr, 0, self.cfg.min_timeout_us);
+                    let timeout = q.local_timeout_us(q.stripe_rr, 0);
                     q.ts.insert(&s, local_now, timeout);
                     self.stats.ts_peak_entries = self.stats.ts_peak_entries.max(q.ts.len() as u64);
                     // Trim the buffer.
@@ -195,14 +195,14 @@ impl MortarPeer {
                     b
                 }
             };
-            let timeout = q.local_timeout_us(q.stripe_rr, s.age_us, self.cfg.min_timeout_us);
+            let timeout = q.local_timeout_us(q.stripe_rr, s.age_us);
             q.ts.insert(&s, local_now, timeout);
             self.stats.ts_peak_entries = self.stats.ts_peak_entries.max(q.ts.len() as u64);
         }
         // Garbage-collect pathological bucket growth (timestamp mode with
         // huge offsets can mint far-future buckets). `BTreeMap::len` is
         // O(1), so under the cap this is a single cheap comparison.
-        while q.buckets.len() > self.cfg.bucket_gc_cap {
+        while q.buckets.len() > BUCKET_GC_CAP {
             let _ = q.buckets.pop_first();
         }
     }
@@ -252,7 +252,7 @@ impl MortarPeer {
             }
             SensorSpec::Feed(_) => self.pump_feed(id, local_now, true_now),
             // Subscription ingest happens where the upstream root emits.
-            SensorSpec::Subscribe { .. } | SensorSpec::FanIn { .. } | SensorSpec::None => {}
+            SensorSpec::Subscribe { .. } | SensorSpec::None => {}
         }
     }
 

@@ -64,47 +64,52 @@ pub enum IndexingMode {
     Timestamp,
 }
 
+/// Heartbeat period, local µs (Section 7.2.2: 2 s).
+const HB_PERIOD_US: i64 = 2_000_000;
+
+/// Beats without contact before a neighbour is presumed down (Section
+/// 7.2.2: three).
+const HB_TIMEOUT_BEATS: i64 = 3;
+
+/// Modelled per-hop transit, µs: added to a summary's age each time it is
+/// sent, and to a query's issue age at each install, reconcile or
+/// topology-reply hop.
+pub const HOP_AGE_EST_US: u64 = 15_000;
+
+/// Floor of every TS-list timeout, µs, and the whole wait of a summary
+/// this peer creates on a tree where it has no children.
+pub const MIN_TIMEOUT_US: u64 = 250_000;
+
+/// netDist's estimate, µs, before its tree has delivered any data.
+pub(crate) const NETDIST_INIT_US: u64 = 2_500_000;
+
+/// Maximum open raw-data buckets retained per query. Timestamp mode with
+/// huge clock offsets can mint far-future buckets; anything past this cap
+/// is garbage-collected oldest-first at window close.
+pub(crate) const BUCKET_GC_CAP: usize = 1024;
+
 /// Peer configuration (defaults follow the paper's evaluation settings).
+/// The protocol's fixed parameters are constants: the heartbeat cadence,
+/// the hop-age model, the timeout floor, netDist's initial estimate and
+/// EWMA constant, the store-hash cadence, the staleness horizon and the
+/// raw-bucket cap.
 #[derive(Debug, Clone, Copy)]
 pub struct PeerConfig {
     /// Internal scheduling granularity, local µs.
     pub tick_us: u64,
-    /// Heartbeat period (paper: 2 s).
-    pub hb_period_us: u64,
-    /// Beats without contact before a neighbour is presumed down (3).
-    pub hb_timeout_beats: u32,
     /// Reconciliation runs every Nth heartbeat (3 ⇒ every 6 s).
     pub reconcile_every: u32,
-    /// Modelled per-hop transit added to tuple age on send.
-    pub hop_age_est_us: u64,
     /// Indexing mode.
     pub indexing: IndexingMode,
-    /// Floor for the dynamic timeout.
-    pub min_timeout_us: u64,
-    /// Initial netDist estimate.
-    pub netdist_init_us: u64,
-    /// netDist EWMA constant (paper: 0.10).
-    pub netdist_alpha: f64,
-    /// Attach a store hash to every Nth outgoing summary tuple (removal
-    /// reconciliation rides the data flow).
-    pub data_hash_every: u32,
     /// Install multicast chunk count (paper: 16).
     pub install_chunks: usize,
     /// Record ground-truth metadata for metrics.
     pub track_truth: bool,
-    /// Staleness horizon: arriving summaries whose apparent age exceeds
-    /// this are dropped (the bounded-reorder-buffer analog; prevents
-    /// multi-thousand-second offsets from poisoning state forever).
-    pub max_age_us: u64,
     /// Maximum tuples per outgoing summary frame. Tuples evicted in the
     /// same tick for the same (query, tree, next hop) coalesce into one
     /// [`MortarMsg::SummaryBatch`] up to this size; `1` reproduces the
     /// unbatched one-tuple-per-message protocol exactly.
     pub summary_batch_max: usize,
-    /// Maximum open raw-data buckets retained per query. Timestamp mode
-    /// with huge clock offsets can mint far-future buckets; anything past
-    /// this cap is garbage-collected oldest-first at window close.
-    pub bucket_gc_cap: usize,
     /// Maximum result records the root operator retains (0 = unbounded).
     /// The log is a ring with stable sequence numbers, so subscriber
     /// drain cursors survive eviction (see [`crate::rlog::ResultLog`]).
@@ -124,20 +129,11 @@ impl Default for PeerConfig {
     fn default() -> Self {
         Self {
             tick_us: 200_000,
-            hb_period_us: 2_000_000,
-            hb_timeout_beats: 3,
             reconcile_every: 3,
-            hop_age_est_us: 15_000,
             indexing: IndexingMode::Syncless,
-            min_timeout_us: 250_000,
-            netdist_init_us: 2_500_000,
-            netdist_alpha: 0.1,
-            data_hash_every: 8,
             install_chunks: 16,
             track_truth: true,
-            max_age_us: 90_000_000,
             summary_batch_max: 32,
-            bucket_gc_cap: 1024,
             result_log_cap: 65_536,
             envelope_budget: 16_384,
         }
@@ -303,16 +299,16 @@ impl QueryState {
     /// striped onto `tree`: it waits for the data this peer's
     /// descendants on that tree send up, so it comes from that tree's
     /// estimator — and a peer with no children there (a leaf on the
-    /// tree) has nothing to wait for beyond `min_timeout_us`.
-    pub(crate) fn local_timeout_us(&self, tree: usize, age_us: i64, min_timeout_us: u64) -> u64 {
+    /// tree) has nothing to wait for beyond [`MIN_TIMEOUT_US`].
+    pub(crate) fn local_timeout_us(&self, tree: usize, age_us: i64) -> u64 {
         let has_children = self
             .record
             .as_ref()
             .is_some_and(|r| r.links.get(tree).is_some_and(|l| !l.children.is_empty()));
         if has_children {
-            self.netdist[tree].timeout_us(age_us, min_timeout_us)
+            self.netdist[tree].timeout_us(age_us, MIN_TIMEOUT_US)
         } else {
-            min_timeout_us
+            MIN_TIMEOUT_US
         }
     }
 
@@ -502,12 +498,7 @@ impl MortarPeer {
     pub fn netdist_us(&self, name: &str) -> Option<u64> {
         let q = self.query_by_name(name)?;
         let sampled = q.netdist.iter().filter(|nd| nd.has_samples());
-        Some(sampled.map(NetDist::estimate_us).max().unwrap_or(self.cfg.netdist_init_us))
-    }
-
-    /// One feed's intake accounting, by query name.
-    pub fn feed_stats(&self, name: &str) -> Option<crate::feed::FeedStats> {
-        self.query_by_name(name)?.feed.as_ref().map(|f| f.stats)
+        Some(sampled.map(NetDist::estimate_us).max().unwrap_or(NETDIST_INIT_US))
     }
 
     /// Intake accounting summed across this peer's feeds, plus whether
@@ -577,7 +568,7 @@ impl MortarPeer {
 
     /// How long a neighbour may stay silent before it is presumed down.
     fn liveness_horizon_us(&self) -> i64 {
-        (self.cfg.hb_period_us * self.cfg.hb_timeout_beats as u64) as i64 + self.cfg.tick_us as i64
+        HB_PERIOD_US * HB_TIMEOUT_BEATS + self.cfg.tick_us as i64
     }
 
     /// Rebuilds the tick's liveness snapshot: one pass over `last_heard`
@@ -639,7 +630,7 @@ impl MortarPeer {
                 IndexingMode::Timestamp => close_frame,
             };
             due = due.min(close_local);
-            if q.buckets.len() > self.cfg.bucket_gc_cap {
+            if q.buckets.len() > BUCKET_GC_CAP {
                 due = i64::MIN;
             }
         }
@@ -703,7 +694,7 @@ impl MortarPeer {
                 SensorSpec::Feed(_) => {
                     q.feed.as_ref().is_some_and(|f| f.next_due_us() <= now - q.t_ref_base_us)
                 }
-                SensorSpec::Subscribe { .. } | SensorSpec::FanIn { .. } | SensorSpec::None => false,
+                SensorSpec::Subscribe { .. } | SensorSpec::None => false,
             };
             let slide = q.spec.window.slide as i64;
             let close_due = q.spec.window.kind == crate::window::WindowKind::Time
@@ -712,7 +703,7 @@ impl MortarPeer {
                 (q.ts.entries().any(|e| e.deadline_us <= now), "a TS entry"),
                 (sensor_due, "its sensor"),
                 (close_due, "a window close"),
-                (q.buckets.len() > self.cfg.bucket_gc_cap, "a bucket GC"),
+                (q.buckets.len() > BUCKET_GC_CAP, "a bucket GC"),
             ];
             if let Some((_, what)) = due.iter().find(|&&(d, _)| d) {
                 panic!("peer {} skipped query {} at local {now} with {what} due", self.id, q.name);
@@ -737,7 +728,7 @@ impl App for MortarPeer {
     type Msg = MortarMsg;
 
     fn on_start(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
-        self.next_hb_local_us = ctx.local_now_us() + self.cfg.hb_period_us as i64;
+        self.next_hb_local_us = ctx.local_now_us() + HB_PERIOD_US;
         ctx.set_timer_local_us(self.cfg.tick_us, TICK);
     }
 
@@ -828,7 +819,7 @@ impl App for MortarPeer {
         // outbox is empty between ticks.
         self.flush_envelopes(ctx);
         if local_now >= self.next_hb_local_us {
-            self.next_hb_local_us += self.cfg.hb_period_us as i64;
+            self.next_hb_local_us += HB_PERIOD_US;
             self.send_heartbeats(ctx);
         }
         ctx.set_timer_local_us(self.cfg.tick_us, TICK);
@@ -977,7 +968,7 @@ mod tests {
             op: OpKind::Max { field: 0 },
             window: WindowSpec::time_tumbling_us(5_000_000),
             filter: None,
-            sensor: SensorSpec::Subscribe { query: "count".into() },
+            sensor: SensorSpec::Subscribe { queries: vec!["count".into()] },
             post: None,
         };
         let trees = TreeSet::new(vec![Tree::from_parents(0, vec![None])]);
@@ -1174,7 +1165,7 @@ mod tests {
         let mut sim = build_sim(n);
         inject_install(&mut sim, count_spec(n), chain_trees(n));
         sim.run_for_secs(30.0);
-        let init = PeerConfig::default().netdist_init_us;
+        let init = NETDIST_INIT_US;
         let peer = sim.app(6);
         let q = peer.query_by_name("count").expect("installed");
         assert!(q.netdist[0].has_samples() && !q.netdist[1].has_samples());

@@ -22,7 +22,7 @@
 //! transport's duplication/fan-out clone of a frame is a pointer bump,
 //! never a tuple-vector copy.
 
-use super::{MortarPeer, TickScratch};
+use super::{MortarPeer, TickScratch, HOP_AGE_EST_US, MIN_TIMEOUT_US};
 use crate::metrics::ResultRecord;
 use crate::msg::{MortarMsg, SummaryFrame};
 use crate::op::OpKind;
@@ -32,6 +32,15 @@ use crate::value::{AggState, KeyedGroups};
 use mortar_net::{Ctx, NodeId, TrafficClass};
 use mortar_overlay::{Decision, HopBins, NodeBitmap, RouteState, MAX_TREES};
 use std::sync::Arc;
+
+/// Every Nth summary tuple a query sends carries the sender's store hash,
+/// so removal reconciliation rides the data flow (Section 6).
+const DATA_HASH_EVERY: u64 = 8;
+
+/// Staleness horizon, µs: an arriving summary whose apparent age exceeds
+/// this is dropped (the bounded-reorder-buffer analog; it keeps
+/// multi-thousand-second clock offsets from poisoning state forever).
+const MAX_AGE_US: i64 = 90_000_000;
 
 /// An under-construction outgoing frame for one (destination, tree).
 ///
@@ -316,11 +325,11 @@ impl MortarPeer {
             }
         };
         summary.stripe_tree = tree as u8;
-        summary.age_us += self.cfg.hop_age_est_us as i64;
+        summary.age_us += HOP_AGE_EST_US as i64;
         summary.hops = summary.hops.saturating_add(1);
         let q = self.queries.get_mut(&id).expect("query exists");
         q.tuples_out += 1;
-        let need_hash = q.tuples_out.is_multiple_of(self.cfg.data_hash_every as u64);
+        let need_hash = q.tuples_out.is_multiple_of(DATA_HASH_EVERY);
         let hash = if need_hash { Some(self.my_store_hash()) } else { None };
         frames.push(self, ctx, dest, tree as u8, summary, hash);
     }
@@ -487,14 +496,14 @@ impl MortarPeer {
         // staleness drop: with timestamps, badly offset sources inflate
         // netDist — and with it every entry's timeout — which is exactly
         // the Section 5 pathology syncless operation avoids.
-        q.netdist[t].observe(tuple.age_us.min(self.cfg.max_age_us as i64));
-        if tuple.age_us > self.cfg.max_age_us as i64 {
+        q.netdist[t].observe(tuple.age_us.min(MAX_AGE_US));
+        if tuple.age_us > MAX_AGE_US {
             // Beyond the staleness horizon: drop rather than resurrect
             // long-dead windows (bounded-buffer behaviour).
             self.stats.route_drops += 1;
             return;
         }
-        let timeout = q.netdist[t].timeout_us(tuple.age_us, self.cfg.min_timeout_us);
+        let timeout = q.netdist[t].timeout_us(tuple.age_us, MIN_TIMEOUT_US);
         q.ts.insert(&tuple, local_now, timeout);
         self.stats.ts_peak_entries = self.stats.ts_peak_entries.max(q.ts.len() as u64);
     }

@@ -85,22 +85,14 @@ pub enum SensorSpec {
     /// [`crate::peer::MortarPeer::set_replay`]) from this query's own
     /// activation, under a cursor of its own.
     Replay,
-    /// Subscribe to another query's output stream: each result the named
+    /// Subscribe to other queries' output streams: each result any named
     /// query's root operator emits on this peer is ingested as a raw tuple
     /// (scalar in field 0, participants in field 1). This is Section 2.2's
     /// composition — queries "subscribe to existing data streams to compose
-    /// complex data processing operations".
+    /// complex data processing operations". Several names fan in; every
+    /// upstream must therefore be rooted at this member, which the typed
+    /// pipeline API validates before install.
     Subscribe {
-        /// The upstream query (its root must be co-located with this
-        /// member).
-        query: String,
-    },
-    /// Subscribe to several upstream queries at once (fan-in): every
-    /// result any of the named queries' root operators emit on this peer
-    /// is ingested as a raw tuple. All upstreams must therefore be rooted
-    /// at this member — the typed pipeline API validates this before
-    /// install.
-    FanIn {
         /// The upstream queries.
         queries: Vec<String>,
     },

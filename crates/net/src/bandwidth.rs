@@ -91,18 +91,6 @@ impl BandwidthTracker {
         self.msgs[class.idx()]
     }
 
-    /// Mean link-bytes per message event for `class` — the per-envelope
-    /// accounting view: cross-query envelope coalescing raises this (the
-    /// same payload rides fewer, larger wire messages) while the total
-    /// byte cost falls with every amortized header.
-    pub fn mean_msg_bytes(&self, class: TrafficClass) -> f64 {
-        let msgs = self.msgs[class.idx()];
-        if msgs == 0 {
-            return 0.0;
-        }
-        self.bytes_total(class) as f64 / msgs as f64
-    }
-
     /// Total link-bytes recorded for `class` over the whole run.
     pub fn bytes_total(&self, class: TrafficClass) -> u64 {
         self.buckets[class.idx()].iter().sum()

@@ -31,8 +31,18 @@ fn fluent_sum_query_end_to_end() {
     let completeness = mortar.completeness(&up, 10);
     assert!(completeness > 93.0, "steady-state completeness {completeness}%");
     // The sum of "1"s from every live peer approaches n.
-    let best = mortar.results(&up).iter().filter_map(|r| r.scalar).fold(0.0f64, f64::max);
+    let results = mortar.results(&up);
+    let best = results.iter().filter_map(|r| r.scalar).fold(0.0f64, f64::max);
     assert!((best - n as f64).abs() < 1e-9, "best window sum {best}");
+    // Each participant contributes exactly one "1" per window (the slide
+    // is no shorter than the tick), so every record, not only the best,
+    // must sum to its participant count.
+    let mismatched: Vec<_> = results
+        .iter()
+        .filter(|r| r.scalar != Some(f64::from(r.participants)))
+        .map(|r| (r.tb, r.scalar, r.participants))
+        .collect();
+    assert!(mismatched.is_empty(), "(tb, value, participants) that disagree: {mismatched:?}");
 }
 
 #[test]

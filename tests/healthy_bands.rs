@@ -12,6 +12,7 @@
 //!   and the leaf floor.
 
 use mortar::prelude::*;
+use mortar::stream::peer::{HOP_AGE_EST_US, MIN_TIMEOUT_US};
 
 const HOSTS: usize = 100;
 const SLIDE_US: u64 = 25_000;
@@ -71,7 +72,7 @@ fn fault_free_steady_state_is_flat_complete_and_bounded() {
     let coverage = last.participants as f64 / (windows * HOSTS) as f64;
     assert!(coverage >= 0.995, "participants cover {:.2} % of host-windows", coverage * 100.0);
     let height = trees.trees().iter().map(|t| t.height()).max().expect("trees") as u64;
-    let per_level = max_link_us + peer.hop_age_est_us + 2 * peer.tick_us + peer.min_timeout_us;
+    let per_level = max_link_us + HOP_AGE_EST_US + 2 * peer.tick_us + MIN_TIMEOUT_US;
     let netdist = eng.sim.app(0).netdist_us("steady").expect("root installed");
     assert!(
         netdist <= height * per_level,
