@@ -77,11 +77,12 @@ impl MortarPeer {
         // function of (spec, peer id) — installs on any shard layout
         // reconstruct the identical connector state.
         let feed = match &spec.sensor {
-            crate::query::SensorSpec::Feed(fs) => Some(fs.instantiate(self.id)),
+            crate::query::SensorSpec::Feed(fs) => Some(Box::new(fs.instantiate(self.id))),
             _ => None,
         };
+        let name = self.directory.bind(id, &spec.name);
         let state = QueryState {
-            name: Arc::from(spec.name.as_str()),
+            name,
             route_template: route_template(record.as_ref()),
             spec,
             id,
@@ -91,7 +92,7 @@ impl MortarPeer {
             ts: TimeSpaceList::new(),
             netdist: [NetDist::new(NETDIST_INIT_US); MAX_TREES],
             stripe_rr: self.id as usize, // Stagger striping across peers.
-            buckets: BTreeMap::new(),
+            buckets: super::Buckets::default(),
             next_close_k: if window.kind == WindowKind::Time {
                 frame_now.div_euclid(slide)
             } else {
@@ -108,7 +109,6 @@ impl MortarPeer {
         // A refresh replaces the whole runtime state; drop the old state's
         // due-index entry before it is clobbered.
         self.unschedule(id);
-        self.directory.bind(id, &state.spec.name);
         let neighbours: Vec<NodeId> = state
             .record
             .as_ref()
@@ -121,7 +121,7 @@ impl MortarPeer {
             .unwrap_or_default();
         self.register_routes(id, state.record.as_ref());
         self.index_subscriptions(id, &state.spec.sensor);
-        self.queries.insert(id, state);
+        self.queries.insert(id, Box::new(state));
         self.reschedule(id);
         self.invalidate_store_hash();
         self.stats.installs += 1;
@@ -369,7 +369,7 @@ impl MortarPeer {
             .removed
             .iter()
             .filter(|&(id, &s)| other_removed.get(id).is_none_or(|&r| r < s))
-            .filter_map(|(&id, &s)| self.directory.name_of(id).map(|n| (Arc::from(n), id, s)))
+            .filter_map(|(&id, &s)| self.directory.shared_name(id).map(|n| (n, id, s)))
             .collect();
         let plan = MortarMsg::ReconcilePlan { push, want, want_removed, removed: tombstones };
         self.send_reconcile_msg(ctx, from, plan);
@@ -410,8 +410,7 @@ impl MortarPeer {
             .iter()
             .filter_map(|&id| {
                 let &rseq = self.removed.get(&id)?;
-                let name = self.directory.name_of(id)?;
-                Some((Arc::from(name), id, rseq))
+                Some((self.directory.shared_name(id)?, id, rseq))
             })
             .collect();
         if !entries.is_empty() || !tombstones.is_empty() {

@@ -97,10 +97,9 @@ impl MortarPeer {
                     if frame < wk_begin || frame >= (k + 1) * slide {
                         continue;
                     }
-                    let b = q.buckets.entry(k).or_default();
+                    let b = q.buckets.open_mut(k);
                     let st = b.state.get_or_insert_with(|| q.spec.op.zero(&self.registry));
                     q.spec.op.lift(&self.registry, st, member, tuple);
-                    b.count += 1;
                     if track {
                         let tw = (true_now_us as i64).div_euclid(slide);
                         TruthMeta::add_opt(&mut b.truth, tw, 1);
@@ -165,7 +164,7 @@ impl MortarPeer {
             // *per-window* maximum age sample (Section 4.3).
             q.netdist.iter_mut().for_each(NetDist::roll);
             let (tb, te) = q.spec.window.interval_of(k);
-            let bucket = q.buckets.remove(&k);
+            let bucket = q.buckets.close(k);
             // Inception is anchored at the *centre* of the identifying
             // interval: re-indexing from age then tolerates up to slide/2
             // of accumulated age error instead of flip-flopping across the
@@ -200,11 +199,9 @@ impl MortarPeer {
             self.stats.ts_peak_entries = self.stats.ts_peak_entries.max(q.ts.len() as u64);
         }
         // Garbage-collect pathological bucket growth (timestamp mode with
-        // huge offsets can mint far-future buckets). `BTreeMap::len` is
-        // O(1), so under the cap this is a single cheap comparison.
-        while q.buckets.len() > BUCKET_GC_CAP {
-            let _ = q.buckets.pop_first();
-        }
+        // huge offsets can mint far-future buckets), oldest first; under
+        // the cap this is a single cheap comparison.
+        q.buckets.truncate_oldest(BUCKET_GC_CAP);
     }
 
     /// Pumps the query's local sensor for tuples due by now. The sensor

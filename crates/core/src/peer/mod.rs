@@ -232,7 +232,53 @@ impl PeerStats {
 pub(crate) struct Bucket {
     pub(crate) state: Option<AggState>,
     pub(crate) truth: Truth,
-    pub(crate) count: u64,
+}
+
+/// A query's open raw-data windows, sorted by window index in a vector
+/// that holds only what is open: it grows by exactly the windows that
+/// open and gives its buffer back once under a quarter of it is in use.
+/// A tumbling query keeps one window open between ticks and two within
+/// one.
+#[derive(Debug, Default)]
+pub(crate) struct Buckets {
+    open: Vec<(i64, Bucket)>,
+}
+
+impl Buckets {
+    /// Number of open windows.
+    pub(crate) fn len(&self) -> usize {
+        self.open.len()
+    }
+
+    /// Window `k`'s bucket, opened empty on first touch.
+    pub(crate) fn open_mut(&mut self, k: i64) -> &mut Bucket {
+        let i = match self.open.binary_search_by_key(&k, |&(key, _)| key) {
+            Ok(i) => i,
+            Err(i) => {
+                self.open.reserve_exact(1);
+                self.open.insert(i, (k, Bucket::default()));
+                i
+            }
+        };
+        &mut self.open[i].1
+    }
+
+    /// Closes window `k`, returning its bucket if it was open.
+    pub(crate) fn close(&mut self, k: i64) -> Option<Bucket> {
+        let i = self.open.binary_search_by_key(&k, |&(key, _)| key).ok()?;
+        let (_, b) = self.open.remove(i);
+        if self.open.len() < self.open.capacity() / 4 {
+            self.open.shrink_to_fit();
+        }
+        Some(b)
+    }
+
+    /// Drops the oldest windows until at most `cap` stay open.
+    pub(crate) fn truncate_oldest(&mut self, cap: usize) {
+        if let Some(excess) = self.open.len().checked_sub(cap) {
+            self.open.drain(..excess);
+        }
+    }
 }
 
 /// Per-query runtime state at one peer.
@@ -242,9 +288,9 @@ pub(crate) struct QueryState {
     /// spec per message.
     pub(crate) spec: Arc<QuerySpec>,
     pub(crate) id: QueryId,
-    /// The query name, interned once at install so result records and
-    /// subscriber feeds share one allocation instead of re-cloning the
-    /// spec's `String` per emission.
+    /// The query name, bound once in the peer's directory at install:
+    /// the directory, result records and subscriber feeds share this one
+    /// allocation instead of re-cloning the spec's `String`.
     pub(crate) name: Arc<str>,
     pub(crate) seq: u64,
     pub(crate) record: Option<InstallRecord>,
@@ -262,15 +308,15 @@ pub(crate) struct QueryState {
     /// age that waiting itself adds, a ratchet that never settles.
     pub(crate) netdist: [NetDist; MAX_TREES],
     pub(crate) stripe_rr: usize,
-    pub(crate) buckets: BTreeMap<i64, Bucket>,
+    pub(crate) buckets: Buckets,
     pub(crate) next_close_k: i64,
     pub(crate) next_emit_local_us: i64,
     /// Live ingestion feed (present iff the sensor is
     /// [`SensorSpec::Feed`](crate::query::SensorSpec::Feed)):
     /// source connector, bounded intake queue, and exact accounting.
     /// Instantiated from the spec at install, so it is identical across
-    /// shard layouts.
-    pub(crate) feed: Option<crate::feed::FeedState>,
+    /// shard layouts. Boxed: only feed-driven queries pay its size.
+    pub(crate) feed: Option<Box<crate::feed::FeedState>>,
     /// Tuple-window buffer: (frame arrival time, tuple).
     pub(crate) tuple_buf: Vec<(i64, RawTuple)>,
     /// Index of the next peer replay-trace tuple this query ingests
@@ -332,9 +378,11 @@ impl QueryState {
 ///   in one pass over `last_heard` (replaces the per-query `Vec<bool>`
 ///   parent snapshot and `Vec<Vec<bool>>` child vectors, and collapses
 ///   repeated heartbeat-map probes into single bit tests);
-/// * `frame_bins` — the eviction pass's frame builder bins, emptied in
-///   place at emit like the outbox's long-lived envelope bins (replaces
-///   the per-query-per-pass `HopBins` allocation);
+/// * `frame_bins` — the eviction pass's frame builder bins: a bin opens
+///   at its (next hop, tree) pair's first tuple and closes when its frame
+///   is emitted, so between passes none is open and only the buffer they
+///   live in is kept (no per-pass allocation, no bin for every pair ever
+///   used);
 /// * `raw` — the one raw tuple every sensor emission (periodic value,
 ///   replay-trace tuple, subscription feed) is written into before it is
 ///   lifted, replacing a fresh `RawTuple` (and its field vector) per
@@ -360,8 +408,10 @@ pub struct MortarPeer {
     pub(crate) registry: OpRegistry,
     /// Installed queries, keyed by interned id. A `BTreeMap` keeps every
     /// per-tick iteration deterministic (u32 ordering is free, unlike the
-    /// string keys this runtime used to sort on).
-    pub(crate) queries: BTreeMap<QueryId, QueryState>,
+    /// string keys this runtime used to sort on). Each state is boxed, so
+    /// a map node's eleven slots cost pointers, not eleven inline states,
+    /// whatever number of them is installed.
+    pub(crate) queries: BTreeMap<QueryId, Box<QueryState>>,
     /// Name↔id bindings, including retired ones for removed queries.
     pub(crate) directory: QueryDirectory,
     /// Per-query routing cache (levels / child lists per tree).
@@ -386,10 +436,12 @@ pub struct MortarPeer {
     /// data frames); recomputed only when the installed/removed sets
     /// change instead of on every hash-carrying tuple.
     pub(crate) store_hash_cache: Cell<Option<u64>>,
-    /// Pending per-next-hop envelopes (cross-query frame coalescing);
-    /// flushed at the end of each tick or on budget overflow, so every
-    /// bin is empty between ticks. Empty whenever `envelope_budget = 0`.
-    pub(crate) outbox: mortar_overlay::HopBins<NodeId, route::PendingEnvelope>,
+    /// Pending per-next-hop envelopes (cross-query frame coalescing):
+    /// finished frames sorted by destination, then arrival, so each
+    /// destination's run is its envelope and exists only while it holds
+    /// a frame. Flushed at the end of each tick or on budget overflow, so
+    /// it is empty between ticks (and always at `envelope_budget = 0`).
+    pub(crate) outbox: Vec<route::ParkedFrame>,
     /// Total payload bytes currently pending across the outbox —
     /// maintained at enqueue/flush so the high-water mark
     /// (`stats.outbox_peak_bytes`) costs no per-tick scan.
@@ -402,9 +454,9 @@ pub struct MortarPeer {
     /// query's due instant earlier. Debug builds check it every tick
     /// against each skipped query's raw state.
     pub(crate) due: BTreeSet<(i64, QueryId)>,
-    /// Long-lived per-tick scratch (id buffer, liveness bitmap, frame
-    /// bins): the steady-state tick reuses these buffers instead of
-    /// allocating per query or per pass.
+    /// Per-tick scratch (id buffer, liveness bitmap, frame bins): the
+    /// steady-state tick reuses these buffers instead of allocating per
+    /// query or per pass.
     pub(crate) scratch: TickScratch,
     /// Results recorded by the root operator: a bounded ring with stable
     /// sequence numbers (see [`ResultLog`]).
@@ -437,7 +489,7 @@ impl MortarPeer {
             next_hb_local_us: i64::MIN,
             topo: HashMap::new(),
             subscribers: BTreeMap::new(),
-            outbox: mortar_overlay::HopBins::new(),
+            outbox: Vec::new(),
             outbox_bytes: 0,
             due: BTreeSet::new(),
             scratch: TickScratch::default(),
@@ -469,7 +521,7 @@ impl MortarPeer {
 
     /// Resolves a query name to its state.
     pub(crate) fn query_by_name(&self, name: &str) -> Option<&QueryState> {
-        self.queries.get(&self.directory.id_of(name)?)
+        self.queries.get(&self.directory.id_of(name)?).map(|q| &**q)
     }
 
     /// The interned id a query name resolved to at this peer, if any.
@@ -887,6 +939,19 @@ mod tests {
     }
 
     #[test]
+    fn bucket_gc_keeps_the_newest_windows_in_order() {
+        let mut b = Buckets::default();
+        for k in [7, 3, 5, 1, 9] {
+            b.open_mut(k);
+        }
+        b.truncate_oldest(3);
+        assert_eq!(b.open.iter().map(|&(k, _)| k).collect::<Vec<_>>(), [5, 7, 9]);
+        assert!(b.close(3).is_none(), "window 3 was collected");
+        assert!(b.close(7).is_some());
+        assert_eq!(b.len(), 2);
+    }
+
+    #[test]
     fn install_reaches_all_members() {
         let n = 8;
         let mut sim = build_sim(n);
@@ -1232,10 +1297,7 @@ mod tests {
             for id in 0..n as NodeId {
                 let peer = sim.app(id);
                 assert_eq!(peer.outbox_bytes, 0, "peer {id} kept outbox bytes past a tick");
-                assert!(
-                    peer.outbox.iter().all(|(_, env)| env.frames.is_empty()),
-                    "peer {id} kept frames in its outbox past a tick"
-                );
+                assert!(peer.outbox.is_empty(), "peer {id} kept frames in its outbox past a tick");
             }
         }
         let envelopes: u64 = (0..n as NodeId).map(|i| sim.app(i).stats.envelopes_out).sum();

@@ -44,9 +44,8 @@ const MAX_AGE_US: i64 = 90_000_000;
 
 /// An under-construction outgoing frame for one (destination, tree).
 ///
-/// Lives in the tick scratch's long-lived bins: emitting a frame empties
-/// the bin in place (tuple vector moved out, byte count and hash reset),
-/// so the bin map itself never churns nodes across passes.
+/// Lives in the tick scratch's frame bins only while it holds tuples:
+/// emitting the frame closes its bin.
 #[derive(Default)]
 pub(crate) struct PendingFrame {
     tuples: Vec<SummaryTuple>,
@@ -54,50 +53,45 @@ pub(crate) struct PendingFrame {
     payload_bytes: u32,
 }
 
-/// A pending envelope for one next hop: every frame the peer owes that
-/// destination within the tick, across queries and trees.
-///
-/// Frames are stored in their wire form (payloads already frozen into
-/// shared `Arc` slices), so a flush is a pure move, never a payload walk.
-/// Bins are long-lived: a flush empties the frame list in place
-/// (single-frame flushes even keep its allocation), so the steady-state
-/// outbox never churns the heap.
-#[derive(Default)]
-pub(crate) struct PendingEnvelope {
-    pub(super) frames: Vec<SummaryFrame>,
+/// A finished wire frame waiting in the outbox for its next hop.
+pub(crate) struct ParkedFrame {
+    dest: NodeId,
     payload_bytes: u32,
+    frame: SummaryFrame,
 }
 
-impl PendingEnvelope {
-    /// Sends every parked frame to `dest` as one wire message and returns
-    /// the payload bytes that left. A lone frame skips the envelope
-    /// wrapper entirely: it ships as a plain `SummaryBatch`, so
-    /// single-stream peers (and every frame at `envelope_budget = 0`)
-    /// never pay the envelope header, and the bin keeps its buffer.
-    // lint:hot-path
-    fn flush(
-        &mut self,
-        stats: &mut super::PeerStats,
-        ctx: &mut Ctx<'_, MortarMsg>,
-        dest: NodeId,
-    ) -> u64 {
-        let msg = if self.frames.len() == 1 {
-            MortarMsg::SummaryBatch(self.frames.pop().expect("length checked"))
-        } else {
-            stats.envelopes_out += 1;
-            MortarMsg::Envelope { frames: std::mem::take(&mut self.frames) }
-        };
-        let bytes = msg.wire_bytes();
-        ctx.send_classified(dest, msg, bytes, TrafficClass::Data);
-        u64::from(std::mem::take(&mut self.payload_bytes))
-    }
+/// Sends the run of parked frames `outbox[at..at + n]`, all owed to
+/// `dest`, as one wire message, and returns the payload bytes that left.
+/// A lone frame skips the envelope wrapper entirely: it ships as a plain
+/// `SummaryBatch`, so single-stream peers (and every frame at
+/// `envelope_budget = 0`) never pay the envelope header and allocate
+/// nothing here; a run of several allocates exactly its frame list.
+// lint:hot-path
+fn flush_run(
+    outbox: &mut Vec<ParkedFrame>,
+    at: usize,
+    n: usize,
+    stats: &mut super::PeerStats,
+    ctx: &mut Ctx<'_, MortarMsg>,
+    dest: NodeId,
+) -> u64 {
+    let payload: u64 = outbox[at..at + n].iter().map(|p| u64::from(p.payload_bytes)).sum();
+    let msg = if n == 1 {
+        MortarMsg::SummaryBatch(outbox.remove(at).frame)
+    } else {
+        stats.envelopes_out += 1;
+        // lint:allow(H1, an envelope owns its frame list: one exactly sized allocation per multi-frame envelope, the wire message itself)
+        MortarMsg::Envelope { frames: outbox.drain(at..at + n).map(|p| p.frame).collect() }
+    };
+    let bytes = msg.wire_bytes();
+    ctx.send_classified(dest, msg, bytes, TrafficClass::Data);
+    payload
 }
 
 /// Outgoing frames for one query's eviction pass, keyed (deterministically)
-/// by destination then tree. Borrows the tick scratch's long-lived bins:
-/// a pass leaves every bin empty but open, so the next pass (same tick or
-/// a later one) reuses the map nodes and tuple buffers instead of
-/// rebuilding a `HopBins` per query per pass.
+/// by destination then tree. Borrows the tick scratch's frame bins: a bin
+/// opens at its first tuple and closes when its frame is emitted, so a
+/// pass walks only the bins it opened and leaves none behind.
 struct FrameBuilder<'a> {
     id: QueryId,
     frames: &'a mut HopBins<(NodeId, u8), PendingFrame>,
@@ -110,10 +104,7 @@ impl<'a> FrameBuilder<'a> {
         frames: &'a mut HopBins<(NodeId, u8), PendingFrame>,
         batch_max: usize,
     ) -> Self {
-        debug_assert!(
-            frames.iter_mut().all(|(_, f)| f.tuples.is_empty()),
-            "a prior pass left frames in the scratch bins"
-        );
+        debug_assert!(frames.is_empty(), "a prior pass left frames in the scratch bins");
         Self { id, frames, batch_max }
     }
 
@@ -133,26 +124,24 @@ impl<'a> FrameBuilder<'a> {
         entry.tuples.push(tuple);
         entry.store_hash = entry.store_hash.or(store_hash);
         if entry.tuples.len() >= self.batch_max {
-            Self::emit(peer, ctx, self.id, dest, tree, entry);
+            let frame = self.frames.take((dest, tree)).expect("bin opened above");
+            Self::emit(peer, ctx, self.id, dest, tree, frame);
         }
     }
 
-    /// Emits all remaining frames in deterministic key order, leaving
-    /// every bin empty and open for the next pass.
+    /// Emits all remaining frames in deterministic key order, closing
+    /// every bin.
     // lint:hot-path
     fn finish(self, peer: &mut MortarPeer, ctx: &mut Ctx<'_, MortarMsg>) {
-        for (&(dest, tree), frame) in self.frames.iter_mut() {
-            if !frame.tuples.is_empty() {
-                Self::emit(peer, ctx, self.id, dest, tree, frame);
-            }
+        for ((dest, tree), frame) in self.frames.drain() {
+            Self::emit(peer, ctx, self.id, dest, tree, frame);
         }
     }
 
-    /// Hands one finished logical frame to the per-destination outbox (at
+    /// Hands one finished logical frame to the outbox (at
     /// `envelope_budget = 0` every frame overflows the budget and leaves
-    /// at once as a plain `SummaryBatch`). The bin is drained in place:
-    /// its tuple vector moves into the wire frame's shared payload and its
-    /// byte count and hash reset for reuse.
+    /// at once as a plain `SummaryBatch`). The tuple vector moves into the
+    /// wire frame's shared payload.
     // lint:hot-path
     fn emit(
         peer: &mut MortarPeer,
@@ -160,11 +149,9 @@ impl<'a> FrameBuilder<'a> {
         id: QueryId,
         dest: NodeId,
         tree: u8,
-        frame: &mut PendingFrame,
+        frame: PendingFrame,
     ) {
-        let tuples = std::mem::take(&mut frame.tuples);
-        let store_hash = frame.store_hash.take();
-        let payload_bytes = std::mem::take(&mut frame.payload_bytes);
+        let PendingFrame { tuples, store_hash, payload_bytes } = frame;
         peer.stats.frames_out += 1;
         peer.stats.summaries_out += tuples.len() as u64;
         peer.stats.summary_payload_bytes_out += payload_bytes as u64;
@@ -175,8 +162,9 @@ impl<'a> FrameBuilder<'a> {
 }
 
 impl MortarPeer {
-    /// Parks a finished wire frame in the destination's pending envelope,
-    /// flushing the envelope early once its payload reaches the budget.
+    /// Parks a finished wire frame behind every frame already owed to
+    /// `dest`, flushing that destination's run early once its payload
+    /// reaches the budget.
     // lint:hot-path
     fn enqueue_frame(
         &mut self,
@@ -185,37 +173,37 @@ impl MortarPeer {
         frame: SummaryFrame,
         payload_bytes: u32,
     ) {
-        let env = self.outbox.bin_mut(dest);
-        env.payload_bytes += payload_bytes;
+        let end = self.outbox.partition_point(|p| p.dest <= dest);
+        self.outbox.insert(end, ParkedFrame { dest, payload_bytes, frame });
         self.outbox_bytes += u64::from(payload_bytes);
         self.stats.outbox_peak_bytes = self.stats.outbox_peak_bytes.max(self.outbox_bytes);
-        env.frames.push(frame);
-        if env.payload_bytes >= self.cfg.envelope_budget {
-            self.outbox_bytes -= env.flush(&mut self.stats, ctx, dest);
+        let start = self.outbox[..end].partition_point(|p| p.dest < dest);
+        let run = &self.outbox[start..=end];
+        let run_bytes: u32 = run.iter().map(|p| p.payload_bytes).sum();
+        if run_bytes >= self.cfg.envelope_budget {
+            let n = run.len();
+            self.outbox_bytes -= flush_run(&mut self.outbox, start, n, &mut self.stats, ctx, dest);
         }
     }
 
-    /// Flushes every pending envelope — the end-of-tick half of
-    /// coalescing, which leaves the outbox empty. Bins persist across
-    /// flushes so the steady-state tick reuses their buffers instead of
-    /// re-allocating.
+    /// Flushes every pending envelope, one per destination in ascending
+    /// order — the end-of-tick half of coalescing, which leaves the outbox
+    /// empty. The outbox keeps its buffer, so the steady-state tick parks
+    /// frames without re-allocating it.
     // lint:hot-path
     pub(crate) fn flush_envelopes(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
-        if self.outbox.is_empty() {
-            return;
-        }
-        for (&dest, env) in self.outbox.iter_mut() {
-            if !env.frames.is_empty() {
-                self.outbox_bytes -= env.flush(&mut self.stats, ctx, dest);
-            }
+        while let Some(first) = self.outbox.first() {
+            let dest = first.dest;
+            let n = self.outbox.partition_point(|p| p.dest <= dest);
+            self.outbox_bytes -= flush_run(&mut self.outbox, 0, n, &mut self.stats, ctx, dest);
         }
     }
 
     /// Pops every TS-list entry due this tick and routes it: root entries
     /// finalize into results, others continue up the tree set. The tick
-    /// scratch supplies the per-tick liveness bitmap and the long-lived
-    /// frame bins; the pass allocates nothing per query beyond the due
-    /// vector and the wire frames themselves.
+    /// scratch supplies the per-tick liveness bitmap and the frame bins;
+    /// the pass allocates nothing per query beyond the due vector and the
+    /// wire frames themselves.
     // lint:hot-path
     pub(crate) fn evict_and_route(
         &mut self,

@@ -12,6 +12,7 @@ use crate::window::WindowSpec;
 use mortar_net::NodeId;
 use mortar_overlay::TreeSet;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 pub use mortar_overlay::QueryId;
 
@@ -23,10 +24,13 @@ pub use mortar_overlay::QueryId;
 /// frames then carry only the 4-byte handle. Bindings for removed queries
 /// are retained so stale data frames can still be attributed to a name (and
 /// answered with a removal reconciliation, Section 6.1).
+///
+/// Each name is allocated once per peer: both directions of the table and
+/// the installed query's state share one `Arc<str>`.
 #[derive(Debug, Default)]
 pub struct QueryDirectory {
-    by_name: HashMap<String, QueryId>,
-    by_id: HashMap<QueryId, String>,
+    by_name: HashMap<Arc<str>, QueryId>,
+    by_id: HashMap<QueryId, Arc<str>>,
 }
 
 impl QueryDirectory {
@@ -36,18 +40,22 @@ impl QueryDirectory {
     }
 
     /// Records the binding `id ↔ name`, replacing earlier bindings of
-    /// *either* key (latest install wins) so the table stays a bijection.
-    pub fn bind(&mut self, id: QueryId, name: &str) {
-        if let Some(old_id) = self.by_name.insert(name.to_string(), id) {
-            if old_id != id {
-                self.by_id.remove(&old_id);
-            }
+    /// *either* key (latest install wins) so the table stays a bijection,
+    /// and returns the bound name. Re-binding a current pair allocates
+    /// nothing and hands back the name already held.
+    pub fn bind(&mut self, id: QueryId, name: &str) -> Arc<str> {
+        if let Some(bound) = self.by_id.get(&id).filter(|n| ***n == *name) {
+            return bound.clone();
         }
-        if let Some(old_name) = self.by_id.insert(id, name.to_string()) {
-            if old_name != name {
-                self.by_name.remove(&old_name);
-            }
+        let shared: Arc<str> = Arc::from(name);
+        if let Some(old_id) = self.by_name.remove(name) {
+            self.by_id.remove(&old_id);
         }
+        if let Some(old_name) = self.by_id.insert(id, shared.clone()) {
+            self.by_name.remove(&*old_name);
+        }
+        self.by_name.insert(shared.clone(), id);
+        shared
     }
 
     /// Resolves a name to its interned id.
@@ -57,7 +65,12 @@ impl QueryDirectory {
 
     /// Resolves an id back to the query name.
     pub fn name_of(&self, id: QueryId) -> Option<&str> {
-        self.by_id.get(&id).map(String::as_str)
+        self.by_id.get(&id).map(|n| &**n)
+    }
+
+    /// The bound name itself, for callers that keep or ship it.
+    pub fn shared_name(&self, id: QueryId) -> Option<Arc<str>> {
+        self.by_id.get(&id).cloned()
     }
 
     /// Number of known bindings.

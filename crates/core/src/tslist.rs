@@ -330,20 +330,34 @@ impl TimeSpaceList {
 
     /// Makes room for `additional` more entries. A ring, unlike a vector,
     /// sooner or later writes to every slot of its capacity and so makes
-    /// all of it resident; the ring therefore grows by an eighth of its
-    /// length, not by doubling, which bounds the resident slack at 12.5 %
-    /// for ~9 entry moves of total regrowth cost per entry of peak length.
+    /// all of it resident; the ring therefore grows by exactly what is
+    /// needed while it is small and by an eighth of its length above that,
+    /// not by doubling, which bounds the resident slack at 12.5 % for ~9
+    /// entry moves of total regrowth cost per entry of peak length. Most
+    /// rings hold one or two entries, and they keep room for no more.
     fn reserve(&mut self, additional: usize) {
         if self.entries.len() + additional > self.entries.capacity() {
-            self.entries.reserve_exact(additional.max(self.entries.len() / 8).max(4));
+            self.entries.reserve_exact(additional.max(self.entries.len() / 8));
+        }
+    }
+
+    /// Gives capacity back once under a quarter of it is in use, keeping
+    /// room for twice what is left: a warm-up peak does not stay resident,
+    /// and a ring has to double before it grows again, so the cost stays
+    /// amortized O(1) per entry.
+    fn release_slack(&mut self) {
+        let len = self.entries.len();
+        if len < self.entries.capacity() / 4 {
+            self.entries.shrink_to(2 * len);
         }
     }
 
     /// Removes and returns all entries due at `now_us`, earliest first.
     /// Due entries are moved out, never cloned; the common no-eviction
     /// tick is one comparison and allocates nothing, and an evicting tick
-    /// allocates exactly the returned vector. Only the front of the list
-    /// is read: up to the first lead that is not yet due.
+    /// allocates the returned vector, plus a smaller ring on the rare
+    /// eviction that leaves it under a quarter full. Only the front of
+    /// the list is read: up to the first lead that is not yet due.
     // lint:hot-path
     pub fn pop_due(&mut self, now_us: i64) -> Vec<TsEntry> {
         if self.min_deadline > now_us {
@@ -382,6 +396,7 @@ impl TimeSpaceList {
             due.sort_unstable_by_key(|e| e.tb);
         }
         self.min_deadline = rest_min;
+        self.release_slack();
         due
     }
 

@@ -4,8 +4,11 @@
 //! payload (interval, age, scalar state, inline route state, flags) is a
 //! flat value.
 //!
+//! The same allocator also keeps a live-byte count, which gates what a
+//! warm fleet holds per (peer, query): the footprint tests below.
+//!
 //! This lives in its own integration-test binary because it installs a
-//! global allocator. The counter is thread-local, so the measurement is
+//! global allocator. The counters are thread-local, so the measurement is
 //! immune to any allocation the test harness makes on other threads.
 
 // One of the two sanctioned `unsafe` sites in the workspace (see
@@ -20,23 +23,34 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator, with a thread-local allocation counter.
+/// The system allocator, with thread-local allocation and live-byte
+/// counters. A block freed on another thread than the one that allocated
+/// it moves bytes between the two counts; the footprint tests run the
+/// whole fleet on the test thread, so theirs is exact.
 struct CountingAlloc;
 
-// SAFETY: delegates directly to `System`; the counter bump performs no
-// allocation itself.
+fn add_live(bytes: i64) {
+    LIVE_BYTES.with(|c| c.set(c.get() + bytes));
+}
+
+// SAFETY: delegates directly to `System`; the counter bumps perform no
+// allocation themselves.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        add_live(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_live(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        add_live(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -355,4 +369,112 @@ fn merging_keyed_states_allocates_only_for_new_keys() {
     let (allocs, _) = count_allocs(|| a.merge(&fresh));
     assert!(allocs <= 1, "admitting 32 new keys allocated {allocs} times");
     assert_eq!(a.groups().unwrap().len(), 96);
+}
+
+/// Heap bytes currently live on this thread (allocated and not freed).
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
+
+/// fleet1000's query mix over `hosts` peers: 13 sums of 1.0 per host,
+/// tumbling at 25 ms (×1), 1 s (×4) and 10 s (×8), all rooted at peer 0.
+fn fleet_mix(hosts: usize) -> Vec<mortar_core::query::QuerySpec> {
+    use mortar_core::op::OpKind;
+    use mortar_core::query::{QuerySpec, SensorSpec};
+    use mortar_core::window::WindowSpec;
+    let members: Vec<mortar_net::NodeId> = (0..hosts as mortar_net::NodeId).collect();
+    [(25_000u64, 1usize), (1_000_000, 4), (10_000_000, 8)]
+        .into_iter()
+        .flat_map(|(slide_us, count)| std::iter::repeat_n(slide_us, count))
+        .enumerate()
+        .map(|(i, slide_us)| QuerySpec {
+            name: format!("fleet{i}"),
+            root: 0,
+            members: members.clone(),
+            op: OpKind::Sum { field: 0 },
+            window: WindowSpec::time_tumbling_us(slide_us),
+            filter: None,
+            sensor: SensorSpec::Periodic { period_us: slide_us, value: 1.0 },
+            post: None,
+        })
+        .collect()
+}
+
+/// Live bytes a warm fleet holds per (peer, query) — what the fleet holds
+/// beyond what `Engine::new` does, over hosts × queries — at each of
+/// `marks_s` (cumulative sim-seconds), with the live MiB after
+/// `Engine::new`, after the installs and at every mark printed.
+fn fleet_footprint(mut cfg: mortar_core::engine::EngineConfig, marks_s: &[f64]) -> Vec<f64> {
+    use mortar_core::engine::Engine;
+    cfg.peer.track_truth = false;
+    let hosts = cfg.topology.hosts();
+    let before = live_bytes();
+    let mut eng = Engine::new(cfg).expect("valid config");
+    let engine_new = live_bytes();
+    let specs = fleet_mix(hosts);
+    let queries = specs.len();
+    for spec in specs {
+        eng.install(spec).expect("valid spec");
+    }
+    let mb = |b: i64| (b - before) as f64 / (1 << 20) as f64;
+    println!("{hosts} hosts: live {:.1} MiB after Engine::new", mb(engine_new));
+    println!("{hosts} hosts: live {:.1} MiB after install", mb(live_bytes()));
+    let mut ran = 0.0;
+    let mut per = Vec::new();
+    for &mark in marks_s {
+        eng.run_secs(mark - ran);
+        ran = mark;
+        let live = live_bytes();
+        let b = (live - engine_new) as f64 / (hosts * queries) as f64;
+        println!(
+            "{hosts} hosts: live {:.1} MiB at {mark} sim-s, {b:.0} B per (peer, query)",
+            mb(live)
+        );
+        per.push(b);
+    }
+    per
+}
+
+/// Live bytes per (peer, query) a warm fleet may hold. Measured in a
+/// debug build (`EngineConfig::paper(100, 13)`, Vivaldi-planned, truth
+/// tracking off, fleet1000's 13-query mix, 20 sim-s of warm-up): 2,967 B,
+/// against 5,705 B when every per-peer container kept its reserved slack
+/// (query states inline in map nodes, TS rings grown by at least four
+/// entries, emptied bucket maps, a bin for every next hop ever used). The
+/// budget is the measurement plus 2 %; the 1000-host census deployment
+/// reads 2,959 B at 90 sim-s in release.
+const FOOTPRINT_BUDGET_B: f64 = 3_026.0;
+
+#[test]
+fn warm_fleet_footprint_per_peer_query_stays_in_budget() {
+    // The count is exact and repeatable: the fleet runs on this thread
+    // and every container's growth is a function of the (seeded) run.
+    let cfg = mortar_core::engine::EngineConfig::paper(100, 13);
+    let per = fleet_footprint(cfg, &[20.0])[0];
+    assert!(
+        per <= FOOTPRINT_BUDGET_B,
+        "a warm 100-host fleet holds {per:.0} B per (peer, query), over the \
+         {FOOTPRINT_BUDGET_B} B budget"
+    );
+}
+
+#[test]
+#[ignore = "1000 hosts for 90 sim-s: run in release, with the plan pin"]
+fn fleet1000_footprint_report() {
+    // The census deployment: fleet1000's hosts and mix, planned on true
+    // latency rows (whose n² matrix `Engine::new` holds, so it is not
+    // charged to any (peer, query)).
+    let mut cfg = mortar_core::engine::EngineConfig::paper(1000, 13);
+    cfg.plan_on_true_latency = true;
+    let per = fleet_footprint(cfg, &[30.0, 90.0]);
+    let (at30, at90) = (per[0], per[1]);
+    assert!(
+        at90 <= FOOTPRINT_BUDGET_B,
+        "fleet1000 holds {at90:.0} B per (peer, query) at 90 sim-s, over the \
+         {FOOTPRINT_BUDGET_B} B budget"
+    );
+    assert!(
+        at90 <= at30 * 1.05,
+        "fleet1000's footprint grew {at30:.0} → {at90:.0} B per (peer, query) from 30 to 90 sim-s"
+    );
 }

@@ -1,28 +1,29 @@
 //! Deterministic per-next-hop aggregation of route outputs.
 //!
 //! The routing policy decides tuple by tuple, but the transport wants to
-//! speak per *next hop*: every tuple (and, one level up, every per-query
-//! frame) a peer owes the same neighbour within a tick should share one
-//! wire unit. [`HopBins`] is the little structure both layers use: a keyed
-//! accumulator whose iteration order is the key order — never insertion or
-//! hash order — so a simulated fleet drains its outboxes deterministically
-//! across runs and seeds.
-
-use std::collections::BTreeMap;
+//! speak per *next hop*: every tuple a peer owes the same neighbour (and
+//! tree) within a pass should share one wire unit. [`HopBins`] is that
+//! keyed accumulator: its iteration order is the key order — never
+//! insertion or hash order — so a simulated fleet drains its bins
+//! deterministically across runs and seeds.
 
 /// A deterministic keyed accumulator for route outputs.
 ///
 /// `K` identifies the stream (a next hop, or a (next hop, tree) pair) and
 /// `B` is whatever accumulates per stream — a tuple vector, a pending
-/// frame, a pending envelope. Draining yields bins in ascending key order.
+/// frame. Bins live in one key-sorted vector and exist only while they are
+/// open: [`HopBins::take`] and [`HopBins::drain`] close them, so what a
+/// set of bins holds is what is open now. The vector keeps its buffer
+/// across closes, so a pass that opens and drains bins allocates nothing
+/// for the bins themselves once the buffer has grown to the widest pass.
 #[derive(Debug)]
 pub struct HopBins<K: Ord + Copy, B> {
-    bins: BTreeMap<K, B>,
+    bins: Vec<(K, B)>,
 }
 
 impl<K: Ord + Copy, B> Default for HopBins<K, B> {
     fn default() -> Self {
-        Self { bins: BTreeMap::new() }
+        Self { bins: Vec::new() }
     }
 }
 
@@ -42,35 +43,46 @@ impl<K: Ord + Copy, B> HopBins<K, B> {
         self.bins.is_empty()
     }
 
-    /// The bin for `key`, created via `Default` on first touch.
+    fn find(&self, key: K) -> Result<usize, usize> {
+        self.bins.binary_search_by(|(k, _)| k.cmp(&key))
+    }
+
+    /// The bin for `key`, opened via `Default` on first touch.
     pub fn bin_mut(&mut self, key: K) -> &mut B
     where
         B: Default,
     {
-        self.bins.entry(key).or_default()
+        let i = match self.find(key) {
+            Ok(i) => i,
+            Err(i) => {
+                self.bins.insert(i, (key, B::default()));
+                i
+            }
+        };
+        &mut self.bins[i].1
     }
 
     /// Closes and returns the bin for `key`, if open.
     pub fn take(&mut self, key: K) -> Option<B> {
-        self.bins.remove(&key)
+        let i = self.find(key).ok()?;
+        Some(self.bins.remove(i).1)
     }
 
-    /// Visits every open bin, in ascending key order — read-only scans
-    /// such as "earliest deadline across all pending envelopes".
+    /// Visits every open bin, in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &B)> {
-        self.bins.iter()
+        self.bins.iter().map(|(k, b)| (k, b))
     }
 
-    /// Visits every open bin mutably, in ascending key order. Bins stay
-    /// open — the long-lived-outbox pattern, where a bin's buffers are
-    /// emptied in place and their allocations reused next tick.
+    /// Visits every open bin mutably, in ascending key order; the bins
+    /// stay open.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut B)> {
-        self.bins.iter_mut()
+        self.bins.iter_mut().map(|(k, b)| (&*k, b))
     }
 
-    /// Closes every bin, returning them in ascending key order.
-    pub fn drain(&mut self) -> Vec<(K, B)> {
-        std::mem::take(&mut self.bins).into_iter().collect()
+    /// Closes every bin, yielding them in ascending key order. Allocates
+    /// nothing: the bins move out of the kept buffer.
+    pub fn drain(&mut self) -> impl Iterator<Item = (K, B)> + '_ {
+        self.bins.drain(..)
     }
 }
 
@@ -85,7 +97,7 @@ mod tests {
         bins.bin_mut(2).push(2);
         bins.bin_mut(9).push(3);
         assert_eq!(bins.len(), 2);
-        let drained = bins.drain();
+        let drained: Vec<_> = bins.drain().collect();
         assert_eq!(drained, vec![(2, vec![2]), (9, vec![1, 3])]);
         assert!(bins.is_empty());
     }
@@ -102,8 +114,6 @@ mod tests {
 
     #[test]
     fn iter_mut_visits_in_key_order_and_keeps_bins_open() {
-        // The long-lived-outbox pattern: bins are emptied in place so
-        // their allocations survive for the next tick.
         let mut bins: HopBins<u32, Vec<u8>> = HopBins::new();
         bins.bin_mut(9).push(1);
         bins.bin_mut(2).push(2);
@@ -117,5 +127,22 @@ mod tests {
         assert_eq!(visited, vec![2, 9]);
         assert_eq!(bins.len(), 2, "bins stay open");
         assert_eq!(bins.take(9), Some(vec![]));
+    }
+
+    #[test]
+    fn draining_keeps_the_buffer_and_reopens_in_key_order() {
+        // Bins hold only what is open, but the buffer they live in
+        // survives a drain, so reopening as many bins reallocates nothing.
+        let mut bins: HopBins<u32, u8> = HopBins::new();
+        for k in [5, 1, 3] {
+            *bins.bin_mut(k) += 1;
+        }
+        assert_eq!(bins.drain().map(|(k, _)| k).collect::<Vec<_>>(), vec![1, 3, 5]);
+        let cap = bins.bins.capacity();
+        for k in [4, 2, 6] {
+            *bins.bin_mut(k) += 1;
+        }
+        assert_eq!(bins.bins.capacity(), cap);
+        assert_eq!(bins.iter().map(|(&k, _)| k).collect::<Vec<_>>(), vec![2, 4, 6]);
     }
 }
