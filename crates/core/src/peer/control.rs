@@ -23,8 +23,39 @@ use crate::tslist::TimeSpaceList;
 use crate::window::WindowKind;
 use mortar_net::{Ctx, NodeId, TrafficClass};
 use mortar_overlay::{RouteState, MAX_TREES};
-use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Puts a digest list — peer input — in the id order `trigger_reconcile`
+/// sends it in, one entry per id (the newest): checked in one pass, sorted
+/// only when it arrives out of order.
+fn sort_digest(list: &mut Vec<(QueryId, u64)>) {
+    if list.windows(2).all(|w| w[0].0 < w[1].0) {
+        return;
+    }
+    list.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+    list.dedup_by_key(|e| e.0);
+}
+
+/// Walks two id-sorted sequences as one, handing `f` each id with its
+/// entry on either side.
+fn join_by_id<A, B>(
+    a: impl Iterator<Item = (QueryId, A)>,
+    b: impl Iterator<Item = (QueryId, B)>,
+    mut f: impl FnMut(QueryId, Option<A>, Option<B>),
+) {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    loop {
+        let id = match (a.peek(), b.peek()) {
+            (Some(&(x, _)), Some(&(y, _))) => x.min(y),
+            (Some(&(x, _)), None) => x,
+            (None, Some(&(y, _))) => y,
+            (None, None) => return,
+        };
+        let l = a.next_if(|e| e.0 == id).map(|e| e.1);
+        let r = b.next_if(|e| e.0 == id).map(|e| e.1);
+        f(id, l, r);
+    }
+}
 
 /// The origin route state implied by an install record: the member's own
 /// level on every tree, zero TTL-down.
@@ -61,9 +92,35 @@ impl MortarPeer {
                 return; // Already current.
             }
         }
-        // Only now — past every refusal path — may the removal tombstone
-        // be cleared: mutating it on a refused install would desynchronize
-        // the (memoized) store hash from the advertised state.
+        // Only now — past every refusal path — may the store change. Binding
+        // the name to `id` hides the tombstone of any other id it named.
+        let displaced = self.directory.id_of(&spec.name);
+        let neighbours = self.edit_store(id, displaced, |p| {
+            p.put_query(spec, id, seq, record, issue_age_us, local_now)
+        });
+        self.reschedule(id);
+        self.stats.installs += 1;
+        self.rebuild_hb_children();
+        // Mark known neighbours as recently heard so routing starts
+        // optimistic (the paper installs assuming the plan is live).
+        for p in neighbours {
+            self.last_heard.entry(p).or_insert(local_now);
+        }
+    }
+
+    /// The store half of [`Self::install_query`], run inside its
+    /// [`Self::edit_store`]: clears the tombstone, binds the name and puts
+    /// the query's fresh runtime state in place. Returns the plan
+    /// neighbours the install should mark as heard.
+    fn put_query(
+        &mut self,
+        spec: Arc<QuerySpec>,
+        id: QueryId,
+        seq: u64,
+        record: Option<InstallRecord>,
+        issue_age_us: i64,
+        local_now: i64,
+    ) -> Vec<NodeId> {
         self.removed.remove(&id);
         let window = spec.window;
         window.validate();
@@ -122,15 +179,7 @@ impl MortarPeer {
         self.register_routes(id, state.record.as_ref());
         self.index_subscriptions(id, &state.spec.sensor);
         self.queries.insert(id, Box::new(state));
-        self.reschedule(id);
-        self.invalidate_store_hash();
-        self.stats.installs += 1;
-        self.rebuild_hb_children();
-        // Mark known neighbours as recently heard so routing starts
-        // optimistic (the paper installs assuming the plan is live).
-        for p in neighbours {
-            self.last_heard.entry(p).or_insert(local_now);
-        }
+        neighbours
     }
 
     /// Records the query's subscription edges in the subscriber index
@@ -168,8 +217,7 @@ impl MortarPeer {
 
     /// Removes a query; returns the primary-tree children to forward the
     /// removal to, or `None` when the removal is stale or unknown.
-    pub(crate) fn remove_query(&mut self, name: &str, seq: u64) -> Option<Vec<NodeId>> {
-        let id = self.directory.id_of(name)?;
+    pub(crate) fn remove_query(&mut self, id: QueryId, seq: u64) -> Option<Vec<NodeId>> {
         let q = self.queries.get(&id)?;
         if q.seq >= seq {
             return None;
@@ -177,27 +225,31 @@ impl MortarPeer {
         let fwd: Vec<NodeId> =
             q.record.as_ref().map(|r| r.links[0].children.clone()).unwrap_or_default();
         self.unschedule(id);
-        self.queries.remove(&id);
-        self.route_table.remove(id);
-        self.unindex_subscriptions(id);
-        // The directory keeps the retired id→name binding, so the id-keyed
-        // tombstone can still be hashed (and reported) by name, and stale
-        // data frames for this id still trigger removal reconciliation.
-        self.removed.insert(id, seq);
-        self.invalidate_store_hash();
+        self.edit_store(id, None, |p| {
+            p.queries.remove(&id);
+            p.route_table.remove(id);
+            p.unindex_subscriptions(id);
+            // The directory keeps the retired id→name binding, so the
+            // id-keyed tombstone can still be hashed (and reported) by
+            // name, and stale data frames for this id still trigger
+            // removal reconciliation.
+            p.removed.insert(id, seq);
+        });
         self.stats.removals += 1;
         self.rebuild_hb_children();
         Some(fwd)
     }
 
     /// Handles an id-carrying removal command, forwarding it down the
-    /// primary tree. The name is resolved through this peer's directory;
-    /// an unresolvable id means the query was never installed here, so
-    /// there is nothing to remove or forward (reconciliation covers peers
-    /// that missed both the install and the removal).
+    /// primary tree. An id this peer's directory does not name was never
+    /// installed here under it, so there is nothing to remove or forward
+    /// (reconciliation covers peers that missed both the install and the
+    /// removal).
     pub(crate) fn handle_remove(&mut self, ctx: &mut Ctx<'_, MortarMsg>, id: QueryId, seq: u64) {
-        let Some(name) = self.directory.name_of(id).map(str::to_string) else { return };
-        if let Some(children) = self.remove_query(&name, seq) {
+        if self.directory.name_of(id).is_none() {
+            return;
+        }
+        if let Some(children) = self.remove_query(id, seq) {
             for c in children {
                 let msg = MortarMsg::Remove { id, seq };
                 let bytes = msg.wire_bytes();
@@ -285,23 +337,38 @@ impl MortarPeer {
     ///   the removal cached — so this peer's store hash can actually
     ///   match the remover's instead of re-reconciling every hash beat.
     pub(crate) fn adopt_removal(&mut self, name: &str, id: QueryId, rseq: u64) {
+        let unseen = self.removed.get(&id).is_none_or(|&r| r < rseq)
+            && !self.queries.contains_key(&id)
+            && self.directory.name_of(id).is_none()
+            && self.directory.id_of(name).is_none();
+        if !unseen {
+            return self.adopt_bound_removal(id, rseq);
+        }
+        // Both keys are free, so the binding displaces no other id.
+        self.edit_store(id, None, |p| {
+            p.directory.bind(id, name);
+            p.removed.insert(id, rseq);
+        });
+    }
+
+    /// [`Self::adopt_removal`] for a tombstone whose id this peer does not
+    /// bind anew: the name, if any, is the one the directory holds.
+    fn adopt_bound_removal(&mut self, id: QueryId, rseq: u64) {
         if self.removed.get(&id).is_some_and(|&r| r >= rseq) {
             return; // An equal or newer tombstone is already cached.
         }
         if self.queries.contains_key(&id) {
-            // Resolve through the *local* binding: a live install always
-            // bound it, and ids map 1:1 to names under the single-writer
-            // store (colliding ids were refused at install).
-            if let Some(local) = self.directory.name_of(id).map(str::to_string) {
-                self.remove_query(&local, rseq);
+            // A live install always bound its id, and ids map 1:1 to names
+            // under the single-writer store (colliding ids were refused at
+            // install) — unless a newer incarnation took the name since.
+            if self.directory.name_of(id).is_some() {
+                self.remove_query(id, rseq);
             }
             return;
         }
-        if self.directory.name_of(id).is_none() && self.directory.id_of(name).is_none() {
-            self.directory.bind(id, name);
-        }
-        self.removed.insert(id, rseq);
-        self.invalidate_store_hash();
+        self.edit_store(id, None, |p| {
+            p.removed.insert(id, rseq);
+        });
     }
 
     /// Handles a store digest (phase 1 → phase 2): computes which entries
@@ -313,74 +380,78 @@ impl MortarPeer {
     /// in id space (ids bind 1:1 to names through the single-writer object
     /// store; a colliding id from a second injector is refused at
     /// install).
+    ///
+    /// The digest's lists and this peer's maps are all id-ordered, so one
+    /// merge-join walk over each pair decides everything: an entry both
+    /// sides hold alike costs a comparison, and only an entry that is
+    /// shipped or adopted costs a name lookup or a pointer clone.
+    // lint:hot-path
     pub(crate) fn handle_reconcile_digest(
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
         from: NodeId,
-        installed: Vec<(QueryId, u64)>,
-        removed: Vec<(QueryId, u64)>,
+        mut installed: Vec<(QueryId, u64)>,
+        mut removed: Vec<(QueryId, u64)>,
     ) {
         let local_now = ctx.local_now_us();
-        // `want`: remote installs that beat everything known locally —
-        // including ids never seen here (no binding, no tombstone), which
-        // by definition are wanted.
-        let want: Vec<QueryId> = installed
-            .iter()
-            .filter(|&&(id, seq)| {
-                let have = self.queries.get(&id).is_some_and(|q| q.seq >= seq);
-                let removed_newer = self.removed.get(&id).is_some_and(|&r| r >= seq);
-                !have && !removed_newer
-            })
-            .map(|&(id, _)| id)
-            .collect();
-        // `want_removed`: digest tombstones that beat the local cache but
-        // whose id this peer cannot name — adoption needs the name, so
-        // the digest sender ships them named in the transfer.
-        let want_removed: Vec<QueryId> = removed
-            .iter()
-            .filter(|&&(id, rseq)| {
-                self.directory.name_of(id).is_none()
-                    && self.removed.get(&id).is_none_or(|&r| r < rseq)
-            })
-            .map(|&(id, _)| id)
-            .collect();
-        // `push`: local installs the digest lacks or holds at a stale
-        // sequence, shipped in full (spec pointers, no copies).
-        let other_installed: BTreeMap<QueryId, u64> = installed.into_iter().collect();
-        let other_removed: BTreeMap<QueryId, u64> = removed.iter().copied().collect();
-        let push: Vec<(Arc<QuerySpec>, QueryId, u64, i64)> = self
-            .queries
-            .values()
-            .filter(|q| {
-                let have = other_installed.get(&q.id).is_some_and(|&s| s >= q.seq);
-                let removed_newer = other_removed.get(&q.id).is_some_and(|&r| r >= q.seq);
-                !have && !removed_newer
-            })
-            .map(|q| (q.spec.clone(), q.id, q.seq, local_now - q.t_ref_base_us))
-            .collect();
-        // Ship only the tombstones the digest lacks or holds at an older
-        // sequence: the receiver would skip any other one anyway (it
-        // already caches an equal or newer tombstone, which only a newer
-        // install — one that outranks ours — can have cleared). Tombstones
-        // whose id no longer resolves (the name was re-bound to a newer
-        // incarnation) are invisible to the store hash and are not
-        // shipped either.
-        let tombstones: Vec<(Arc<str>, QueryId, u64)> = self
-            .removed
-            .iter()
-            .filter(|&(id, &s)| other_removed.get(id).is_none_or(|&r| r < s))
-            .filter_map(|(&id, &s)| self.directory.shared_name(id).map(|n| (n, id, s)))
-            .collect();
+        sort_digest(&mut installed);
+        sort_digest(&mut removed);
+        let digest_removed =
+            |id: QueryId| removed.binary_search_by_key(&id, |e| e.0).ok().map(|i| removed[i].1);
+        let (mut want, mut push) = (Vec::new(), Vec::new());
+        let mine = self.queries.iter().map(|(&id, q)| (id, &**q));
+        join_by_id(installed.iter().copied(), mine, |id, theirs, mine| {
+            // `want`: remote installs that beat everything known locally —
+            // including ids never seen here (no binding, no tombstone),
+            // which by definition are wanted.
+            if let Some(seq) = theirs {
+                let have = mine.is_some_and(|q| q.seq >= seq);
+                if !have && self.removed.get(&id).is_none_or(|&r| r < seq) {
+                    want.push(id);
+                }
+            }
+            // `push`: local installs the digest lacks or holds at a stale
+            // sequence, shipped in full (spec pointers, no copies).
+            if let Some(q) = mine {
+                let have = theirs.is_some_and(|s| s >= q.seq);
+                if !have && digest_removed(id).is_none_or(|r| r < q.seq) {
+                    push.push((q.spec.clone(), id, q.seq, local_now - q.t_ref_base_us));
+                }
+            }
+        });
+        let (mut want_removed, mut tombstones, mut adopt) = (Vec::new(), Vec::new(), Vec::new());
+        let mine = self.removed.iter().map(|(&id, &s)| (id, s));
+        join_by_id(removed.iter().copied(), mine, |id, theirs, mine| match (theirs, mine) {
+            // A digest tombstone that beats the local cache: adopted after
+            // the plan goes out if this peer can name its id, else
+            // requested (`want_removed`) — adoption needs the name, so the
+            // digest sender ships it named in the transfer.
+            (Some(rseq), mine) if mine.is_none_or(|s| s < rseq) => {
+                if self.directory.name_of(id).is_some() {
+                    adopt.push((id, rseq));
+                } else {
+                    want_removed.push(id);
+                }
+            }
+            // A local tombstone the digest lacks or holds at an older
+            // sequence ships; the receiver would skip any other one anyway
+            // (it already caches an equal or newer tombstone, which only a
+            // newer install — one that outranks ours — can have cleared).
+            // One whose id no longer resolves (the name was re-bound to a
+            // newer incarnation) is invisible to the store hash and stays.
+            (theirs, Some(s)) if theirs.is_none_or(|r| r < s) => {
+                if let Some(name) = self.directory.shared_name(id) {
+                    tombstones.push((name, id, s));
+                }
+            }
+            _ => {}
+        });
         let plan = MortarMsg::ReconcilePlan { push, want, want_removed, removed: tombstones };
         self.send_reconcile_msg(ctx, from, plan);
-        // Apply the digest's resolvable tombstones after the plan is
-        // built from the pre-exchange snapshot, so the plan reflects what
-        // this peer held when the digest arrived. (Unresolvable ones were
-        // requested above and adopt on transfer.)
-        for (id, rseq) in removed {
-            if let Some(name) = self.directory.name_of(id).map(str::to_string) {
-                self.adopt_removal(&name, id, rseq);
-            }
+        // Adopt after the plan is built from the pre-exchange snapshot, so
+        // the plan reflects what this peer held when the digest arrived.
+        for (id, rseq) in adopt {
+            self.adopt_bound_removal(id, rseq);
         }
     }
 
@@ -575,7 +646,6 @@ impl MortarPeer {
         match self.queries.get_mut(&id) {
             Some(q) if q.record.is_none() => {
                 q.record = Some(record);
-                q.seq = q.seq.max(seq);
                 q.route_template = route_template(q.record.as_ref());
                 let slide = q.spec.window.slide as i64;
                 let frame = q.frame_now(self.cfg.indexing, local_now);
@@ -585,7 +655,11 @@ impl MortarPeer {
                 self.register_routes(id, rec.as_ref());
                 // The query just went active: give it a due instant.
                 self.reschedule(id);
-                self.invalidate_store_hash();
+                self.edit_store(id, None, |p| {
+                    if let Some(q) = p.queries.get_mut(&id) {
+                        q.seq = q.seq.max(seq);
+                    }
+                });
                 self.rebuild_hb_children();
             }
             Some(_) => {}

@@ -44,14 +44,13 @@ use crate::msg::MortarMsg;
 use crate::netdist::NetDist;
 use crate::op::OpRegistry;
 use crate::query::{InstallRecord, QueryDirectory, QueryId, QuerySpec};
-use crate::reconcile::store_hash;
+use crate::reconcile::{entry_hash, store_hash};
 use crate::rlog::ResultLog;
 use crate::tslist::TimeSpaceList;
 use crate::tuple::{RawTuple, Truth};
 use crate::value::AggState;
 use mortar_net::{App, Ctx, NodeId};
 use mortar_overlay::{RouteState, RouteTable, MAX_TREES};
-use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -432,10 +431,11 @@ pub struct MortarPeer {
     /// query's sensor spec. A `BTreeMap` so the install/remove maintenance
     /// (which iterates the index) is hash-seed independent.
     pub(crate) subscribers: BTreeMap<String, Vec<QueryId>>,
-    /// Memoized store hash (the reconciliation fingerprint piggybacked on
-    /// data frames); recomputed only when the installed/removed sets
-    /// change instead of on every hash-carrying tuple.
-    pub(crate) store_hash_cache: Cell<Option<u64>>,
+    /// The store hash (the reconciliation fingerprint piggybacked on
+    /// heartbeats and data frames), kept current by
+    /// [`MortarPeer::edit_store`]: each store change folds in the hashes
+    /// of the entries it touched, so a read costs nothing.
+    store_hash: u64,
     /// Pending per-next-hop envelopes (cross-query frame coalescing):
     /// finished frames sorted by destination, then arrival, so each
     /// destination's run is its envelope and exists only while it holds
@@ -471,6 +471,16 @@ pub struct MortarPeer {
 /// Timer tag for the peer's single periodic tick.
 const TICK: u64 = 1;
 
+/// The sequence a store entry hashes under: a tombstone's carries the top
+/// bit, so an install and a removal at one sequence hash apart.
+fn entry_seq(seq: u64, removed: bool) -> u64 {
+    if removed {
+        seq.wrapping_add(1 << 63)
+    } else {
+        seq
+    }
+}
+
 impl MortarPeer {
     /// Creates a peer with the given configuration and operator registry.
     pub fn new(id: NodeId, cfg: PeerConfig, registry: OpRegistry) -> Self {
@@ -493,7 +503,7 @@ impl MortarPeer {
             outbox_bytes: 0,
             due: BTreeSet::new(),
             scratch: TickScratch::default(),
-            store_hash_cache: Cell::new(None),
+            store_hash: 0,
             results: ResultLog::new(cfg.result_log_cap),
             replay: ingest::ReplayTrace::default(),
             stats: PeerStats::default(),
@@ -589,10 +599,11 @@ impl MortarPeer {
     /// tombstone (`removed = true`), each in id order.
     pub fn store_entries(&self) -> impl Iterator<Item = (&str, u64, bool)> {
         let installed = self.queries.values().map(|q| (q.spec.name.as_str(), q.seq, false));
-        // Tombstones are minted by `remove_query`, which always had (and
-        // the directory retains) the id → name binding, so every entry
-        // resolves. Naming them keeps the fingerprint comparable across
-        // peers whatever ids they learned the removal under.
+        // Tombstones are named through the directory, which retains the
+        // id → name binding `remove_query` or adoption made; one whose
+        // name a newer id has taken since is left out. Naming them keeps
+        // the fingerprint comparable across peers whatever ids they
+        // learned the removal under.
         let removed = self
             .removed
             .iter()
@@ -600,22 +611,53 @@ impl MortarPeer {
         installed.chain(removed)
     }
 
+    /// The store hash. Debug builds check it on every read against
+    /// [`store_hash`] recomputed from [`Self::store_entries`].
     pub(crate) fn my_store_hash(&self) -> u64 {
-        if let Some(h) = self.store_hash_cache.get() {
-            return h;
-        }
-        let h = store_hash(
-            self.store_entries()
-                .map(|(n, s, removed)| (n, if removed { s.wrapping_add(1 << 63) } else { s })),
+        debug_assert_eq!(
+            self.store_hash,
+            store_hash(self.store_entries().map(|(n, s, removed)| (n, entry_seq(s, removed)))),
+            "peer {}: the incremental store hash drifted from the store",
+            self.id
         );
-        self.store_hash_cache.set(Some(h));
-        h
+        self.store_hash
     }
 
-    /// Invalidates the memoized store hash; must be called whenever the
-    /// installed set, an install sequence, or the removal cache changes.
-    pub(crate) fn invalidate_store_hash(&self) {
-        self.store_hash_cache.set(None);
+    /// The store hash's share of what is held under `id`: its install and
+    /// its tombstone, the latter only while the directory names it (as in
+    /// [`Self::store_entries`]).
+    // lint:hot-path
+    fn store_share(&self, id: QueryId) -> u64 {
+        let installed = self.queries.get(&id).map_or(0, |q| entry_hash(&q.spec.name, q.seq));
+        let tombstone = match self.removed.get(&id) {
+            Some(&s) => self.directory.name_of(id).map_or(0, |n| entry_hash(n, entry_seq(s, true))),
+            None => 0,
+        };
+        installed.wrapping_add(tombstone)
+    }
+
+    /// The one store-mutation seam: every change to the installed set, an
+    /// install's sequence, the removal cache or a directory binding runs
+    /// as an `edit` here. `edit` may change only what is held under `id`,
+    /// and may bind `id` to a name that was bound to `displaced`, which
+    /// hides `displaced`'s tombstone; the store hash subtracts both ids'
+    /// shares before the edit and adds them back after it, so a change
+    /// costs O(1) whatever the store holds.
+    // lint:hot-path
+    pub(crate) fn edit_store<R>(
+        &mut self,
+        id: QueryId,
+        displaced: Option<QueryId>,
+        edit: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let share = |p: &Self| {
+            let other = displaced.filter(|&d| d != id).map_or(0, |d| p.store_share(d));
+            p.store_share(id).wrapping_add(other)
+        };
+        let before = share(self);
+        let out = edit(self);
+        self.store_hash = self.store_hash.wrapping_sub(before).wrapping_add(share(self));
+        out
     }
 
     /// How long a neighbour may stay silent before it is presumed down.

@@ -92,22 +92,28 @@ pub fn digest_plan(
     DigestPlan { push: theirs.to_install, want: mine.to_install, to_remove: mine.to_remove }
 }
 
-/// FNV-1a hash of the (name, seq) pairs ordered by name — the summary the
-/// paper computes with MD5. Identical sets ⇒ identical hashes; used to skip
-/// digest exchanges between agreeing peers.
-pub fn store_hash<'a>(entries: impl Iterator<Item = (&'a str, u64)>) -> u64 {
-    let mut pairs: Vec<(&str, u64)> = entries.collect();
-    pairs.sort();
+/// The hash of one store entry: FNV-1a over the name's bytes and the
+/// sequence, finished with the splitmix64 mixer so that [`store_hash`]'s
+/// sums of entry hashes carry no structure from the names.
+// lint:hot-path
+pub fn entry_hash(name: &str, seq: u64) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
-    for (name, seq) in pairs {
-        for b in name.bytes().chain(seq.to_le_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h ^= 0xff;
+    for b in name.bytes().chain(seq.to_le_bytes()) {
+        h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
-    h
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d049bb133111eb);
+    h ^ (h >> 31)
+}
+
+/// The wrapping sum of [`entry_hash`] over the (name, seq) pairs — the
+/// summary the paper computes with MD5. Identical sets ⇒ identical
+/// hashes, in any order; and because it is a sum, a peer keeps its own
+/// current by adding and subtracting the entries a store change touches
+/// instead of re-walking the store.
+pub fn store_hash<'a>(entries: impl Iterator<Item = (&'a str, u64)>) -> u64 {
+    entries.fold(0, |h, (name, seq)| h.wrapping_add(entry_hash(name, seq)))
 }
 
 #[cfg(test)]

@@ -242,9 +242,9 @@ fn idle_steady_state_ticks_are_alloc_free() {
         };
         sim.inject(0, 0, msg, 256);
     }
-    // Warm up past the first hash-carrying heartbeat (6 s) so the
-    // memoized store hash is hot; the first pump/close/evict cadence
-    // arrives at 10 s, outside the measured window.
+    // Warm up past the first hash-carrying heartbeat (6 s); the first
+    // pump/close/evict cadence arrives at 10 s, outside the measured
+    // window.
     sim.run_for_secs(7.0);
     for qi in 1..=3u32 {
         assert!(sim.app(0).is_active(&format!("slow{qi}")), "warm-up failed to install");
@@ -253,6 +253,100 @@ fn idle_steady_state_ticks_are_alloc_free() {
     let idle = sim.app(0).stats.idle_ticks;
     assert!(idle >= 10, "measured window saw too few idle ticks: {idle}");
     assert_eq!(allocs, 0, "idle steady-state ticks must not allocate, performed {allocs}");
+}
+
+#[test]
+fn an_agreeing_digest_allocates_nothing_whatever_the_tombstones() {
+    // Anti-entropy costs what differs: a peer holding 1,000 tombstones
+    // answers a digest that agrees with its store — one empty plan —
+    // without resolving, copying or collecting a single entry.
+    use mortar_core::msg::MortarMsg;
+    use mortar_core::op::OpRegistry;
+    use mortar_core::peer::{MortarPeer, PeerConfig};
+    use mortar_core::query::QueryId;
+    use mortar_net::{SimBuilder, Topology};
+    use std::sync::Arc;
+
+    let reg = OpRegistry::new();
+    let mut sim = SimBuilder::new(Topology::star(2, 1_000), 11)
+        .build(move |id| MortarPeer::new(id, PeerConfig::default(), reg.clone()));
+    // Peer 0 adopts 1,000 named tombstones, as a reconcile transfer ships
+    // them.
+    let removed: Vec<(Arc<str>, QueryId, u64)> = (1..=1_000u32)
+        .map(|i| (Arc::from(format!("gone{i}").as_str()), QueryId(i), 2 * u64::from(i)))
+        .collect();
+    let digest: Vec<(QueryId, u64)> = removed.iter().map(|&(_, id, s)| (id, s)).collect();
+    sim.inject(0, 1, MortarMsg::ReconcileTransfer { entries: vec![], removed }, 64);
+    sim.run_for_secs(0.1);
+    assert_eq!(sim.app(0).store_entries().count(), 1_000);
+    let agreeing = || MortarMsg::ReconcileDigest { installed: vec![], removed: digest.clone() };
+    // The first digest warms the event queue; the second is measured.
+    for measured in [false, true] {
+        sim.inject(0, 1, agreeing(), 64);
+        let (answered, fingerprint) =
+            (sim.app(0).stats.reconcile_msgs_out, sim.app(0).store_fingerprint());
+        let (allocs, _) = count_allocs(|| sim.run_for_secs(0.1));
+        assert_eq!(sim.app(0).stats.reconcile_msgs_out, answered + 1, "no plan answered");
+        assert_eq!(
+            sim.app(0).store_fingerprint(),
+            fingerprint,
+            "an agreeing digest moved the store"
+        );
+        if measured {
+            assert_eq!(
+                allocs, 0,
+                "an agreeing digest over 1,000 tombstones performed {allocs} allocations"
+            );
+        }
+    }
+}
+
+#[test]
+fn reading_the_store_hash_after_a_removal_allocates_nothing() {
+    // The store hash absorbs each change as it happens, so the first read
+    // after a removal is as free as every other.
+    use mortar_core::msg::MortarMsg;
+    use mortar_core::op::{OpKind, OpRegistry};
+    use mortar_core::peer::{MortarPeer, PeerConfig};
+    use mortar_core::query::{build_records, QueryId, QuerySpec, SensorSpec};
+    use mortar_core::window::WindowSpec;
+    use mortar_net::{SimBuilder, Topology};
+    use mortar_overlay::{Tree, TreeSet};
+    use std::sync::Arc;
+
+    let reg = OpRegistry::new();
+    let mut sim = SimBuilder::new(Topology::star(2, 1_000), 11)
+        .build(move |id| MortarPeer::new(id, PeerConfig::default(), reg.clone()));
+    for qi in 1..=3u32 {
+        let spec = QuerySpec {
+            name: format!("q{qi}"),
+            root: 0,
+            members: vec![0],
+            op: OpKind::Sum { field: 0 },
+            window: WindowSpec::time_tumbling_us(10_000_000),
+            filter: None,
+            sensor: SensorSpec::Periodic { period_us: 10_000_000, value: 1.0 },
+            post: None,
+        };
+        let trees = TreeSet::new(vec![Tree::from_parents(0, vec![None])]);
+        let records = build_records(&spec.members, &trees);
+        let msg = MortarMsg::Install {
+            spec: Arc::new(spec),
+            id: QueryId(qi),
+            seq: u64::from(qi),
+            records,
+            issue_age_us: 0,
+        };
+        sim.inject(0, 0, msg, 256);
+    }
+    sim.run_for_secs(1.0);
+    let before = sim.app(0).store_fingerprint();
+    sim.inject(0, 0, MortarMsg::Remove { id: QueryId(2), seq: 10 }, 16);
+    sim.run_for_secs(0.1);
+    assert!(!sim.app(0).has_query("q2"), "the removal did not apply");
+    let (allocs, after) = count_allocs(|| sim.app(0).store_fingerprint());
+    assert_ne!(after, before, "the removal did not move the store hash");
+    assert_eq!(allocs, 0, "reading the store hash after a removal performed {allocs} allocations");
 }
 
 #[test]

@@ -8,11 +8,14 @@ use mortar_core::msg::{MortarMsg, SummaryFrame};
 use mortar_core::op::{OpKind, OpRegistry};
 use mortar_core::peer::{MortarPeer, PeerConfig};
 use mortar_core::query::{build_records, QueryId, QuerySpec, SensorSpec};
-use mortar_core::reconcile::{reconcile, store_hash};
+use mortar_core::reconcile::{digest_plan, reconcile, store_hash};
 use mortar_core::window::WindowSpec;
 use mortar_net::{NodeId, SimBuilder, Simulator, Topology};
 use mortar_overlay::{Tree, TreeSet};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -82,9 +85,31 @@ fn id_of(name: &str) -> QueryId {
     QueryId(name[1..].parse::<u32>().expect("history names are q<digit>") + 1)
 }
 
-/// Two peers whose stores hold the commands of `history` each received:
-/// installs are single-member queries rooted at the receiving peer (no
-/// tree links, so no heartbeat starts an exchange on its own).
+/// A single-member query on `node`, rooted there (no tree links, so no
+/// heartbeat starts an exchange on its own).
+fn spec_for(name: &str, node: NodeId) -> QuerySpec {
+    QuerySpec {
+        name: name.to_string(),
+        root: node,
+        members: vec![node],
+        op: OpKind::Sum { field: 0 },
+        window: WindowSpec::time_tumbling_us(1_000_000),
+        filter: None,
+        sensor: SensorSpec::Periodic { period_us: 1_000_000, value: 1.0 },
+        post: None,
+    }
+}
+
+/// The install command for [`spec_for`]`(name, node)`.
+fn install_msg(name: &str, node: NodeId, id: QueryId, seq: u64) -> MortarMsg {
+    let spec = spec_for(name, node);
+    let trees = TreeSet::new(vec![Tree::from_parents(0, vec![None])]);
+    let records = build_records(&spec.members, &trees);
+    MortarMsg::Install { spec: Arc::new(spec), id, seq, records, issue_age_us: 0 }
+}
+
+/// Two peers whose stores hold the commands of `history` each received;
+/// installs are [`spec_for`] the receiving peer.
 fn peer_pair(history: &History, masks: [u64; 2]) -> Simulator<MortarPeer> {
     let reg = OpRegistry::new();
     let mut sim = SimBuilder::new(Topology::star(2, 1_000), 7)
@@ -96,19 +121,7 @@ fn peer_pair(history: &History, masks: [u64; 2]) -> Simulator<MortarPeer> {
             }
             let id = id_of(name);
             let msg = if *is_install {
-                let spec = QuerySpec {
-                    name: name.clone(),
-                    root: node,
-                    members: vec![node],
-                    op: OpKind::Sum { field: 0 },
-                    window: WindowSpec::time_tumbling_us(1_000_000),
-                    filter: None,
-                    sensor: SensorSpec::Periodic { period_us: 1_000_000, value: 1.0 },
-                    post: None,
-                };
-                let trees = TreeSet::new(vec![Tree::from_parents(0, vec![None])]);
-                let records = build_records(&spec.members, &trees);
-                MortarMsg::Install { spec: Arc::new(spec), id, seq: *seq, records, issue_age_us: 0 }
+                install_msg(name, node, id, *seq)
             } else {
                 MortarMsg::Remove { id, seq: *seq }
             };
@@ -201,6 +214,197 @@ proptest! {
     }
 }
 
+/// A peer's store read back in name space: (installed, tombstones).
+fn name_store(entries: &[(String, u64, bool)]) -> Store {
+    let mut store: Store = (BTreeMap::new(), BTreeMap::new());
+    for (name, seq, removed) in entries {
+        let side = if *removed { &mut store.1 } else { &mut store.0 };
+        side.insert(name.clone(), *seq);
+    }
+    store
+}
+
+/// Applies installs, then removals, to a name-space store under the
+/// peer's sequence rules: an install loses to an equal or newer tombstone
+/// or incumbent; a removal cancels only an older install, and a removal
+/// of a name the store does not run is cached as its tombstone.
+fn apply_decisions(store: &mut Store, installs: &[(String, u64)], removals: &[(String, u64)]) {
+    for (name, seq) in installs {
+        let beaten = store.1.get(name).is_some_and(|r| r >= seq)
+            || store.0.get(name).is_some_and(|s| s >= seq);
+        if !beaten {
+            store.1.remove(name);
+            store.0.insert(name.clone(), *seq);
+        }
+    }
+    for (name, rseq) in removals {
+        if store.1.get(name).is_some_and(|r| r >= rseq) {
+            continue;
+        }
+        match store.0.get(name) {
+            Some(seq) if seq >= rseq => {}
+            Some(_) => {
+                store.0.remove(name);
+                store.1.insert(name.clone(), *rseq);
+            }
+            None => {
+                store.1.insert(name.clone(), *rseq);
+            }
+        }
+    }
+}
+
+/// Where one digest exchange leaves a pair, by the name-space algebra: the
+/// digest sender `s` applies the plan's pushes and the planner's
+/// tombstones; the planner `p` applies the transfer (its wants, answered
+/// from `s`'s pre-plan installs) and the digest's tombstones.
+fn reference_exchange(s: &Store, p: &Store) -> [Store; 2] {
+    let plan = digest_plan(&p.0, &p.1, &s.0, &s.1);
+    let tombstones = |store: &Store| -> Vec<(String, u64)> {
+        store.1.iter().map(|(n, &r)| (n.clone(), r)).collect()
+    };
+    let transfer: Vec<(String, u64)> =
+        plan.want.iter().filter_map(|(n, _)| s.0.get(n).map(|&seq| (n.clone(), seq))).collect();
+    let (mut s2, mut p2) = (s.clone(), p.clone());
+    apply_decisions(&mut s2, &plan.push, &tombstones(p));
+    apply_decisions(&mut p2, &transfer, &tombstones(s));
+    [s2, p2]
+}
+
+/// The wire size of the plan planner `p` (peer 1) owes `s`'s digest, by the
+/// name-space algebra: the pushes in full, the wants, the digest
+/// tombstones `p` cannot name (it never held the name), and `p`'s
+/// tombstones that `s` lacks or holds at an older sequence.
+fn reference_plan_bytes(s: &Store, p: &Store) -> u64 {
+    let plan = digest_plan(&p.0, &p.1, &s.0, &s.1);
+    let named = |n: &String| p.0.contains_key(n) || p.1.contains_key(n);
+    let tombstones = p.1.iter().filter(|&(n, r)| s.1.get(n).is_none_or(|x| x < r));
+    let msg = MortarMsg::ReconcilePlan {
+        push: plan
+            .push
+            .iter()
+            .map(|(n, seq)| (Arc::new(spec_for(n, 1)), id_of(n), *seq, 0))
+            .collect(),
+        want: plan.want.iter().map(|(n, _)| id_of(n)).collect(),
+        want_removed: s.1.keys().filter(|n| !named(n)).map(|n| id_of(n)).collect(),
+        removed: tombstones.map(|(n, &r)| (Arc::from(n.as_str()), id_of(n), r)).collect(),
+    };
+    u64::from(msg.wire_bytes())
+}
+
+/// A store digest: `(id, seq)` per install, then per tombstone.
+type Digest = (Vec<(QueryId, u64)>, Vec<(QueryId, u64)>);
+
+/// Peer 0's store digest, both lists in id order.
+fn digest_of(sim: &Simulator<MortarPeer>) -> Digest {
+    let (mut installed, mut removed) = (Vec::new(), Vec::new());
+    for (name, seq, is_removed) in sim.app(0).store_entries() {
+        let side = if is_removed { &mut removed } else { &mut installed };
+        side.push((id_of(name), seq));
+    }
+    installed.sort();
+    removed.sort();
+    (installed, removed)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn digest_exchange_matches_the_name_space_algebra(
+        history in arb_history(),
+        mask_a in 0u64..u64::MAX,
+        mask_b in 0u64..u64::MAX,
+    ) {
+        // The peers' merge-join digest handling, end to end, against the
+        // reference algebra (`digest_plan` in name space) run from the
+        // same two stores.
+        let mut sim = peer_pair(&history, [mask_a, mask_b]);
+        let before = stores(&sim);
+        let (s, p) = (name_store(&before[0].0), name_store(&before[1].0));
+        let expected = reference_exchange(&s, &p);
+        // Peer 1 sends one message in the exchange, the plan, and only if
+        // the fingerprints differ.
+        let plan_bytes = if before[0].1 == before[1].1 { 0 } else { reference_plan_bytes(&s, &p) };
+        let planner_bytes = sim.app(1).stats.reconcile_bytes_out;
+        exchange(&mut sim);
+        prop_assert_eq!(
+            sim.app(1).stats.reconcile_bytes_out - planner_bytes,
+            plan_bytes,
+            "the plan differs from the reference algebra's"
+        );
+        let after = stores(&sim);
+        for node in 0..2 {
+            prop_assert_eq!(
+                &name_store(&after[node].0),
+                &expected[node],
+                "peer {} left the reference algebra",
+                node
+            );
+        }
+    }
+
+    #[test]
+    fn an_out_of_order_digest_lands_where_the_sorted_one_does(
+        history in arb_history(),
+        mask_a in 0u64..u64::MAX,
+        mask_b in 0u64..u64::MAX,
+        shuffle_seed in 0u64..u64::MAX,
+    ) {
+        // The digest is peer input: delivering peer 0's digest with both
+        // lists shuffled must leave both stores where the sorted one does,
+        // at the same reconcile traffic (a mis-joined entry would be
+        // pushed or requested for nothing and then skipped, leaving the
+        // stores alone).
+        let mut sorted = peer_pair(&history, [mask_a, mask_b]);
+        let mut shuffled = peer_pair(&history, [mask_a, mask_b]);
+        let (installed, removed) = digest_of(&sorted);
+        let mut rng = SmallRng::seed_from_u64(shuffle_seed);
+        let (mut installed_mixed, mut removed_mixed) = (installed.clone(), removed.clone());
+        installed_mixed.shuffle(&mut rng);
+        removed_mixed.shuffle(&mut rng);
+        for (sim, installed, removed) in [
+            (&mut sorted, installed, removed),
+            (&mut shuffled, installed_mixed, removed_mixed),
+        ] {
+            sim.inject(1, 0, MortarMsg::ReconcileDigest { installed, removed }, 64);
+            sim.run_for_secs(1.0);
+        }
+        prop_assert_eq!(stores(&sorted), stores(&shuffled));
+        let traffic = |sim: &Simulator<MortarPeer>| {
+            (0..2).map(|n| (sim.app(n).stats.reconcile_msgs_out, sim.app(n).stats.reconcile_bytes_out))
+                .collect::<Vec<_>>()
+        };
+        prop_assert_eq!(traffic(&sorted), traffic(&shuffled));
+    }
+
+    #[test]
+    fn fingerprints_are_equal_iff_stores_are(
+        history in arb_history(),
+        mask_a in 0u64..u64::MAX,
+        mask_b in 0u64..u64::MAX,
+    ) {
+        // Each peer keeps its fingerprint by folding in every store change;
+        // across peers and across exchanges it must still say exactly
+        // whether the two stores hold the same entries.
+        let mut sim = peer_pair(&history, [mask_a, mask_b]);
+        for round in 0..3 {
+            let view = stores(&sim);
+            prop_assert_eq!(
+                view[0].1 == view[1].1,
+                view[0].0 == view[1].0,
+                "round {}: fingerprints {:x} / {:x} for stores {:?} / {:?}",
+                round,
+                view[0].1,
+                view[1].1,
+                &view[0].0,
+                &view[1].0
+            );
+            exchange(&mut sim);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -272,4 +476,26 @@ fn data_for_a_removed_query_starts_one_counted_digest_exchange() {
     assert!(bytes <= 16 + 12 * entries, "the notice cost {bytes} B, more than a digest");
     let view = stores(&sim);
     assert_eq!(view[0], view[1], "one notice did not converge the pair");
+}
+
+#[test]
+fn a_name_rebound_to_a_new_id_hides_the_old_tombstone_from_the_fingerprint() {
+    // Ids are unique only within one injector's object store, so a second
+    // injector can install a removed name under another id. The directory
+    // then binds the name to the new id, and the old id's tombstone drops
+    // out of the store entries — and must drop out of the fingerprint,
+    // which a peer keeps by folding in each change.
+    let history: History = vec![("q0".into(), 1, true), ("q0".into(), 2, false)];
+    let mut sim = peer_pair(&history, [u64::MAX, 0]);
+    assert_eq!(stores(&sim)[0].0, vec![("q0".to_string(), 2, true)]);
+    let other_id = QueryId(id_of("q0").0 + 100);
+    let install = |node: NodeId| install_msg("q0", node, other_id, 3);
+    // Peer 0 re-binds q0 over its tombstone; peer 1 never saw q0 at all.
+    for node in 0..2 {
+        sim.inject(node, node, install(node), 64);
+    }
+    sim.run_for_secs(0.01);
+    let view = stores(&sim);
+    assert_eq!(view[0].0, vec![("q0".to_string(), 3, false)]);
+    assert_eq!(view[0], view[1], "the hidden tombstone still weighs in the fingerprint");
 }

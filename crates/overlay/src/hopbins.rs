@@ -68,17 +68,6 @@ impl<K: Ord + Copy, B> HopBins<K, B> {
         Some(self.bins.remove(i).1)
     }
 
-    /// Visits every open bin, in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &B)> {
-        self.bins.iter().map(|(k, b)| (k, b))
-    }
-
-    /// Visits every open bin mutably, in ascending key order; the bins
-    /// stay open.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&K, &mut B)> {
-        self.bins.iter_mut().map(|(k, b)| (&*k, b))
-    }
-
     /// Closes every bin, yielding them in ascending key order. Allocates
     /// nothing: the bins move out of the kept buffer.
     pub fn drain(&mut self) -> impl Iterator<Item = (K, B)> + '_ {
@@ -113,23 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn iter_mut_visits_in_key_order_and_keeps_bins_open() {
-        let mut bins: HopBins<u32, Vec<u8>> = HopBins::new();
-        bins.bin_mut(9).push(1);
-        bins.bin_mut(2).push(2);
-        let visited: Vec<u32> = bins
-            .iter_mut()
-            .map(|(&k, b)| {
-                b.clear();
-                k
-            })
-            .collect();
-        assert_eq!(visited, vec![2, 9]);
-        assert_eq!(bins.len(), 2, "bins stay open");
-        assert_eq!(bins.take(9), Some(vec![]));
-    }
-
-    #[test]
     fn draining_keeps_the_buffer_and_reopens_in_key_order() {
         // Bins hold only what is open, but the buffer they live in
         // survives a drain, so reopening as many bins reallocates nothing.
@@ -143,6 +115,6 @@ mod tests {
             *bins.bin_mut(k) += 1;
         }
         assert_eq!(bins.bins.capacity(), cap);
-        assert_eq!(bins.iter().map(|(&k, _)| k).collect::<Vec<_>>(), vec![2, 4, 6]);
+        assert_eq!(bins.drain().map(|(k, _)| k).collect::<Vec<_>>(), vec![2, 4, 6]);
     }
 }
