@@ -35,7 +35,7 @@
 
 use crate::engine::{Engine, EngineConfig};
 use crate::error::MortarError;
-use crate::feed::{BurstProfile, ChannelHub, FeedConnector, FeedSpec, IntakePolicy};
+use crate::feed::{BurstProfile, ChannelHub, FeedConnector, FeedSpec, IntakePolicy, ReplayTrace};
 use crate::metrics::{self, ResultRecord};
 use crate::op::{Cmp, OpKind, OpRegistry, Predicate};
 use crate::query::{QueryId, QuerySpec, SensorSpec};
@@ -463,9 +463,10 @@ impl<'m> QueryBuilder<'m> {
     }
 
     /// A feed replaying a shared `(frame-µs offset, tuple)` trace at every
-    /// member (see [`crate::feed::ReplaySource`]).
+    /// member, packed once (see [`crate::feed::ReplayTrace`]).
     pub fn feed_replay(self, trace: impl Into<std::sync::Arc<[(u64, RawTuple)]>>) -> Self {
-        self.with_feed(FeedConnector::Replay { trace: trace.into() })
+        let trace = std::sync::Arc::new(ReplayTrace::pack(trace.into().to_vec()));
+        self.with_feed(FeedConnector::Replay { trace })
     }
 
     /// A synthetic feed emitting on a fixed period with an optional burst
@@ -1254,6 +1255,90 @@ mod tests {
             .install()
             .unwrap_err();
         assert!(matches!(err, MortarError::InvalidConfig { .. }));
+    }
+
+    #[test]
+    fn a_zero_cadence_is_rejected_at_install() {
+        // Each of these truncates to, or is, a zero period (or a zero
+        // burst factor), which would leave every member's pump looping at
+        // one instant; install must refuse it before the simulator runs.
+        type Sensor = fn(QueryBuilder<'_>) -> QueryBuilder<'_>;
+        let bursty = BurstProfile::steady(1_000, 1.0).with_burst(0, 1_000_000, 2);
+        let zero: [(&str, Sensor); 7] = [
+            ("periodic_us(0)", |b| b.periodic_us(0, 1.0)),
+            ("periodic_secs(1e-7)", |b| b.periodic_secs(1e-7, 1.0)),
+            ("periodic_secs(0)", |b| b.periodic_secs(0.0, 1.0)),
+            ("periodic_secs(-1)", |b| b.periodic_secs(-1.0, 1.0)),
+            ("periodic_secs(NaN)", |b| b.periodic_secs(f64::NAN, 1.0)),
+            ("bursty period 0", |b| {
+                b.feed_bursty(BurstProfile { period_us: 0, ..BurstProfile::steady(1, 1.0) })
+            }),
+            ("bursty factor 0", |b| {
+                let p = BurstProfile::steady(1_000, 1.0).with_burst(0, 1_000_000, 2);
+                b.feed_bursty(BurstProfile { burst_factor: 0, ..p })
+            }),
+        ];
+        let mut m = session(8, 1);
+        for (what, sensor) in zero {
+            let b = m.query("z").members(0..8).sum(0).every_secs(1.0);
+            let err = sensor(b).install().expect_err(what);
+            assert!(matches!(err, MortarError::InvalidConfig { .. }), "{what}: {err:?}");
+        }
+        // The same shapes with a positive cadence install.
+        m.query("p").members(0..8).sum(0).periodic_us(1, 1.0).install().expect("1 µs period");
+        m.query("b").members(0..8).sum(0).feed_bursty(bursty).install().expect("2x burst");
+    }
+
+    #[test]
+    fn builder_methods_build_the_spec_written_by_hand() {
+        let base = QuerySpec {
+            name: "q".into(),
+            root: 0,
+            members: (0..4).collect(),
+            op: OpKind::Sum { field: 0 },
+            window: WindowSpec::time_tumbling_us(1_000_000),
+            filter: None,
+            sensor: SensorSpec::None,
+            post: None,
+        };
+        type Build = fn(QueryBuilder<'static>) -> QueryBuilder<'static>;
+        type ByHand = fn(&mut QuerySpec);
+        let cases: [(&str, Build, ByHand); 5] = [
+            (
+                "every_us",
+                |b| b.sum(0).every_us(25_000),
+                |s| s.window = WindowSpec::time_tumbling_us(25_000),
+            ),
+            (
+                "periodic_us",
+                |b| b.sum(0).periodic_us(25_000, 2.5),
+                |s| s.sensor = SensorSpec::Periodic { period_us: 25_000, value: 2.5 },
+            ),
+            (
+                "top_k",
+                |b| b.fields(["a", "b"]).top_k(3, "b"),
+                |s| s.op = OpKind::TopK { k: 3, field: 1 },
+            ),
+            (
+                "where_field",
+                |b| b.sum(0).where_field(1, Cmp::Gt, 0.5),
+                |s| s.filter = Some(Predicate::Field { field: 1, cmp: Cmp::Gt, value: 0.5 }),
+            ),
+            (
+                "key_eq",
+                |b| b.sum(0).key_eq(7).key_eq(9),
+                |s| {
+                    let (a, b) = (Predicate::KeyEq(7), Predicate::KeyEq(9));
+                    s.filter = Some(Predicate::And(Box::new(a), Box::new(b)))
+                },
+            ),
+        ];
+        for (what, build, by_hand) in cases {
+            let got = build(stage("q").members(0..4)).detach().finish().expect(what);
+            let mut want = base.clone();
+            by_hand(&mut want);
+            assert_eq!(got, want, "{what}");
+        }
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! with [`Engine::set_host_up`] and read results from the root peer.
 
 use crate::error::MortarError;
+use crate::feed::{FeedConnector, FeedSpec};
 use crate::metrics::ResultRecord;
 use crate::msg::MortarMsg;
 use crate::op::OpRegistry;
 use crate::peer::{MortarPeer, PeerConfig, PeerStats};
-use crate::query::{build_records, QueryId, QuerySpec};
+use crate::query::{build_records, QueryId, QuerySpec, SensorSpec};
 use crate::store::ObjectStore;
 use mortar_coords::VivaldiSystem;
 use mortar_net::{ChaosConfig, ClockModel, NodeId, SimBuilder, Simulator, Topology};
@@ -247,6 +248,24 @@ impl Engine {
                 reason: format!(
                     "range {} smaller than slide {} would drop data between windows",
                     w.range, w.slide
+                ),
+            });
+        }
+        // A zero period never moves a source's cursor past the current
+        // instant, so every member's pump would loop forever; a zero burst
+        // factor divides by zero inside the burst window.
+        let (period_us, factor) = match &spec.sensor {
+            SensorSpec::Periodic { period_us, .. } => (*period_us, 1),
+            SensorSpec::Feed(FeedSpec { connector: FeedConnector::Bursty(p), .. }) => {
+                (p.period_us, p.burst_factor)
+            }
+            _ => (1, 1),
+        };
+        if period_us == 0 || factor == 0 {
+            return Err(MortarError::InvalidConfig {
+                reason: format!(
+                    "query {query:?}: sensor period {period_us} µs and burst factor {factor} \
+                     must be positive"
                 ),
             });
         }

@@ -1,23 +1,26 @@
-//! Bursty-synthetic connector: a deterministic base emission rate with an
-//! optional burst window during which the rate is multiplied.
+//! Cadence sources: a deterministic emission period with an optional burst
+//! window during which the rate is multiplied. A bursty feed is a
+//! [`BurstProfile`]; a Periodic sensor emits on the profile with its
+//! period and value — no burst, no end, key 0.
 //!
 //! Emission is cursor-based — the next emission instant is a pure function
 //! of how many tuples have been handed out — so the total tuple count of a
 //! profile is fixed regardless of when intake polls. A paused feed
 //! catches up late; it never changes what the profile produces.
 
-use super::FeedSource;
 use crate::tuple::RawTuple;
 
 /// A deterministic load profile, in query-frame microseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstProfile {
-    /// Base emission period.
+    /// Base emission period (positive: install rejects 0).
     pub period_us: u64,
     /// During `[burst_start_us, burst_end_us)` the period shrinks to
     /// `period_us / burst_factor` — a `burst_factor`× rate burst.
     pub burst_start_us: u64,
     pub burst_end_us: u64,
+    /// Rate multiplier inside the burst window (positive: install
+    /// rejects 0).
     pub burst_factor: u32,
     /// Emitted tuple payload.
     pub value: f64,
@@ -28,7 +31,8 @@ pub struct BurstProfile {
 }
 
 impl BurstProfile {
-    /// A steady profile with no burst window.
+    /// A steady profile with no burst window: `value` every `period_us`,
+    /// forever (a Periodic sensor's cadence).
     pub fn steady(period_us: u64, value: f64) -> Self {
         Self {
             period_us: period_us.max(1),
@@ -49,54 +53,49 @@ impl BurstProfile {
         self
     }
 
-    /// Emission period in force at frame instant `at_us`.
-    fn period_at(&self, at_us: u64) -> u64 {
-        if at_us >= self.burst_start_us && at_us < self.burst_end_us {
-            (self.period_us / u64::from(self.burst_factor)).max(1)
+    /// Frame instant of a cadence source's first emission: one period
+    /// into the query's frame.
+    pub(crate) fn first_emit_us(&self) -> i64 {
+        i64::try_from(self.period_us.max(1)).unwrap_or(i64::MAX)
+    }
+
+    /// Emission period in force at frame instant `at_us`, at least 1 µs.
+    fn period_at(&self, at_us: i64) -> i64 {
+        let in_burst = u64::try_from(at_us)
+            .is_ok_and(|at| at >= self.burst_start_us && at < self.burst_end_us);
+        let period = if in_burst {
+            self.period_us / u64::from(self.burst_factor.max(1))
         } else {
             self.period_us
-        }
-    }
-}
-
-#[derive(Debug)]
-pub struct BurstySource {
-    profile: BurstProfile,
-    /// Frame instant of the next emission; advances only on emission, so
-    /// deferred tuples are emitted late rather than skipped.
-    next_emit_us: u64,
-}
-
-impl BurstySource {
-    pub fn new(profile: BurstProfile) -> Self {
-        Self { profile, next_emit_us: profile.period_us.max(1) }
-    }
-}
-
-impl FeedSource for BurstySource {
-    fn poll(&mut self, frame_now_us: i64, max: usize, out: &mut Vec<RawTuple>) {
-        if frame_now_us < 0 {
-            return;
-        }
-        let now = frame_now_us as u64;
-        let mut emitted = 0usize;
-        while emitted < max
-            && self.next_emit_us <= now
-            && self.next_emit_us <= self.profile.until_us
-        {
-            out.push(RawTuple { key: self.profile.key, vals: vec![self.profile.value] });
-            // The period in force is the one at the emission's own instant,
-            // so catch-up after a pause reproduces the exact schedule.
-            self.next_emit_us += self.profile.period_at(self.next_emit_us);
-            emitted += 1;
-        }
+        };
+        i64::try_from(period.max(1)).unwrap_or(i64::MAX)
     }
 
-    fn next_due_us(&self) -> i64 {
-        if self.next_emit_us > self.profile.until_us {
+    /// If the emission at `*next` is due by `frame_now_us` (and not past
+    /// `until_us`), writes it into `out`, advances the cursor by the
+    /// period in force at the emission's own instant (so catch-up after a
+    /// pause reproduces the exact schedule) and returns that instant.
+    pub(crate) fn emit(
+        &self,
+        next: &mut i64,
+        frame_now_us: i64,
+        out: &mut RawTuple,
+    ) -> Option<i64> {
+        let at = *next;
+        if at > frame_now_us || self.next_due_us(at) == i64::MAX {
+            return None;
+        }
+        out.set(self.key, &[self.value]);
+        *next = at.saturating_add(self.period_at(at));
+        Some(at)
+    }
+
+    /// `next`, or `i64::MAX` once it is past `until_us`.
+    pub(crate) fn next_due_us(&self, next: i64) -> i64 {
+        if u64::try_from(next).is_ok_and(|n| n > self.until_us) {
             i64::MAX
         } else {
-            self.next_emit_us as i64
+            next
         }
     }
 }
@@ -105,43 +104,47 @@ impl FeedSource for BurstySource {
 mod tests {
     use super::*;
 
-    fn drain(s: &mut BurstySource, now: i64) -> usize {
-        let mut out = Vec::new();
-        s.poll(now, usize::MAX, &mut out);
-        out.len()
+    /// Emits every tuple `p` has due by `now` from cursor `next`.
+    fn drain(p: &BurstProfile, next: &mut i64, now: i64) -> usize {
+        let mut raw = RawTuple::default();
+        let mut n = 0;
+        while p.emit(next, now, &mut raw).is_some() {
+            n += 1;
+        }
+        n
     }
 
     #[test]
     fn burst_window_multiplies_rate() {
         // 1 ms base period, 10× burst over [10 ms, 20 ms).
         let p = BurstProfile::steady(1_000, 1.0).with_burst(10_000, 20_000, 10);
-        let mut s = BurstySource::new(p);
-        assert_eq!(drain(&mut s, 10_000 - 1), 9, "9 steady emissions before the burst");
-        assert_eq!(drain(&mut s, 20_000 - 1), 100, "10 ms at 100 µs period");
-        assert_eq!(drain(&mut s, 30_000), 11, "steady again after the burst");
+        let mut next = p.first_emit_us();
+        assert_eq!(drain(&p, &mut next, 10_000 - 1), 9, "9 steady emissions before the burst");
+        assert_eq!(drain(&p, &mut next, 20_000 - 1), 100, "10 ms at 100 µs period");
+        assert_eq!(drain(&p, &mut next, 30_000), 11, "steady again after the burst");
     }
 
     #[test]
     fn paused_source_catches_up_with_identical_totals() {
         let p = BurstProfile::steady(1_000, 1.0).with_burst(10_000, 20_000, 10);
-        let mut eager = BurstySource::new(p);
+        let mut eager = p.first_emit_us();
         let mut total_eager = 0;
         for ms in 1..=30 {
-            total_eager += drain(&mut eager, ms * 1_000);
+            total_eager += drain(&p, &mut eager, ms * 1_000);
         }
-        // The lazy copy is never polled until the very end.
-        let mut lazy = BurstySource::new(p);
-        let total_lazy = drain(&mut lazy, 30_000);
+        // The lazy cursor is never polled until the very end.
+        let mut lazy = p.first_emit_us();
+        let total_lazy = drain(&p, &mut lazy, 30_000);
         assert_eq!(total_eager, total_lazy);
-        assert_eq!(eager.next_emit_us, lazy.next_emit_us);
+        assert_eq!(eager, lazy);
     }
 
     #[test]
     fn until_bound_exhausts_source() {
         let mut p = BurstProfile::steady(1_000, 2.5);
         p.until_us = 5_000;
-        let mut s = BurstySource::new(p);
-        assert_eq!(drain(&mut s, 100_000), 5);
-        assert_eq!(s.next_due_us(), i64::MAX);
+        let mut next = p.first_emit_us();
+        assert_eq!(drain(&p, &mut next, 100_000), 5);
+        assert_eq!(p.next_due_us(next), i64::MAX);
     }
 }

@@ -7,7 +7,6 @@
 //! byte-identical. Pushes made while the engine is idle (between `run_*`
 //! calls) are observed deterministically on the next tick.
 
-use super::FeedSource;
 use crate::tuple::RawTuple;
 use mortar_net::NodeId;
 use std::collections::{BTreeMap, VecDeque};
@@ -42,42 +41,30 @@ impl ChannelHub {
         q.get(&node).map_or(0, VecDeque::len)
     }
 
-    fn drain(&self, node: NodeId, max: usize, out: &mut Vec<RawTuple>) {
+    /// Moves the oldest tuple pending for `node` into `out`, if any.
+    pub(crate) fn emit(&self, node: NodeId, out: &mut RawTuple) -> bool {
         let mut q = self.queues.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(queue) = q.get_mut(&node) else { return };
-        let n = queue.len().min(max);
-        out.extend(queue.drain(..n));
-    }
-}
-
-/// One member's view of a [`ChannelHub`].
-#[derive(Debug)]
-pub struct ChannelSource {
-    hub: Arc<ChannelHub>,
-    node: NodeId,
-}
-
-impl ChannelSource {
-    pub fn new(hub: Arc<ChannelHub>, node: NodeId) -> Self {
-        Self { hub, node }
-    }
-}
-
-impl FeedSource for ChannelSource {
-    fn poll(&mut self, _frame_now_us: i64, max: usize, out: &mut Vec<RawTuple>) {
-        self.hub.drain(self.node, max, out);
-    }
-
-    /// External pushes cannot wake the simulated clock, so a channel feed
-    /// asks to be polled every tick.
-    fn next_due_us(&self) -> i64 {
-        i64::MIN
+        let Some(t) = q.get_mut(&node).and_then(VecDeque::pop_front) else { return false };
+        *out = t;
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Emits up to `max` of `node`'s pending tuples, as a connector poll
+    /// does.
+    fn poll(hub: &ChannelHub, node: NodeId, max: usize, out: &mut Vec<f64>) {
+        let mut raw = RawTuple::default();
+        for _ in 0..max {
+            if !hub.emit(node, &mut raw) {
+                break;
+            }
+            out.push(raw.field(0));
+        }
+    }
 
     #[test]
     fn per_node_queues_do_not_interfere() {
@@ -86,11 +73,9 @@ mod tests {
         hub.push_many(2, [RawTuple::of(2.0), RawTuple::of(3.0)]);
         assert_eq!(hub.pending(1), 1);
         assert_eq!(hub.pending(2), 2);
-        let mut s1 = ChannelSource::new(Arc::clone(&hub), 1);
         let mut out = Vec::new();
-        s1.poll(0, usize::MAX, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].field(0), 1.0);
+        poll(&hub, 1, usize::MAX, &mut out);
+        assert_eq!(out, vec![1.0]);
         assert_eq!(hub.pending(2), 2, "node 2's queue untouched");
     }
 
@@ -98,15 +83,10 @@ mod tests {
     fn max_caps_a_drain_without_losing_the_rest() {
         let hub = ChannelHub::new();
         hub.push_many(7, (0..5).map(|i| RawTuple::of(i as f64)));
-        let mut s = ChannelSource::new(Arc::clone(&hub), 7);
         let mut out = Vec::new();
-        s.poll(0, 2, &mut out);
+        poll(&hub, 7, 2, &mut out);
         assert_eq!(out.len(), 2);
-        s.poll(0, usize::MAX, &mut out);
-        assert_eq!(out.len(), 5);
-        assert_eq!(
-            out.iter().map(|t| t.field(0)).collect::<Vec<_>>(),
-            vec![0.0, 1.0, 2.0, 3.0, 4.0]
-        );
+        poll(&hub, 7, usize::MAX, &mut out);
+        assert_eq!(out, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
     }
 }

@@ -1,20 +1,26 @@
-//! Ingestion feeds: pluggable leaf source connectors with per-feed
-//! overload policies.
+//! Ingestion: every tuple a peer produces locally comes from one source
+//! model, whatever declared it — a Periodic sensor, a peer-resident
+//! Replay trace, or a feed connector.
 //!
-//! The paper drives leaves from simulator closures; the ROADMAP north-star
-//! is a production ingestion layer whose overload behavior is a declared,
-//! per-feed *policy* rather than an accident of queue growth (the
+//! A (peer, query) holds only a [`Source`]: a cursor (the next emission
+//! instant in query-frame µs for a cadence, or the next index into a
+//! trace) plus, for a [`SensorSpec::Feed`] only, a boxed [`Intake`]. What
+//! a source emits is read at each pump from the shared spec (a
+//! [`BurstProfile`], a feed's [`ReplayTrace`] or [`ChannelHub`]) or from
+//! the peer's own packed trace; no source keeps a copy. One
+//! [`Source::pump`] writes every due tuple into the caller's scratch
+//! [`RawTuple`], and one [`Source::next_due_us`] answers when the source
+//! next needs service.
+//!
+//! A feed adds an [`IntakePolicy`] between source and operator: what
+//! happens when tuples arrive faster than the operator drains (the
 //! AsterixDB fault-tolerant data-feeds model: spill / sample / shed /
-//! backpressure, congestion handled inside the system).
-//!
-//! A feed is a [`FeedConnector`] (what produces raw tuples) plus an
-//! [`IntakePolicy`] (what happens when tuples arrive faster than the
-//! operator drains). Connectors live one-per-module: [`replay`] replays a
-//! recorded trace, [`bursty`] synthesizes a deterministic load profile with
-//! an optional burst window, [`channel`] drains tuples pushed from outside
-//! the engine. All connectors are *cursor-based*: a tuple that cannot be
-//! admitted right now (e.g. a paused `Backpressure` feed) stays at the
-//! source and is offered again later — pausing defers, it never loses.
+//! backpressure, congestion handled inside the system). Sources are
+//! cursor-based: a tuple that cannot be admitted right now (e.g. a paused
+//! `Backpressure` feed) stays at the source and is offered again later —
+//! pausing defers, it never loses. A Periodic or Replay sensor has no
+//! intake: it never queues, never counts in `feed_totals`, and allocates
+//! nothing per tuple.
 //!
 //! Intake memory is structurally bounded: the intake queue never holds
 //! more than the policy's queue cap, and the `Spill` overflow ring never
@@ -26,10 +32,11 @@ pub mod bursty;
 pub mod channel;
 pub mod replay;
 
-pub use bursty::{BurstProfile, BurstySource};
-pub use channel::{ChannelHub, ChannelSource};
-pub use replay::ReplaySource;
+pub use bursty::BurstProfile;
+pub use channel::ChannelHub;
+pub use replay::ReplayTrace;
 
+use crate::query::SensorSpec;
 use crate::tuple::RawTuple;
 use mortar_net::NodeId;
 use std::collections::VecDeque;
@@ -92,33 +99,16 @@ impl IntakePolicy {
     }
 }
 
-/// A pluggable tuple source driven by the peer's local clock.
-///
-/// Times are *query-frame* microseconds: offsets from the query's
-/// activation instant (`t_ref_base`), the same base [`SensorSpec::Replay`]
-/// traces use, so sources are portable across clock skew.
-///
-/// [`SensorSpec::Replay`]: crate::query::SensorSpec::Replay
-pub trait FeedSource: Send {
-    /// Appends up to `max` tuples due by `frame_now_us` to `out`. A source
-    /// capped by `max` keeps its cursor: undelivered tuples are offered on
-    /// the next poll, never lost.
-    fn poll(&mut self, frame_now_us: i64, max: usize, out: &mut Vec<RawTuple>);
-
-    /// Frame instant of the next tuple this source will have due, or
-    /// `i64::MAX` if exhausted, or `i64::MIN` for externally driven
-    /// sources that must be polled every tick.
-    fn next_due_us(&self) -> i64;
-}
-
-/// What produces a feed's tuples. Cloned into every member's install
-/// record; each member instantiates its own [`FeedSource`] from it, so
-/// feed state is a pure function of (spec, node id) and therefore
-/// identical across shard counts.
+/// What produces a feed's tuples, shared by every member through the
+/// query's spec. Times are *query-frame* microseconds: offsets from the
+/// query's issue instant, the base a peer-resident replay trace uses, so
+/// sources are portable across clock skew. Each member's emissions are a
+/// pure function of (spec, node id, cursor), hence identical across shard
+/// counts.
 #[derive(Debug, Clone)]
 pub enum FeedConnector {
     /// Replays a recorded trace of (frame-offset µs, tuple) pairs.
-    Replay { trace: Arc<[(u64, RawTuple)]> },
+    Replay { trace: Arc<ReplayTrace> },
     /// Deterministic synthetic load with an optional burst window.
     Bursty(BurstProfile),
     /// Drains tuples pushed into a shared per-node hub from outside the
@@ -141,7 +131,7 @@ impl PartialEq for FeedConnector {
 }
 
 /// A feed declaration: connector + intake policy + drain rate. Lives in
-/// [`SensorSpec::Feed`](crate::query::SensorSpec::Feed).
+/// [`SensorSpec::Feed`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeedSpec {
     pub connector: FeedConnector,
@@ -154,29 +144,6 @@ pub struct FeedSpec {
 impl FeedSpec {
     pub fn new(connector: FeedConnector, policy: IntakePolicy) -> Self {
         Self { connector, policy, drain_max: DEFAULT_DRAIN_MAX }
-    }
-
-    /// Builds this member's runtime feed state. Pure function of the spec
-    /// and the node id — no clocks, no entropy — so every shard layout
-    /// reconstructs the identical source.
-    pub fn instantiate(&self, node: NodeId) -> FeedState {
-        let source: Box<dyn FeedSource> = match &self.connector {
-            FeedConnector::Replay { trace } => Box::new(ReplaySource::new(Arc::clone(trace))),
-            FeedConnector::Bursty(profile) => Box::new(BurstySource::new(*profile)),
-            FeedConnector::Channel { hub } => Box::new(ChannelSource::new(Arc::clone(hub), node)),
-        };
-        FeedState {
-            source,
-            policy: self.policy,
-            drain_max: self.drain_max.max(1),
-            queue: VecDeque::new(),
-            queue_bytes: 0,
-            spill: VecDeque::new(),
-            spill_bytes: 0,
-            sample_seen: 0,
-            poll_buf: Vec::new(),
-            stats: FeedStats::default(),
-        }
     }
 }
 
@@ -222,38 +189,163 @@ impl FeedStats {
     }
 }
 
-/// Per-member runtime state of one feed: the live source, the bounded
-/// intake queue, the spill ring, and exact accounting.
-pub struct FeedState {
-    pub source: Box<dyn FeedSource>,
-    pub policy: IntakePolicy,
-    pub drain_max: usize,
+/// Where one pump reads its tuples from: a cadence (a Periodic sensor or
+/// a Bursty feed), a packed trace (the peer's, or a replay feed's), or a
+/// channel hub.
+enum Emitter<'a> {
+    Cadence(BurstProfile),
+    Trace(&'a ReplayTrace),
+    Channel(&'a ChannelHub, NodeId),
+    Silent,
+}
+
+impl<'a> Emitter<'a> {
+    fn of(sensor: &'a SensorSpec, peer_trace: &'a ReplayTrace, node: NodeId) -> Self {
+        match sensor {
+            SensorSpec::Periodic { period_us, value } => {
+                Emitter::Cadence(BurstProfile::steady(*period_us, *value))
+            }
+            SensorSpec::Replay => Emitter::Trace(peer_trace),
+            SensorSpec::Feed(fs) => match &fs.connector {
+                FeedConnector::Bursty(profile) => Emitter::Cadence(*profile),
+                FeedConnector::Replay { trace } => Emitter::Trace(trace),
+                FeedConnector::Channel { hub } => Emitter::Channel(hub, node),
+            },
+            // Subscription ingest happens where the upstream root emits.
+            SensorSpec::Subscribe { .. } | SensorSpec::None => Emitter::Silent,
+        }
+    }
+
+    /// Writes the next tuple due by `frame_now_us` into `out`, advances
+    /// `cursor` and returns the tuple's production instant (query-frame
+    /// µs; a channel's tuple is produced when it is drained); `None` when
+    /// nothing more is due.
+    fn emit(&self, cursor: &mut i64, frame_now_us: i64, out: &mut RawTuple) -> Option<i64> {
+        match self {
+            Emitter::Cadence(profile) => profile.emit(cursor, frame_now_us, out),
+            Emitter::Trace(trace) => trace.emit(cursor, frame_now_us, out),
+            Emitter::Channel(hub, node) => hub.emit(*node, out).then_some(frame_now_us),
+            Emitter::Silent => None,
+        }
+    }
+
+    fn next_due_us(&self, cursor: i64) -> i64 {
+        match self {
+            Emitter::Cadence(profile) => profile.next_due_us(cursor),
+            Emitter::Trace(trace) => trace.next_due_us(cursor),
+            // External pushes cannot wake the simulated clock, so a
+            // channel asks to be polled every tick.
+            Emitter::Channel(..) => i64::MIN,
+            Emitter::Silent => i64::MAX,
+        }
+    }
+}
+
+/// One (peer, query)'s ingestion state: a cursor, and an intake iff the
+/// sensor is a feed.
+#[derive(Debug, Default)]
+pub struct Source {
+    /// A cadence's next emission instant (query-frame µs), or a trace's
+    /// next index; unused by a channel.
+    cursor: i64,
+    /// Queue, spill ring and ledger between a feed's connector and the
+    /// operator. Boxed: a Periodic or Replay sensor pays one pointer.
+    intake: Option<Box<Intake>>,
+}
+
+impl Source {
+    /// The source of a query whose frame reads `frame_now_us` as it goes
+    /// active: a Periodic sensor emits at once and every period after; a
+    /// Bursty feed one period into the frame; a trace from its first
+    /// tuple.
+    pub fn new(sensor: &SensorSpec, frame_now_us: i64) -> Self {
+        match sensor {
+            SensorSpec::Periodic { .. } => Self { cursor: frame_now_us, intake: None },
+            SensorSpec::Feed(fs) => Self {
+                cursor: match &fs.connector {
+                    FeedConnector::Bursty(profile) => profile.first_emit_us(),
+                    FeedConnector::Replay { .. } | FeedConnector::Channel { .. } => 0,
+                },
+                intake: Some(Box::new(Intake::new(fs))),
+            },
+            _ => Self::default(),
+        }
+    }
+
+    /// Hands every tuple due by `frame_now_us` to `deliver`, with its
+    /// production instant in query-frame µs, each written into the
+    /// scratch tuple `raw` first. A Periodic or Replay sensor delivers
+    /// straight from its cursor, allocating nothing per tuple; a feed runs
+    /// one intake round ([`Intake`]) and delivers what it drains at
+    /// `frame_now_us`. `peer_trace` and `node` are the pumping peer's
+    /// replay trace and id. Returns the number of tuples delivered.
+    pub fn pump(
+        &mut self,
+        sensor: &SensorSpec,
+        peer_trace: &ReplayTrace,
+        node: NodeId,
+        frame_now_us: i64,
+        raw: &mut RawTuple,
+        mut deliver: impl FnMut(i64, &RawTuple),
+    ) -> u64 {
+        let from = Emitter::of(sensor, peer_trace, node);
+        let Some(intake) = self.intake.as_deref_mut() else {
+            let mut delivered = 0;
+            while let Some(at) = from.emit(&mut self.cursor, frame_now_us, raw) {
+                deliver(at, raw);
+                delivered += 1;
+            }
+            return delivered;
+        };
+        intake.pump(
+            |raw| from.emit(&mut self.cursor, frame_now_us, raw).is_some(),
+            raw,
+            |t| deliver(frame_now_us, t),
+        )
+    }
+
+    /// Query-frame instant this source next needs a pump: `i64::MIN` while
+    /// intake holds tuples or for a channel (every tick), `i64::MAX` when
+    /// nothing more will come.
+    pub fn next_due_us(&self, sensor: &SensorSpec, peer_trace: &ReplayTrace, node: NodeId) -> i64 {
+        if self.intake.as_ref().is_some_and(|i| i.has_pending()) {
+            return i64::MIN;
+        }
+        Emitter::of(sensor, peer_trace, node).next_due_us(self.cursor)
+    }
+
+    /// The feed intake, if the sensor is a feed.
+    pub fn intake(&self) -> Option<&Intake> {
+        self.intake.as_deref()
+    }
+}
+
+/// A feed's intake: the bounded queue, the spill ring, and exact
+/// accounting.
+#[derive(Debug)]
+pub struct Intake {
+    policy: IntakePolicy,
+    drain_max: usize,
     queue: VecDeque<RawTuple>,
     queue_bytes: u64,
     spill: VecDeque<RawTuple>,
     spill_bytes: u64,
     sample_seen: u64,
-    /// Reusable scratch for source polls — no per-tick allocation once
-    /// warm.
-    poll_buf: Vec<RawTuple>,
     pub stats: FeedStats,
 }
 
-impl std::fmt::Debug for FeedState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FeedState")
-            .field("policy", &self.policy)
-            .field("queued", &self.queue.len())
-            .field("spilled", &self.spill.len())
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl FeedState {
-    /// Tuples currently queued (intake only, not the spill ring).
-    pub fn queued(&self) -> usize {
-        self.queue.len()
+impl Intake {
+    fn new(fs: &FeedSpec) -> Self {
+        Self {
+            policy: fs.policy,
+            drain_max: fs.drain_max.max(1),
+            queue: VecDeque::new(),
+            queue_bytes: 0,
+            spill: VecDeque::new(),
+            spill_bytes: 0,
+            sample_seen: 0,
+            stats: FeedStats::default(),
+        }
     }
 
     /// Bytes currently held across queue and spill ring.
@@ -278,38 +370,37 @@ impl FeedState {
         }
     }
 
-    /// One intake round, called from the peer's tick: drain the spill ring
-    /// back into the queue while pressure is clear, poll the source under
-    /// the policy's allowance, admit per policy, then hand up to
-    /// `drain_max` tuples to `deliver` (the operator's `ingest_raw`).
-    ///
-    /// Returns the number of tuples delivered.
-    pub fn pump<F: FnMut(RawTuple)>(&mut self, frame_now_us: i64, mut deliver: F) -> u64 {
+    /// One intake round: drain the spill ring back into the queue while
+    /// pressure is clear, offer the source's due tuples (each written into
+    /// `raw` by `emit`) under the policy's allowance, admit per policy,
+    /// then hand up to `drain_max` queued tuples to `deliver`. Returns the
+    /// number delivered.
+    fn pump(
+        &mut self,
+        mut emit: impl FnMut(&mut RawTuple) -> bool,
+        raw: &mut RawTuple,
+        mut deliver: impl FnMut(&RawTuple),
+    ) -> u64 {
         let cap = self.policy.queue_cap();
         // Spill ring drains first: oldest overflow re-enters the queue as
         // soon as pressure clears, preserving arrival order.
         while self.queue.len() < cap {
             let Some(t) = self.spill.pop_front() else { break };
             self.spill_bytes -= raw_cost_bytes(&t);
-            self.enqueue(t, cap);
+            self.enqueue(t);
         }
-        let allowance = self.poll_allowance();
-        if allowance > 0 {
-            self.poll_buf.clear();
-            self.source.poll(frame_now_us, allowance, &mut self.poll_buf);
-            let mut polled = std::mem::take(&mut self.poll_buf);
-            self.stats.offered += polled.len() as u64;
-            for t in polled.drain(..) {
-                self.admit(t, cap);
+        for _ in 0..self.poll_allowance() {
+            if !emit(raw) {
+                break;
             }
-            // Hand the allocation back so the next poll reuses it.
-            self.poll_buf = polled;
+            self.stats.offered += 1;
+            self.admit(raw, cap);
         }
         let mut delivered = 0u64;
         while delivered < self.drain_max as u64 {
             let Some(t) = self.queue.pop_front() else { break };
             self.queue_bytes -= raw_cost_bytes(&t);
-            deliver(t);
+            deliver(&t);
             delivered += 1;
         }
         self.stats.delivered += delivered;
@@ -319,8 +410,9 @@ impl FeedState {
         delivered
     }
 
-    /// Admits one offered tuple under the declared policy.
-    fn admit(&mut self, t: RawTuple, cap: usize) {
+    /// Admits one offered tuple under the declared policy, copying it only
+    /// if it is kept.
+    fn admit(&mut self, t: &RawTuple, cap: usize) {
         if let IntakePolicy::Sample { keep_1_in_n } = self.policy {
             let n = u64::from(keep_1_in_n.max(1));
             let keep = self.sample_seen.is_multiple_of(n);
@@ -331,7 +423,7 @@ impl FeedState {
             }
         }
         if self.queue.len() < cap {
-            self.enqueue(t, cap);
+            self.enqueue(t.clone());
             return;
         }
         match self.policy {
@@ -344,10 +436,10 @@ impl FeedState {
                 self.stats.shed_tuples += 1;
             }
             IntakePolicy::Spill { cap_bytes } => {
-                let c = raw_cost_bytes(&t);
+                let c = raw_cost_bytes(t);
                 if self.spill_bytes + c <= cap_bytes {
                     self.spill_bytes += c;
-                    self.spill.push_back(t);
+                    self.spill.push_back(t.clone());
                     self.stats.spilled += 1;
                     self.stats.peak_spill_bytes = self.stats.peak_spill_bytes.max(self.spill_bytes);
                 } else {
@@ -357,20 +449,10 @@ impl FeedState {
         }
     }
 
-    fn enqueue(&mut self, t: RawTuple, _cap: usize) {
+    fn enqueue(&mut self, t: RawTuple) {
         self.queue_bytes += raw_cost_bytes(&t);
         self.queue.push_back(t);
         self.stats.peak_queue_bytes = self.stats.peak_queue_bytes.max(self.queue_bytes);
-    }
-
-    /// Next frame instant this feed needs service: immediately while
-    /// tuples are buffered, otherwise whenever the source next fires.
-    pub fn next_due_us(&self) -> i64 {
-        if self.has_pending() {
-            i64::MIN
-        } else {
-            self.source.next_due_us()
-        }
     }
 
     /// Conservation check: every offered tuple is delivered, counted as
@@ -390,64 +472,85 @@ impl FeedState {
 mod tests {
     use super::*;
 
-    fn spec(policy: IntakePolicy, trace_len: u64) -> FeedSpec {
+    /// A member of a replay feed over a `trace_len`-tuple trace (tuple `i`
+    /// due at frame µs `i`), drained `drain_max` tuples per pump.
+    fn member(policy: IntakePolicy, trace_len: u64, drain_max: usize) -> (SensorSpec, Source) {
         let trace: Vec<(u64, RawTuple)> =
             (0..trace_len).map(|i| (i, RawTuple::of(i as f64))).collect();
-        FeedSpec::new(FeedConnector::Replay { trace: trace.into() }, policy)
+        let trace = Arc::new(ReplayTrace::pack(trace));
+        let mut spec = FeedSpec::new(FeedConnector::Replay { trace }, policy);
+        spec.drain_max = drain_max;
+        let sensor = SensorSpec::Feed(spec);
+        let source = Source::new(&sensor, 0);
+        (sensor, source)
+    }
+
+    fn pump(
+        sensor: &SensorSpec,
+        f: &mut Source,
+        now: i64,
+        mut deliver: impl FnMut(&RawTuple),
+    ) -> u64 {
+        f.pump(sensor, &ReplayTrace::default(), 0, now, &mut RawTuple::default(), |_, t| deliver(t))
+    }
+
+    fn intake(f: &Source) -> &Intake {
+        f.intake().expect("a feed has an intake")
     }
 
     #[test]
     fn backpressure_defers_and_loses_nothing() {
-        let mut f = spec(IntakePolicy::Backpressure { credits: 4 }, 100).instantiate(0);
-        f.drain_max = 2;
+        let (sensor, mut f) = member(IntakePolicy::Backpressure { credits: 4 }, 100, 2);
         let mut got = 0u64;
         for _ in 0..200 {
-            got += f.pump(1_000_000, |_| {});
-            assert!(f.queued() <= 4, "credits exceeded");
-            assert!(f.conserved());
+            got += pump(&sensor, &mut f, 1_000_000, |_| {});
+            assert!(intake(&f).queue.len() <= 4, "credits exceeded");
+            assert!(intake(&f).conserved());
         }
         assert_eq!(got, 100);
-        assert_eq!(f.stats.shed_tuples + f.stats.sampled_out + f.stats.spill_drops, 0);
+        let s = intake(&f).stats;
+        assert_eq!(s.shed_tuples + s.sampled_out + s.spill_drops, 0);
     }
 
     #[test]
     fn shed_counts_every_drop_exactly() {
-        let mut f = spec(IntakePolicy::Shed { watermark: 8 }, 100).instantiate(0);
-        f.drain_max = 1;
+        let (sensor, mut f) = member(IntakePolicy::Shed { watermark: 8 }, 100, 1);
         for _ in 0..300 {
-            f.pump(1_000_000, |_| {});
-            assert!(f.conserved());
+            pump(&sensor, &mut f, 1_000_000, |_| {});
+            assert!(intake(&f).conserved());
         }
-        assert_eq!(f.stats.offered, 100);
-        assert!(f.stats.shed_tuples > 0);
-        assert_eq!(f.stats.delivered + f.stats.shed_tuples, 100);
+        let s = intake(&f).stats;
+        assert_eq!(s.offered, 100);
+        assert!(s.shed_tuples > 0);
+        assert_eq!(s.delivered + s.shed_tuples, 100);
     }
 
     #[test]
     fn sample_keeps_exact_stride() {
-        let mut f = spec(IntakePolicy::Sample { keep_1_in_n: 4 }, 100).instantiate(0);
+        let (sensor, mut f) =
+            member(IntakePolicy::Sample { keep_1_in_n: 4 }, 100, DEFAULT_DRAIN_MAX);
         let mut vals = Vec::new();
         for _ in 0..100 {
-            f.pump(1_000_000, |t| vals.push(t.field(0)));
-            assert!(f.conserved());
+            pump(&sensor, &mut f, 1_000_000, |t| vals.push(t.field(0)));
+            assert!(intake(&f).conserved());
         }
-        assert_eq!(f.stats.sampled_out, 75);
+        assert_eq!(intake(&f).stats.sampled_out, 75);
         assert_eq!(vals, (0..100).step_by(4).map(|v| v as f64).collect::<Vec<_>>());
     }
 
     #[test]
     fn spill_ring_is_byte_bounded_and_drains() {
         let cap = 40 * raw_cost_bytes(&RawTuple::of(0.0));
-        let mut f = spec(IntakePolicy::Spill { cap_bytes: cap }, 3000).instantiate(0);
-        f.drain_max = 16;
+        let (sensor, mut f) = member(IntakePolicy::Spill { cap_bytes: cap }, 3000, 16);
         let mut got = 0u64;
         for _ in 0..400 {
-            got += f.pump(10_000_000, |_| {});
-            assert!(f.spill_bytes <= cap, "spill ring over cap");
-            assert!(f.conserved());
+            got += pump(&sensor, &mut f, 10_000_000, |_| {});
+            assert!(intake(&f).spill_bytes <= cap, "spill ring over cap");
+            assert!(intake(&f).conserved());
         }
-        assert_eq!(f.stats.overcap, 0);
-        assert!(f.stats.spilled >= 40);
-        assert_eq!(got + f.stats.spill_drops, 3000);
+        let s = intake(&f).stats;
+        assert_eq!(s.overcap, 0);
+        assert!(s.spilled >= 40);
+        assert_eq!(got + s.spill_drops, 3000);
     }
 }

@@ -50,9 +50,7 @@ pub mod window;
 pub use api::{stage, Mortar, Pipeline, QueryBuilder, QueryHandle};
 pub use engine::{Engine, EngineConfig};
 pub use error::MortarError;
-pub use feed::{
-    BurstProfile, ChannelHub, FeedConnector, FeedSource, FeedSpec, FeedStats, IntakePolicy,
-};
+pub use feed::{BurstProfile, ChannelHub, FeedConnector, FeedSpec, FeedStats, IntakePolicy};
 pub use op::{CustomOp, OpKind, OpRegistry};
 pub use peer::{IndexingMode, MortarPeer, PeerConfig};
 pub use query::{QuerySpec, SensorSpec};

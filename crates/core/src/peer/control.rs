@@ -15,6 +15,7 @@
 //! portable store hash needs them.
 
 use super::{MortarPeer, QueryState, HOP_AGE_EST_US, NETDIST_INIT_US};
+use crate::feed::Source;
 use crate::install::{chunk_components_with_peers, component_root, forward_groups};
 use crate::msg::MortarMsg;
 use crate::netdist::NetDist;
@@ -130,13 +131,7 @@ impl MortarPeer {
             super::IndexingMode::Timestamp => local_now,
         };
         let slide = window.slide as i64;
-        // Feed-driven sensors build their live source here, as a pure
-        // function of (spec, peer id) — installs on any shard layout
-        // reconstruct the identical connector state.
-        let feed = match &spec.sensor {
-            crate::query::SensorSpec::Feed(fs) => Some(Box::new(fs.instantiate(self.id))),
-            _ => None,
-        };
+        let source = Source::new(&spec.sensor, local_now - t_ref_base);
         let name = self.directory.bind(id, &spec.name);
         let state = QueryState {
             name,
@@ -155,10 +150,8 @@ impl MortarPeer {
             } else {
                 0
             },
-            next_emit_local_us: local_now,
-            feed,
+            source,
             tuple_buf: Vec::new(),
-            replay_pos: 0,
             tuples_seen: 0,
             tuples_out: 0,
             sched_due_us: i64::MAX,
@@ -298,8 +291,10 @@ impl MortarPeer {
     }
 
     /// Installs one entry learned through reconciliation (a plan's push
-    /// or a transfer) and fetches this peer's physical-plan record from
-    /// the query root. Entries the local state already beats — an equal or
+    /// or a transfer) and, if this peer is a member, fetches its
+    /// physical-plan record from the query root (the root answers members
+    /// only, so a non-member's request would be wasted control bytes).
+    /// Entries the local state already beats — an equal or
     /// newer install, or an equal or newer tombstone — are skipped, so no
     /// spurious topology fetch goes out; these are exactly the
     /// [`crate::reconcile::reconcile`] `to_install` conditions, re-checked
@@ -320,12 +315,13 @@ impl MortarPeer {
             return;
         }
         let age = age + HOP_AGE_EST_US as i64;
-        let root = spec.root;
-        let name = spec.name.clone();
+        let fetch = spec.member_of(self.id).map(|_| (spec.root, spec.name.clone()));
         self.install_query(spec, id, seq, None, age, local_now);
-        let req = MortarMsg::TopoRequest { name };
-        let bytes = req.wire_bytes();
-        ctx.send_classified(root, req, bytes, TrafficClass::Control);
+        if let Some((root, name)) = fetch {
+            let req = MortarMsg::TopoRequest { name };
+            let bytes = req.wire_bytes();
+            ctx.send_classified(root, req, bytes, TrafficClass::Control);
+        }
     }
 
     /// Applies one remote tombstone, whatever this peer knew before:
@@ -650,7 +646,7 @@ impl MortarPeer {
                 let slide = q.spec.window.slide as i64;
                 let frame = q.frame_now(self.cfg.indexing, local_now);
                 q.next_close_k = frame.div_euclid(slide);
-                q.next_emit_local_us = local_now;
+                q.source = Source::new(&q.spec.sensor, local_now - q.t_ref_base_us);
                 let rec = q.record.clone();
                 self.register_routes(id, rec.as_ref());
                 // The query just went active: give it a due instant.

@@ -1,67 +1,14 @@
-//! Ingest stage: sensor pumping, raw-tuple lift (merging across time), and
+//! Ingest stage: source pumping, raw-tuple lift (merging across time), and
 //! window close (Sections 4–5).
 
 use super::{MortarPeer, BUCKET_GC_CAP};
 use crate::msg::MortarMsg;
 use crate::netdist::NetDist;
-use crate::query::{QueryId, SensorSpec};
+use crate::query::QueryId;
 use crate::tuple::{RawTuple, SummaryTuple, TruthMeta};
 use crate::window::WindowKind;
 use mortar_net::Ctx;
-
-/// A peer-resident replay trace (the trace-driven sensors of Section 7),
-/// packed into four flat arrays: tuple `i` is due at local offset
-/// `offs[i]` from its query's activation, carries key `keys[i]`, and its
-/// fields are `vals[starts[i]..starts[i + 1]]` (the last tuple's run ends
-/// at `vals.len()`). A 1-field tuple costs 8 + 8 + 4 + 8 = 28 B and no
-/// allocation of its own, where a `(u64, RawTuple)` pair costs ~72 B (a
-/// 40 B element plus a 32 B heap chunk for its field vector).
-#[derive(Debug, Default)]
-pub(crate) struct ReplayTrace {
-    pub(crate) offs: Vec<u64>,
-    keys: Vec<u64>,
-    starts: Vec<u32>,
-    vals: Vec<f64>,
-}
-
-impl ReplayTrace {
-    /// Packs `(offset, tuple)` pairs, preserving their order.
-    pub(crate) fn pack(trace: Vec<(u64, RawTuple)>) -> Self {
-        let n = trace.len();
-        let fields = trace.iter().map(|(_, t)| t.vals.len()).sum();
-        let mut packed = Self {
-            offs: Vec::with_capacity(n),
-            keys: Vec::with_capacity(n),
-            starts: Vec::with_capacity(n),
-            vals: Vec::with_capacity(fields),
-        };
-        for (off, t) in trace {
-            let start = u32::try_from(packed.vals.len()).expect("replay trace exceeds 2^32 fields");
-            packed.offs.push(off);
-            packed.keys.push(t.key);
-            packed.starts.push(start);
-            packed.vals.extend_from_slice(&t.vals);
-        }
-        packed
-    }
-
-    /// Writes tuple `i` into `out`, reusing `out`'s field buffer.
-    pub(crate) fn load(&self, i: usize, out: &mut RawTuple) {
-        let start = self.starts[i] as usize;
-        let end = self.starts.get(i + 1).map_or(self.vals.len(), |&s| s as usize);
-        out.set(self.keys[i], &self.vals[start..end]);
-    }
-
-    /// Heap bytes held, from the arrays' capacities.
-    #[cfg(test)]
-    pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.offs.capacity() * size_of::<u64>()
-            + self.keys.capacity() * size_of::<u64>()
-            + self.starts.capacity() * size_of::<u32>()
-            + self.vals.capacity() * size_of::<f64>()
-    }
-}
+use std::sync::Arc;
 
 impl MortarPeer {
     /// Lifts one raw tuple into the query's open windows. The tuple is
@@ -204,73 +151,34 @@ impl MortarPeer {
         q.buckets.truncate_oldest(BUCKET_GC_CAP);
     }
 
-    /// Pumps the query's local sensor for tuples due by now. The sensor
-    /// spec is examined by reference — no per-tick clone of the spec (or
-    /// of any upstream-name strings it carries) — and every due tuple is
-    /// written into the tick's scratch tuple `raw`, so pumping allocates
-    /// nothing per tuple.
-    pub(crate) fn pump_sensor(
-        &mut self,
-        id: QueryId,
-        ctx: &mut Ctx<'_, MortarMsg>,
-        raw: &mut RawTuple,
-    ) {
+    /// Pumps the query's local source ([`crate::feed::Source::pump`]):
+    /// every tuple due by now, from any kind of sensor, is written into the
+    /// tick's scratch tuple `raw` and lifted. This is the one place a
+    /// locally produced tuple is stamped, and it stamps at the tick's
+    /// `local_now`, not at the production instant `at` the source reports
+    /// (ROADMAP item 1).
+    pub(crate) fn pump(&mut self, id: QueryId, ctx: &mut Ctx<'_, MortarMsg>, raw: &mut RawTuple) {
         let local_now = ctx.local_now_us();
         let true_now = ctx.true_now_us();
         let Some(q) = self.queries.get_mut(&id) else { return };
         if !q.active() {
             return;
         }
-        match q.spec.sensor {
-            SensorSpec::Periodic { period_us, value } => {
-                let mut n_due = 0usize;
-                while q.next_emit_local_us <= local_now {
-                    q.next_emit_local_us += period_us as i64;
-                    n_due += 1;
-                }
-                raw.set(0, &[value]);
-                for _ in 0..n_due {
-                    self.ingest_raw(id, raw, local_now, true_now);
-                }
-            }
-            SensorSpec::Replay => {
-                // The cursor is the query's own: every replay query walks
-                // the whole trace from its own activation.
-                let base = q.t_ref_base_us;
-                let mut pos = q.replay_pos;
-                while self.replay.offs.get(pos).is_some_and(|&off| base + off as i64 <= local_now) {
-                    self.replay.load(pos, raw);
-                    pos += 1;
-                    self.ingest_raw(id, raw, local_now, true_now);
-                }
-                if let Some(q) = self.queries.get_mut(&id) {
-                    q.replay_pos = pos;
-                }
-            }
-            SensorSpec::Feed(_) => self.pump_feed(id, local_now, true_now),
-            // Subscription ingest happens where the upstream root emits.
-            SensorSpec::Subscribe { .. } | SensorSpec::None => {}
-        }
-    }
-
-    /// One intake round for a feed-driven query: the feed drains its
-    /// spill ring, polls its source under the intake policy's allowance,
-    /// admits or drops per policy, and hands at most `drain_max` queued
-    /// tuples to the operator. Bounded memory and exact accounting are the
-    /// feed's contract ([`crate::feed::FeedState::pump`]); this shim only
-    /// moves the delivered tuples into `ingest_raw`.
-    fn pump_feed(&mut self, id: QueryId, local_now: i64, true_now: u64) {
-        let Some(q) = self.queries.get_mut(&id) else { return };
-        let Some(mut feed) = q.feed.take() else { return };
-        // Feed sources speak query-frame time (offsets from activation),
-        // the same base replay traces use — portable across clock skew.
+        // Sources speak query-frame time (offsets from the issue instant),
+        // portable across clock skew.
         let frame_now = local_now - q.t_ref_base_us;
-        // The feed is moved out of the query for the round so delivery can
-        // lift straight into the operator: the capped queue inside `feed`
-        // is the only buffer a burst ever occupies.
-        feed.pump(frame_now, |t| self.ingest_raw(id, &t, local_now, true_now));
+        // The source, the spec it reads and the peer's trace are held
+        // apart from the peer for the round, so delivery can lift straight
+        // into the operator; none of the three is copied.
+        let spec = Arc::clone(&q.spec);
+        let mut source = std::mem::take(&mut q.source);
+        let trace = std::mem::take(&mut self.replay);
+        source.pump(&spec.sensor, &trace, self.id, frame_now, raw, |_at, t| {
+            self.ingest_raw(id, t, local_now, true_now);
+        });
+        self.replay = trace;
         if let Some(q) = self.queries.get_mut(&id) {
-            q.feed = Some(feed);
+            q.source = source;
         }
     }
 

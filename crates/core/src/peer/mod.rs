@@ -40,10 +40,11 @@ mod control;
 mod ingest;
 mod route;
 
+use crate::feed::{ReplayTrace, Source};
 use crate::msg::MortarMsg;
 use crate::netdist::NetDist;
 use crate::op::OpRegistry;
-use crate::query::{InstallRecord, QueryDirectory, QueryId, QuerySpec};
+use crate::query::{InstallRecord, QueryDirectory, QueryId, QuerySpec, SensorSpec};
 use crate::reconcile::{entry_hash, store_hash};
 use crate::rlog::ResultLog;
 use crate::tslist::TimeSpaceList;
@@ -309,19 +310,13 @@ pub(crate) struct QueryState {
     pub(crate) stripe_rr: usize,
     pub(crate) buckets: Buckets,
     pub(crate) next_close_k: i64,
-    pub(crate) next_emit_local_us: i64,
-    /// Live ingestion feed (present iff the sensor is
-    /// [`SensorSpec::Feed`](crate::query::SensorSpec::Feed)):
-    /// source connector, bounded intake queue, and exact accounting.
-    /// Instantiated from the spec at install, so it is identical across
-    /// shard layouts. Boxed: only feed-driven queries pay its size.
-    pub(crate) feed: Option<Box<crate::feed::FeedState>>,
+    /// The query's local source: its cursor (and a feed's intake), built
+    /// from the spec as the query goes active, so it is identical across
+    /// shard layouts. Every replay query walks the peer's trace under a
+    /// cursor of its own, from its own activation.
+    pub(crate) source: Source,
     /// Tuple-window buffer: (frame arrival time, tuple).
     pub(crate) tuple_buf: Vec<(i64, RawTuple)>,
-    /// Index of the next peer replay-trace tuple this query ingests
-    /// (`SensorSpec::Replay`): a cursor per query, so every replay query
-    /// sees the whole trace from its own activation.
-    pub(crate) replay_pos: usize,
     pub(crate) tuples_seen: u64,
     pub(crate) tuples_out: u64,
     /// The due instant this query is currently scheduled under in the
@@ -462,8 +457,8 @@ pub struct MortarPeer {
     /// sequence numbers (see [`ResultLog`]).
     pub results: ResultLog,
     /// Replay trace for `SensorSpec::Replay` queries, packed; each query
-    /// keeps its own cursor into it (`QueryState::replay_pos`).
-    pub(crate) replay: ingest::ReplayTrace,
+    /// keeps its own cursor into it (`QueryState::source`).
+    pub(crate) replay: ReplayTrace,
     /// Counters.
     pub stats: PeerStats,
 }
@@ -505,7 +500,7 @@ impl MortarPeer {
             scratch: TickScratch::default(),
             store_hash: 0,
             results: ResultLog::new(cfg.result_log_cap),
-            replay: ingest::ReplayTrace::default(),
+            replay: ReplayTrace::default(),
             stats: PeerStats::default(),
         }
     }
@@ -518,9 +513,11 @@ impl MortarPeer {
     /// new trace restarts every installed replay query at its first tuple.
     /// The trace is packed into flat arrays (about 28 B per 1-field tuple).
     pub fn set_replay(&mut self, trace: Vec<(u64, RawTuple)>) {
-        self.replay = ingest::ReplayTrace::pack(trace);
+        self.replay = ReplayTrace::pack(trace);
         for q in self.queries.values_mut() {
-            q.replay_pos = 0;
+            if let SensorSpec::Replay = q.spec.sensor {
+                q.source = Source::new(&q.spec.sensor, 0);
+            }
         }
         // A new trace moves every replay query's next sensor emission.
         let ids: Vec<QueryId> = self.queries.keys().copied().collect();
@@ -571,7 +568,7 @@ impl MortarPeer {
         let mut conserved = true;
         let mut held = 0u64;
         for q in self.queries.values() {
-            if let Some(f) = &q.feed {
+            if let Some(f) = q.source.intake() {
                 total.absorb(&f.stats);
                 conserved &= f.conserved();
                 held += f.held_bytes();
@@ -692,27 +689,13 @@ impl MortarPeer {
             return i64::MAX;
         }
         let mut due = i64::MAX;
-        match q.spec.sensor {
-            crate::query::SensorSpec::Periodic { .. } => due = due.min(q.next_emit_local_us),
-            crate::query::SensorSpec::Replay => {
-                if let Some(&off) = self.replay.offs.get(q.replay_pos) {
-                    due = due.min(q.t_ref_base_us.saturating_add(off as i64));
-                }
-            }
-            crate::query::SensorSpec::Feed(_) => {
-                if let Some(f) = &q.feed {
-                    // Buffered intake (or an externally driven source)
-                    // wants every tick; otherwise wake at the source's
-                    // next emission, mapped from query frame to local time
-                    // exactly as replay offsets are.
-                    match f.next_due_us() {
-                        i64::MIN => due = i64::MIN,
-                        i64::MAX => {}
-                        nd => due = due.min(q.t_ref_base_us.saturating_add(nd)),
-                    }
-                }
-            }
-            _ => {}
+        // A source that wants every tick (buffered intake, a channel)
+        // stays due; otherwise wake at its next emission, mapped from
+        // query frame to local time.
+        match q.source.next_due_us(&q.spec.sensor, &self.replay, self.id) {
+            i64::MIN => due = i64::MIN,
+            i64::MAX => {}
+            nd => due = due.min(q.t_ref_base_us.saturating_add(nd)),
         }
         if q.spec.window.kind == crate::window::WindowKind::Time {
             // Close fires once the indexing frame reaches the end of slide
@@ -768,28 +751,17 @@ impl MortarPeer {
     /// The due index's oracle, run in debug builds at the start of each
     /// tick's sweep: every active query the index did not wake (`woken`,
     /// sorted by id) must have nothing due at `now`. It reads each query's
-    /// raw state and never `next_due_of`, so a due instant that function
+    /// state and never `next_due_of`, so a due instant that function
     /// omits, or a state change that skipped `reschedule`, fails on the
     /// first tick that leaves the work undone.
     #[cfg(debug_assertions)]
     fn check_skipped_queries_idle(&self, woken: &[QueryId], now: i64) {
-        use crate::query::SensorSpec;
         for (&id, q) in &self.queries {
             if !q.active() || woken.binary_search(&id).is_ok() {
                 continue;
             }
-            let sensor_due = match q.spec.sensor {
-                SensorSpec::Periodic { .. } => q.next_emit_local_us <= now,
-                SensorSpec::Replay => self
-                    .replay
-                    .offs
-                    .get(q.replay_pos)
-                    .is_some_and(|&off| q.t_ref_base_us + off as i64 <= now),
-                SensorSpec::Feed(_) => {
-                    q.feed.as_ref().is_some_and(|f| f.next_due_us() <= now - q.t_ref_base_us)
-                }
-                SensorSpec::Subscribe { .. } | SensorSpec::None => false,
-            };
+            let sensor_due = q.source.next_due_us(&q.spec.sensor, &self.replay, self.id)
+                <= now - q.t_ref_base_us;
             let slide = q.spec.window.slide as i64;
             let close_due = q.spec.window.kind == crate::window::WindowKind::Time
                 && q.next_close_k < q.frame_now(self.cfg.indexing, now).div_euclid(slide);
@@ -902,7 +874,7 @@ impl App for MortarPeer {
         }
         for i in 0..scratch.due_ids.len() {
             let id = scratch.due_ids[i];
-            self.pump_sensor(id, ctx, &mut scratch.raw);
+            self.pump(id, ctx, &mut scratch.raw);
             self.close_windows(id, local_now);
             self.evict_and_route(id, ctx, &mut scratch);
             self.reschedule(id);
@@ -1057,6 +1029,59 @@ mod tests {
         assert!(sim.app(5).is_active("count"), "reconciliation failed to install");
         // The interned handle propagated with the reconciled install.
         assert_eq!(sim.app(5).query_id("count"), Some(QueryId(1)));
+    }
+
+    /// A peer that records who sent it a topology request.
+    struct TopoLog {
+        peer: MortarPeer,
+        requests_from: Vec<NodeId>,
+    }
+
+    impl App for TopoLog {
+        type Msg = MortarMsg;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
+            self.peer.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, MortarMsg>, from: NodeId, m: MortarMsg, b: u32) {
+            if let MortarMsg::TopoRequest { .. } = m {
+                self.requests_from.push(from);
+            }
+            self.peer.on_message(ctx, from, m, b);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, MortarMsg>, tag: u64) {
+            self.peer.on_timer(ctx, tag);
+        }
+    }
+
+    #[test]
+    fn only_members_fetch_a_reconciled_install_plan() {
+        // "wide" spans all 8 peers, so every peer reconciles with its tree
+        // neighbours; "narrow" spans peers 0-3 and reaches peers 4-7 only
+        // through reconciliation. The root answers members only, so only
+        // members may ask it for their plan record.
+        let n = 8;
+        let mut sim = SimBuilder::new(Topology::star(n, 1_000), 42).build(|id| TopoLog {
+            peer: MortarPeer::new(id, PeerConfig::default(), OpRegistry::new()),
+            requests_from: Vec::new(),
+        });
+        let wide = count_spec(n);
+        let narrow =
+            QuerySpec { name: "narrow".into(), members: (0..4).collect(), ..count_spec(4) };
+        for (i, (spec, trees)) in
+            [(wide, chain_trees(n)), (narrow, chain_trees(4))].into_iter().enumerate()
+        {
+            let records = build_records(&spec.members, &trees);
+            let id = QueryId(i as u32 + 1);
+            let msg =
+                MortarMsg::Install { spec: Arc::new(spec), id, seq: 1, records, issue_age_us: 0 };
+            sim.inject(0, 0, msg, 256);
+        }
+        sim.run_for_secs(30.0);
+        for p in 4..n as NodeId {
+            assert!(sim.app(p).peer.has_query("narrow"), "peer {p} never reconciled narrow");
+        }
+        let from = &sim.app(0).requests_from;
+        assert!(from.iter().all(|&p| p < 4), "non-members fetched a plan record: {from:?}");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! exactly every tuple the source offered. `overcap` stays zero — the
 //! bounds hold by construction, not by slack.
 
-use mortar_core::feed::raw_cost_bytes;
+use mortar_core::feed::{raw_cost_bytes, ReplayTrace, Source};
 use mortar_core::tuple::RawTuple;
-use mortar_core::{BurstProfile, FeedConnector, FeedSpec, IntakePolicy};
+use mortar_core::{BurstProfile, FeedConnector, FeedSpec, IntakePolicy, SensorSpec};
 use proptest::prelude::*;
 
 /// Cost of the single-field tuples every profile in this suite emits.
@@ -18,46 +18,50 @@ fn tuple_cost() -> u64 {
     raw_cost_bytes(&RawTuple::of(0.0))
 }
 
-/// Pumps `f` once per simulated tick (200 ms of frame time for `ticks`
-/// ticks), checking the structural bounds after every step, then keeps
-/// pumping at the final instant until the backlog drains or the source
-/// stops producing.
+/// Pumps one member of `spec` once per simulated tick (200 ms of frame
+/// time for `ticks` ticks), checking the structural bounds after every
+/// step, then keeps pumping at the final instant until the backlog drains
+/// or the source stops producing.
 fn drive(spec: &FeedSpec, ticks: u64) -> (mortar_core::FeedStats, u64) {
-    let mut f = spec.instantiate(3);
+    let sensor = SensorSpec::Feed(spec.clone());
+    let mut f = Source::new(&sensor, 0);
     let cap_bytes = spec.policy.queue_cap() as u64 * tuple_cost();
     let spill_cap = spec.policy.spill_cap_bytes();
     let mut delivered = 0u64;
-    let step = |f: &mut mortar_core::feed::FeedState, now: i64| {
-        let got = f.pump(now, |_| {});
+    let mut raw = RawTuple::default();
+    let mut step = |f: &mut Source, now: i64| {
+        let got = f.pump(&sensor, &ReplayTrace::default(), 3, now, &mut raw, |_, _| {});
+        let intake = f.intake().expect("a feed has an intake");
         assert!(
-            f.held_bytes() <= cap_bytes + spill_cap,
+            intake.held_bytes() <= cap_bytes + spill_cap,
             "held {} B over queue cap {} + spill cap {}",
-            f.held_bytes(),
+            intake.held_bytes(),
             cap_bytes,
             spill_cap
         );
-        assert!(f.conserved(), "conservation broke mid-run: {f:?}");
-        got
+        assert!(intake.conserved(), "conservation broke mid-run: {intake:?}");
+        (got, intake.has_pending(), intake.held_bytes())
     };
     for t in 1..=ticks {
-        delivered += step(&mut f, (t * 200_000) as i64);
+        delivered += step(&mut f, (t * 200_000) as i64).0;
     }
     // Late-but-complete tail: a paused/backlogged feed finishes once the
     // burst passes.
     let end = (ticks * 200_000) as i64;
     loop {
-        let got = step(&mut f, end);
-        if got == 0 && !f.has_pending() {
+        let (got, pending, held) = step(&mut f, end);
+        if got == 0 && !pending {
             break;
         }
         if got == 0 {
             // Pending but nothing delivered would be a livelock.
-            panic!("feed stalled with {} tuples pending", f.queued());
+            panic!("feed stalled with {held} B pending");
         }
     }
-    assert_eq!(f.stats.overcap, 0, "structural bound violated: {:?}", f.stats);
-    assert!(f.conserved());
-    (f.stats, delivered)
+    let intake = f.intake().expect("a feed has an intake");
+    assert_eq!(intake.stats.overcap, 0, "structural bound violated: {:?}", intake.stats);
+    assert!(intake.conserved());
+    (intake.stats, delivered)
 }
 
 /// A 10× burst profile over the middle of the drive window.
