@@ -1,7 +1,7 @@
 //! Chaos scenario engine for Mortar.
 //!
 //! The paper's robustness story (Sections 4.3–4.4) rests on three
-//! mechanisms — dynamic tree repair, two-generation dedup, and query-set
+//! mechanisms — dynamic tree repair, duplicate suppression, and query-set
 //! anti-entropy — each exercised in isolation by unit tests. This crate
 //! exercises them *together*: a [`scenario::Scenario`] is a seeded,
 //! phased schedule of composable faults (loss/dup/jitter phases,

@@ -7,7 +7,7 @@
 //! claims: results stay complete enough through faults (Section 4.3),
 //! removed queries stay removed everywhere (Section 4.4), anti-entropy
 //! converges every live peer onto exactly the store the driver's command
-//! log implies, and two-generation dedup never double-counts a source.
+//! log implies, and duplicate suppression never double-counts a source.
 
 use mortar_core::engine::Engine;
 use mortar_core::metrics;

@@ -463,9 +463,10 @@ impl<'m> QueryBuilder<'m> {
     }
 
     /// A feed replaying a shared `(frame-µs offset, tuple)` trace at every
-    /// member, packed once (see [`crate::feed::ReplayTrace`]).
-    pub fn feed_replay(self, trace: impl Into<std::sync::Arc<[(u64, RawTuple)]>>) -> Self {
-        let trace = std::sync::Arc::new(ReplayTrace::pack(trace.into().to_vec()));
+    /// member, packed once from the trace it consumes (see
+    /// [`crate::feed::ReplayTrace`]).
+    pub fn feed_replay(self, trace: Vec<(u64, RawTuple)>) -> Self {
+        let trace = std::sync::Arc::new(ReplayTrace::pack(trace));
         self.with_feed(FeedConnector::Replay { trace })
     }
 

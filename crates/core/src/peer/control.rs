@@ -140,6 +140,7 @@ impl MortarPeer {
             id,
             seq,
             record,
+            plan: Box::default(),
             t_ref_base_us: t_ref_base,
             ts: TimeSpaceList::new(),
             netdist: [NetDist::new(NETDIST_INIT_US); MAX_TREES],
@@ -527,9 +528,8 @@ impl MortarPeer {
         let my_member = spec.member_of(self.id);
         let is_root = spec.root == self.id;
         if is_root && records.len() == spec.members.len() {
-            // Acting as the installer: keep the full plan for the topology
-            // service, then chunk and multicast.
-            self.topo.insert(spec.name.clone(), records.clone());
+            // Acting as the installer: chunk and multicast, then keep the
+            // full plan with the query for the topology service.
             if let Some(m) = my_member {
                 if let Some(rec) = records.iter().find(|r| r.member == m) {
                     self.install_query(
@@ -562,6 +562,9 @@ impl MortarPeer {
                 };
                 let bytes = msg.wire_bytes();
                 ctx.send_classified(croot_peer, msg, bytes, TrafficClass::Control);
+            }
+            if let Some(q) = self.queries.get_mut(&id) {
+                q.plan = records.into_boxed_slice();
             }
             return;
         }
@@ -608,10 +611,9 @@ impl MortarPeer {
         name: &str,
     ) {
         let local_now = ctx.local_now_us();
-        let reply = self.topo.get(name).and_then(|records| {
-            let q = self.query_by_name(name)?;
+        let reply = self.query_by_name(name).and_then(|q| {
             let m = q.spec.member_of(from)?;
-            let rec = records.iter().find(|r| r.member == m)?.clone();
+            let rec = q.plan.iter().find(|r| r.member == m)?.clone();
             Some(MortarMsg::TopoReply {
                 name: name.to_string(),
                 id: q.id,

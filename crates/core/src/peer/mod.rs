@@ -294,6 +294,11 @@ pub(crate) struct QueryState {
     pub(crate) name: Arc<str>,
     pub(crate) seq: u64,
     pub(crate) record: Option<InstallRecord>,
+    /// The whole physical plan, one record per member, held by the query
+    /// root only: its topology service answers members' record requests
+    /// from it. It lives and dies with the root's query state; empty
+    /// everywhere else.
+    pub(crate) plan: Box<[InstallRecord]>,
     /// Origin route state for locally created summaries, precomputed from
     /// the install record (`Copy` — window close stamps it for free
     /// instead of cloning the level vector twice per window).
@@ -418,8 +423,6 @@ pub struct MortarPeer {
     pub(crate) hb_children: BTreeSet<NodeId>,
     pub(crate) hb_count: u64,
     pub(crate) next_hb_local_us: i64,
-    /// Topology service state (query roots only).
-    pub(crate) topo: HashMap<String, Vec<InstallRecord>>,
     /// Subscriber index: upstream query name → co-located queries whose
     /// sensor subscribes to it. Maintained at install/remove so each root
     /// emission is an O(1) lookup instead of a scan over every installed
@@ -492,7 +495,6 @@ impl MortarPeer {
             hb_children: BTreeSet::new(),
             hb_count: 0,
             next_hb_local_us: i64::MIN,
-            topo: HashMap::new(),
             subscribers: BTreeMap::new(),
             outbox: Vec::new(),
             outbox_bytes: 0,
@@ -1012,6 +1014,30 @@ mod tests {
         for id in 0..n as NodeId {
             assert!(!sim.app(id).has_query("count"), "peer {id} still has the query");
         }
+    }
+
+    #[test]
+    fn a_root_holds_each_plan_only_while_its_query_lives() {
+        // The root keeps a query's whole plan for its topology service;
+        // removing the query must drop it, so 50 install/remove rounds
+        // leave no plan records behind.
+        let n = 8;
+        let mut sim = build_sim(n);
+        let plan_records = |p: &MortarPeer| p.queries.values().map(|q| q.plan.len()).sum::<usize>();
+        for i in 0..50u32 {
+            let spec = QuerySpec { name: format!("q{i}"), ..count_spec(n) };
+            let records = build_records(&spec.members, &chain_trees(n));
+            let (id, seq) = (QueryId(i + 1), 2 * u64::from(i) + 1);
+            let install =
+                MortarMsg::Install { spec: Arc::new(spec), id, seq, records, issue_age_us: 0 };
+            sim.inject(0, 0, install, 256);
+            sim.run_for_secs(0.5);
+            assert_eq!(plan_records(sim.app(0)), n, "round {i}: the root lost the live plan");
+            sim.inject(0, 0, MortarMsg::Remove { id, seq: seq + 1 }, 32);
+            sim.run_for_secs(0.5);
+        }
+        assert!(sim.app(0).queries.is_empty());
+        assert_eq!(plan_records(sim.app(0)), 0);
     }
 
     #[test]

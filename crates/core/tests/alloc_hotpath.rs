@@ -465,6 +465,24 @@ fn merging_keyed_states_allocates_only_for_new_keys() {
     assert_eq!(a.groups().unwrap().len(), 96);
 }
 
+#[test]
+fn packing_a_replay_feed_allocates_the_same_whatever_its_length() {
+    // `feed_replay` consumes the trace into the packed arrays: a fixed
+    // number of blocks, none per tuple (no intermediate copy of the
+    // trace, no clone of any tuple's field vector).
+    let allocs = |n: u64| {
+        let trace: Vec<(u64, mortar_core::RawTuple)> = (0..n)
+            .map(|i| (i * 1_000, mortar_core::RawTuple { key: i % 5, vals: vec![1.0, 2.0] }))
+            .collect();
+        let builder = mortar_core::stage("replay");
+        let (allocs, built) = count_allocs(|| builder.feed_replay(trace));
+        drop(built);
+        allocs
+    };
+    let (one, many) = (allocs(1), allocs(512));
+    assert_eq!(one, many, "packing 1 tuple allocated {one} blocks, 512 tuples {many}");
+}
+
 /// Heap bytes currently live on this thread (allocated and not freed).
 fn live_bytes() -> i64 {
     LIVE_BYTES.with(Cell::get)

@@ -18,6 +18,9 @@ pub enum EventKind<M> {
         bytes: u32,
         /// Logical message id (duplicates share one id).
         id: u64,
+        /// Whether chaos sent this message as two copies; only such
+        /// copies touch the receiver's duplicate-suppression state.
+        dup: bool,
     },
     /// A timer armed by `node` fires.
     Timer {

@@ -8,7 +8,6 @@
 //! execution for a given seed.
 
 pub mod ctx;
-pub(crate) mod dedup;
 pub mod parallel;
 pub mod single;
 

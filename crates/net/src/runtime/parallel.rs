@@ -2,10 +2,10 @@
 //!
 //! A [`Simulator`] partitions the fleet into contiguous shards. Each shard
 //! owns everything its peers touch — their application state, clocks,
-//! liveness flags, RNG streams, dedup sets, a private event heap, and a
-//! private bandwidth/stats tracker — and runs the only event loop in the
-//! crate: pop an event, dispatch it to its peer, apply the callback's
-//! commands. Shards share nothing while they run and merge accounting
+//! liveness flags, RNG streams, in-flight duplicate pairs, a private event
+//! heap, and a private bandwidth/stats tracker — and runs the only event
+//! loop in the crate: pop an event, dispatch it to its peer, apply the
+//! callback's commands. Shards share nothing while they run and merge accounting
 //! additively afterward.
 //!
 //! With one shard (what [`SimBuilder::build`](crate::SimBuilder::build)
@@ -46,8 +46,9 @@
 //! - every event carries a globally unique key `(time, origin, origin_seq)`
 //!   (packed into the `seq` tie-breaker), so each shard's heap pops in an
 //!   order that does not depend on insertion (= arrival) order;
-//! - message ids are minted per sender, dedup state lives per receiver,
-//!   and clock assignment happens at build, before partitioning;
+//! - message ids are minted per sender, both copies of a duplicated
+//!   message go to one receiver (so its pair lives in that receiver's
+//!   shard), and clock assignment happens at build, before partitioning;
 //! - bandwidth buckets, message counts, and transport stats are sums, so
 //!   the per-shard → merged reduction is order-independent.
 //!
@@ -67,13 +68,12 @@ use crate::chaos::{ChaosConfig, LinkLossMap, PartitionMap};
 use crate::clock::LocalClock;
 use crate::event::{Event, EventKind};
 use crate::runtime::ctx::{App, Command, Ctx, SimStats, TRANSPORT_OVERHEAD_BYTES};
-use crate::runtime::dedup::DedupSet;
 use crate::time::{secs, TimeUs};
 use crate::topology::Topology;
 use crate::NodeId;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -124,12 +124,16 @@ struct Shard<A: App> {
     rngs: Vec<SmallRng>,
     /// Per-peer event-key counters (heap tie-breaking).
     ev_seq: Vec<u64>,
-    /// Per-peer message-id counters (dedup identity).
+    /// Per-peer message-id counters (duplicate identity).
     msg_seq: Vec<u64>,
     heap: BinaryHeap<Event<A::Msg>>,
     now: TimeUs,
     bw: BandwidthTracker,
-    seen: Vec<DedupSet>,
+    /// Duplicated messages addressed to this shard's peers with one copy
+    /// still in flight: id → whether the copy that arrived first was
+    /// delivered. The first copy inserts, the second removes, so the map
+    /// holds only pairs straddling the present instant.
+    dup_pairs: HashMap<u64, bool>,
     stats: SimStats,
     cmd_buf: Vec<Command<A::Msg>>,
     /// Cross-shard sends staged during a window, per destination shard.
@@ -229,16 +233,25 @@ impl<A: App> Shard<A> {
 
     fn dispatch(&mut self, kind: EventKind<A::Msg>) {
         match kind {
-            EventKind::Deliver { to, from, msg, bytes, id } => {
-                let li = self.li(to);
-                if !self.up[li] {
-                    self.stats.dropped += 1;
-                    return;
+            EventKind::Deliver { to, from, msg, bytes, id, dup } => {
+                let up = self.up[self.li(to)];
+                // Exactly-once delivery: the second copy of a pair is
+                // suppressed only if it reaches a live host after the first
+                // was delivered; a copy reaching a down host is dropped.
+                if dup {
+                    match self.dup_pairs.remove(&id) {
+                        None => {
+                            self.dup_pairs.insert(id, up);
+                        }
+                        Some(true) if up => {
+                            self.stats.duplicates_suppressed += 1;
+                            return;
+                        }
+                        Some(_) => {}
+                    }
                 }
-                // Duplicate suppression (only materialized under chaos);
-                // per-receiver state, so shard-local by construction.
-                if !self.seen.is_empty() && !self.seen[li].insert(id) {
-                    self.stats.duplicates_suppressed += 1;
+                if !up {
+                    self.stats.dropped += 1;
                     return;
                 }
                 self.stats.delivered += 1;
@@ -316,32 +329,27 @@ impl<A: App> Shard<A> {
         let base = self.topo.latency_us(from, to);
         let id = key(from, self.msg_seq[fli]);
         self.msg_seq[fli] += 1;
-        let copies =
-            if self.chaos.dup_prob > 0.0 && self.rngs[fli].gen::<f64>() < self.chaos.dup_prob {
-                2
-            } else {
-                1
-            };
-        // Clone copies go first and the original moves last, each drawing
+        let dup = self.chaos.dup_prob > 0.0 && self.rngs[fli].gen::<f64>() < self.chaos.dup_prob;
+        // The clone goes first and the original moves last, each drawing
         // its jitter in turn, with no `Option` dance a panic path could
         // hide in.
-        for _ in 1..copies {
-            let jitter = if self.chaos.reorder_jitter_us > 0 {
-                self.rngs[fli].gen_range(0..=self.chaos.reorder_jitter_us)
-            } else {
-                0
-            };
-            let time = self.now + base + jitter;
+        if dup {
+            let time = self.now + base + self.jitter(fli);
             let payload = msg.clone();
-            self.push_from(from, time, EventKind::Deliver { to, from, msg: payload, bytes, id });
+            let kind = EventKind::Deliver { to, from, msg: payload, bytes, id, dup };
+            self.push_from(from, time, kind);
         }
-        let jitter = if self.chaos.reorder_jitter_us > 0 {
+        let time = self.now + base + self.jitter(fli);
+        self.push_from(from, time, EventKind::Deliver { to, from, msg, bytes, id, dup });
+    }
+
+    /// One chaos reorder delay, drawn from the sender's stream.
+    fn jitter(&mut self, fli: usize) -> u64 {
+        if self.chaos.reorder_jitter_us > 0 {
             self.rngs[fli].gen_range(0..=self.chaos.reorder_jitter_us)
         } else {
             0
-        };
-        let time = self.now + base + jitter;
-        self.push_from(from, time, EventKind::Deliver { to, from, msg, bytes, id });
+        }
     }
 
     /// Mints the event key from `origin`'s counter and routes the event to
@@ -371,7 +379,7 @@ impl<A: App> Shard<A> {
 ///
 /// [`Simulator::run_until`] is fully re-entrant: all state that accumulates
 /// across a run — the event heaps, the current instant, bandwidth buckets
-/// (keyed by absolute simulation second), dedup generations, and transport
+/// (keyed by absolute simulation second), in-flight duplicate pairs, and transport
 /// counters — lives on `self` and is *never* rebuilt per call. Running to a
 /// deadline in many small steps is bit-for-bit identical to one large step,
 /// which is what the bench harness's warm-up/measure splits and best-of-N
@@ -448,9 +456,7 @@ impl<A: App> Simulator<A> {
                 heap: BinaryHeap::new(),
                 now: 0,
                 bw: BandwidthTracker::new(),
-                seen: (0..if chaos.dup_prob > 0.0 { count } else { 0 })
-                    .map(|_| DedupSet::default())
-                    .collect(),
+                dup_pairs: HashMap::new(),
                 stats: SimStats::default(),
                 cmd_buf: Vec::new(),
                 outgoing: (0..nshards).map(|_| Vec::new()).collect(),
@@ -585,14 +591,10 @@ impl<A: App> Simulator<A> {
     }
 
     /// Replaces the chaos configuration between run steps (phased fault
-    /// schedules). If duplication is enabled for the first time mid-run,
-    /// the per-receiver dedup sets are materialized on the spot.
+    /// schedules).
     pub fn set_chaos(&mut self, chaos: ChaosConfig) {
         for s in &mut self.shards {
             s.chaos = chaos;
-            if chaos.dup_prob > 0.0 && s.seen.is_empty() {
-                s.seen = (0..s.apps.len()).map(|_| DedupSet::default()).collect();
-            }
         }
     }
 
@@ -613,11 +615,12 @@ impl<A: App> Simulator<A> {
         stats
     }
 
-    /// Total message ids retained by the duplicate-suppression layer
-    /// across all receivers. Bounded for the lifetime of the run (two
-    /// generations per receiver), however long chaos keeps duplicating.
+    /// Duplicated messages with one copy still in flight: the only
+    /// message ids the duplicate-suppression layer holds. Never more than
+    /// the duplicated messages in flight, and zero once the network is
+    /// quiet, however long chaos has been duplicating.
     pub fn dedup_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.seen.iter().map(DedupSet::len).sum::<usize>()).sum()
+        self.shards.iter().map(|s| s.dup_pairs.len()).sum()
     }
 
     /// Schedules an out-of-band message (e.g. a user's install request)
@@ -632,7 +635,7 @@ impl<A: App> Simulator<A> {
         self.shards[s].heap.push(Event {
             time,
             seq,
-            kind: EventKind::Deliver { to, from, msg, bytes, id: seq },
+            kind: EventKind::Deliver { to, from, msg, bytes, id: seq, dup: false },
         });
     }
 
@@ -847,6 +850,59 @@ mod tests {
         assert!(base.2.duplicates_suppressed > 0, "chaos storm never duplicated");
         for shards in [2, 4, 12] {
             assert_eq!(base, run(shards), "{shards} shards diverged under faults");
+        }
+    }
+
+    /// Duplicated messages with one of their two copies still in flight
+    /// after a run step, counted from the heaps (mailboxes are empty
+    /// between steps).
+    fn split_pairs_in_flight(sim: &Simulator<Gossip>) -> usize {
+        let mut copies: HashMap<u64, usize> = HashMap::new();
+        for ev in sim.shards.iter().flat_map(|s| s.heap.iter()) {
+            if let EventKind::Deliver { id, dup: true, .. } = ev.kind {
+                *copies.entry(id).or_default() += 1;
+            }
+        }
+        copies.values().filter(|&&c| c == 1).count()
+    }
+
+    /// A gossip run under heavy duplication, stepped raggedly until the
+    /// network is quiet: `(stats, dedup_entries)` after every step.
+    fn dup_trajectory(shards: usize) -> Vec<(SimStats, usize)> {
+        let n = 12u32;
+        let topo = Topology::paper_inet(n as usize, 5);
+        let chaos = ChaosConfig { drop_prob: 0.05, dup_prob: 0.5, reorder_jitter_us: 40_000 };
+        let mut sim =
+            SimBuilder::new(topo, 31).chaos(chaos).build_sharded(shards, |_| Gossip::new(n));
+        let mut trajectory = Vec::new();
+        let mut t = 0;
+        for step in [7_000u64, 1, 13_000, 250_000].iter().cycle().take(120) {
+            t += step;
+            sim.run_until(t);
+            if shards == 1 {
+                assert_eq!(sim.dedup_entries(), split_pairs_in_flight(&sim), "at {t} µs");
+            }
+            trajectory.push((sim.stats(), sim.dedup_entries()));
+        }
+        // The gossip's 40 rounds are long over: nothing is in flight.
+        assert!(sim.shards.iter().all(|s| s.heap.is_empty()), "the run never went quiet");
+        trajectory
+    }
+
+    #[test]
+    fn dedup_entries_track_duplicates_in_flight_and_drain_to_zero() {
+        let trajectory = dup_trajectory(1);
+        assert!(trajectory.iter().any(|&(_, e)| e > 0), "no pair was ever split in flight");
+        let (stats, entries) = *trajectory.last().expect("stepped");
+        assert!(stats.duplicates_suppressed > 0, "chaos never duplicated");
+        assert_eq!(entries, 0, "a quiet network still holds duplicate pairs");
+    }
+
+    #[test]
+    fn duplicate_suppression_is_shard_count_invariant() {
+        let base = dup_trajectory(1);
+        for shards in [2, 4, 7] {
+            assert_eq!(base, dup_trajectory(shards), "{shards} shards diverged");
         }
     }
 

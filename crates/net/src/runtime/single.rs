@@ -6,8 +6,8 @@
 //! in local time, and send classified, size-annotated messages. The
 //! simulator owns the global clock, delivers messages after topology
 //! latency, injects transport faults per [`ChaosConfig`] (with
-//! receiver-side duplicate suppression), and accounts bandwidth as
-//! `bytes × physical hops` per second.
+//! receiver-side suppression of the duplicates it injects), and accounts
+//! bandwidth as `bytes × physical hops` per second.
 //!
 //! [`SimBuilder::build`] gives the one-shard simulator, which runs on the
 //! caller's thread; [`SimBuilder::build_sharded`] partitions the same fleet
@@ -81,9 +81,8 @@ impl SimBuilder {
 mod tests {
     use super::*;
     use crate::bandwidth::TrafficClass;
-    use crate::runtime::ctx::{Ctx, TRANSPORT_OVERHEAD_BYTES};
-    use crate::runtime::dedup::DEDUP_GENERATION_CAP;
-    use crate::time::{TimeUs, SEC};
+    use crate::runtime::ctx::{Ctx, SimStats, TRANSPORT_OVERHEAD_BYTES};
+    use crate::time::{TimeUs, MS, SEC};
 
     /// Echoes every message back and counts everything it sees.
     struct Echo {
@@ -172,9 +171,9 @@ mod tests {
     #[test]
     fn dedup_memory_stays_bounded_under_long_chaos() {
         // A flood app: node 0 sends 1000 messages per millisecond at node
-        // 1, with 100% duplication. The run pushes several times the
-        // generation cap through the dedup layer; its memory must stay
-        // bounded by two generations while still delivering exactly once.
+        // 1, with 100% duplication. Every pair is held only while one copy
+        // is in flight, so once the flood drains nothing is retained, and
+        // every message is still delivered exactly once.
         struct Flood {
             got: u64,
             ticks: u32,
@@ -205,18 +204,10 @@ mod tests {
         // 250 flood ticks plus slack to drain the in-flight tail.
         sim.run_for_secs(1.0);
         let sent_unique = sim.stats().sent;
-        assert!(
-            sent_unique as usize > 2 * DEDUP_GENERATION_CAP,
-            "flood too small to exercise generation turnover: {sent_unique}"
-        );
         // Exactly-once: every unique send delivered, every duplicate eaten.
         assert_eq!(sim.app(1).got, sent_unique);
         assert_eq!(sim.stats().duplicates_suppressed, sent_unique);
-        assert!(
-            sim.dedup_entries() <= 2 * DEDUP_GENERATION_CAP,
-            "dedup memory unbounded: {} ids retained",
-            sim.dedup_entries()
-        );
+        assert_eq!(sim.dedup_entries(), 0, "a drained network still holds duplicate pairs");
     }
 
     #[test]
@@ -255,8 +246,8 @@ mod tests {
 
     #[test]
     fn set_chaos_mid_run_materializes_dedup() {
-        // Duplication enabled only after the run starts: the dedup layer
-        // must appear on the spot and still suppress every duplicate.
+        // Duplication enabled only after the run starts: every duplicate
+        // injected from then on must still be suppressed.
         let mut sim = SimBuilder::new(star2(), 1).build(|_| Echo::new());
         assert_eq!(sim.dedup_entries(), 0);
         sim.run_for_secs(1.0);
@@ -269,7 +260,139 @@ mod tests {
         let eights = sim.app(0).got.iter().filter(|&&(_, m)| m == 8).count();
         assert_eq!(eights, 2, "duplicate observed: {:?}", sim.app(0).got);
         assert!(sim.stats().duplicates_suppressed >= 1);
-        assert!(sim.dedup_entries() > 0);
+        // Every pair has landed, so no duplicate state is retained.
+        assert_eq!(sim.dedup_entries(), 0);
+    }
+
+    /// Node 0 sends node 1 a single message at start; node 1 counts.
+    struct OneShot {
+        got: u64,
+    }
+
+    impl App for OneShot {
+        type Msg = u32;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            if ctx.id() == 0 {
+                ctx.send(1, 7, 8);
+            }
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32, _: u32) {
+            self.got += 1;
+        }
+        fn on_timer(&mut self, _: &mut Ctx<'_, u32>, _: u64) {}
+    }
+
+    /// Message copies that have reached their receiver, whatever became
+    /// of them there.
+    fn landed(s: SimStats) -> u64 {
+        s.delivered + s.dropped + s.duplicates_suppressed
+    }
+
+    #[test]
+    fn duplicate_pair_outcome_follows_receiver_liveness_at_each_copy() {
+        // (receiver up as the first copy lands, up as the second lands) →
+        // (delivered, dropped, suppressed). A copy that lands on a down
+        // host is dropped; the second copy is suppressed only when the
+        // first was delivered.
+        let table = [
+            ((true, true), (1, 0, 1)),
+            ((true, false), (1, 1, 0)),
+            ((false, true), (1, 1, 0)),
+            ((false, false), (0, 2, 0)),
+        ];
+        let chaos = ChaosConfig { dup_prob: 1.0, reorder_jitter_us: SEC, ..ChaosConfig::none() };
+        for ((first_up, second_up), want) in table {
+            let mut sim = SimBuilder::new(star2(), 5).chaos(chaos).build(|_| OneShot { got: 0 });
+            sim.set_host_up(1, first_up);
+            let mut t = 0;
+            while landed(sim.stats()) == 0 {
+                assert!(t < 2 * SEC, "no copy landed");
+                t += MS;
+                sim.run_until(t);
+            }
+            assert_eq!(landed(sim.stats()), 1, "both copies landed within one step");
+            assert_eq!(sim.dedup_entries(), 1, "the pair is held while one copy is in flight");
+            sim.set_host_up(1, second_up);
+            sim.run_until(t + 2 * SEC);
+            let s = sim.stats();
+            assert_eq!(
+                (s.delivered, s.dropped, s.duplicates_suppressed),
+                want,
+                "first copy up={first_up}, second copy up={second_up}"
+            );
+            assert_eq!(sim.app(1).got, want.0);
+            assert_eq!(sim.dedup_entries(), 0);
+        }
+    }
+
+    #[test]
+    fn duplicate_seconds_behind_its_twin_is_suppressed_past_heavy_traffic() {
+        // One message is sent as two copies up to 3 s apart. From the
+        // moment its first copy lands, node 0 floods node 1 with more
+        // messages than a receiver-side id history of 2 × 65,536 entries
+        // could remember (every flood message duplicated too, both copies
+        // landing together); the late copy must still be suppressed.
+        struct Marker {
+            flooding: bool,
+            markers: u64,
+            flood: u64,
+        }
+        impl App for Marker {
+            type Msg = u32;
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+                if ctx.id() == 0 {
+                    ctx.send(1, 1, 8);
+                    ctx.set_timer_local_us(MS, 0);
+                }
+            }
+            fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, msg: u32, _: u32) {
+                if msg == 1 {
+                    self.markers += 1;
+                } else {
+                    self.flood += 1;
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, _: u64) {
+                if self.flooding {
+                    for _ in 0..1_000 {
+                        ctx.send(1, 0, 8);
+                    }
+                }
+                ctx.set_timer_local_us(MS, 0);
+            }
+        }
+        const HISTORY: u64 = 2 * 65_536;
+        let chaos =
+            ChaosConfig { dup_prob: 1.0, reorder_jitter_us: 3 * SEC, ..ChaosConfig::none() };
+        let mut sim = SimBuilder::new(star2(), 2).chaos(chaos).build(|_| Marker {
+            flooding: false,
+            markers: 0,
+            flood: 0,
+        });
+        let mut t = 0;
+        while sim.app(1).markers == 0 {
+            assert!(t < 4 * SEC, "the first copy never landed");
+            t += 10 * MS;
+            sim.run_until(t);
+        }
+        let first_copy_at = t;
+        sim.set_chaos(ChaosConfig { dup_prob: 1.0, ..ChaosConfig::none() });
+        sim.app_mut(0).flooding = true;
+        while sim.dedup_entries() > 0 {
+            assert!(t < 4 * SEC, "the late copy never landed");
+            sim.app_mut(0).flooding = sim.app(1).flood <= HISTORY;
+            t += 10 * MS;
+            sim.run_until(t);
+        }
+        let flood_between = sim.app(1).flood;
+        assert!(t - first_copy_at >= SEC, "the copies landed only {} µs apart", t - first_copy_at);
+        assert!(flood_between > HISTORY, "only {flood_between} messages landed between the copies");
+        sim.app_mut(0).flooding = false;
+        sim.run_until(t + 10 * MS);
+        assert_eq!(sim.app(1).markers, 1, "the late copy was delivered");
+        let flood = sim.app(1).flood;
+        assert_eq!(sim.stats().duplicates_suppressed, flood + 1);
+        assert_eq!(sim.dedup_entries(), 0);
     }
 
     #[test]
