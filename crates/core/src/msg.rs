@@ -170,8 +170,6 @@ pub enum MortarMsg {
     },
     /// Topology service reply.
     TopoReply {
-        /// Query name.
-        name: String,
         /// Interned query id.
         id: QueryId,
         /// Install sequence.

@@ -1,6 +1,13 @@
 //! Control plane: install / remove / pair-wise reconciliation / heartbeats
 //! and the query-root topology service (Section 6).
 //!
+//! A query reaches a peer by the root's chunked multicast, by pair-wise
+//! reconciliation or by the root's topology service, and a removal by
+//! multicast or by reconciliation; every one of them applies its command
+//! through [`MortarPeer::install_query`] or [`MortarPeer::remove_query`],
+//! the only two functions that put, connect or tear down query state or
+//! cache a tombstone.
+//!
 //! Anti-entropy is one protocol, the three-phase digest exchange
 //! (`trigger_reconcile`), started by any of three signals: a
 //! mismatching store hash on a heartbeat, a mismatching store hash on a
@@ -21,7 +28,6 @@ use crate::msg::MortarMsg;
 use crate::netdist::NetDist;
 use crate::query::{InstallRecord, QueryId, QuerySpec, SensorSpec};
 use crate::tslist::TimeSpaceList;
-use crate::window::WindowKind;
 use mortar_net::{Ctx, NodeId, TrafficClass};
 use mortar_overlay::{RouteState, MAX_TREES};
 use std::sync::Arc;
@@ -58,26 +64,30 @@ fn join_by_id<A, B>(
     }
 }
 
-/// The origin route state implied by an install record: the member's own
-/// level on every tree, zero TTL-down.
-fn route_template(record: Option<&InstallRecord>) -> RouteState {
-    match record {
-        Some(rec) => RouteState::from_levels(&rec.levels()),
-        None => RouteState::from_levels(&[]),
-    }
-}
-
 impl MortarPeer {
-    /// Installs (or refreshes) a query's runtime state.
+    /// The one install path: every control message that carries a query
+    /// — a multicast chunk, a reconciliation entry, a topology reply —
+    /// applies it here. `issue_age_us` is the query's age on arrival and
+    /// `record` this peer's plan record, if the message carries one.
+    ///
+    /// The install is refused under an equal or newer cached tombstone, an
+    /// id bound to another name, a newer held install, or the same `seq`
+    /// held and either already connected or offered no record. The same
+    /// `seq` held pending and offered a record is connected in place,
+    /// keeping its issue instant, TS list and netDist. Anything else puts
+    /// fresh state (connected, and its plan neighbours marked heard, when
+    /// a record came with it); a member left without a record asks the
+    /// query root for it.
     pub(crate) fn install_query(
         &mut self,
+        ctx: &mut Ctx<'_, MortarMsg>,
         spec: Arc<QuerySpec>,
         id: QueryId,
         seq: u64,
         record: Option<InstallRecord>,
         issue_age_us: i64,
-        local_now: i64,
     ) {
+        let local_now = ctx.local_now_us();
         if self.removed.get(&id).is_some_and(|&rseq| rseq >= seq) {
             return; // A newer removal wins.
         }
@@ -88,92 +98,97 @@ impl MortarPeer {
         if self.directory.name_of(id).is_some_and(|n| n != spec.name) {
             return;
         }
-        if let Some(existing) = self.queries.get(&id) {
-            if existing.seq >= seq && existing.record.is_some() {
-                return; // Already current.
+        let held = self.queries.get(&id).map(|q| (q.seq, q.active()));
+        let in_place = held == Some((seq, false)) && record.is_some();
+        if held.is_some_and(|(s, _)| s >= seq) && !in_place {
+            return; // A newer install, or this one, is already held.
+        }
+        if !in_place {
+            // Only now — past every refusal path — may the store change.
+            // Binding the name to `id` hides the tombstone of any other id
+            // it named.
+            let displaced = self.directory.id_of(&spec.name);
+            self.edit_store(id, displaced, |p| p.put_query(spec, id, seq, issue_age_us, local_now));
+            self.stats.installs += 1;
+            // Mark known neighbours as recently heard so routing starts
+            // optimistic (the paper installs assuming the plan is live).
+            for l in record.iter().flat_map(|r| &r.links) {
+                for &p in l.parent.iter().chain(&l.children) {
+                    self.last_heard.entry(p).or_insert(local_now);
+                }
             }
         }
-        // Only now — past every refusal path — may the store change. Binding
-        // the name to `id` hides the tombstone of any other id it named.
-        let displaced = self.directory.id_of(&spec.name);
-        let neighbours = self.edit_store(id, displaced, |p| {
-            p.put_query(spec, id, seq, record, issue_age_us, local_now)
-        });
-        self.reschedule(id);
-        self.stats.installs += 1;
-        self.rebuild_hb_children();
-        // Mark known neighbours as recently heard so routing starts
-        // optimistic (the paper installs assuming the plan is live).
-        for p in neighbours {
-            self.last_heard.entry(p).or_insert(local_now);
+        match record {
+            Some(rec) => self.connect(id, rec, local_now),
+            None => {
+                let spec = self.queries.get(&id).map(|q| &q.spec);
+                if let Some(spec) = spec.filter(|s| s.member_of(self.id).is_some()) {
+                    let req = MortarMsg::TopoRequest { name: spec.name.clone() };
+                    let bytes = req.wire_bytes();
+                    ctx.send_classified(spec.root, req, bytes, TrafficClass::Control);
+                }
+            }
         }
+        self.rebuild_hb_children();
     }
 
-    /// The store half of [`Self::install_query`], run inside its
-    /// [`Self::edit_store`]: clears the tombstone, binds the name and puts
-    /// the query's fresh runtime state in place. Returns the plan
-    /// neighbours the install should mark as heard.
+    /// The store half of a fresh install, run inside
+    /// [`Self::install_query`]'s [`Self::edit_store`]: clears the
+    /// tombstone, binds the name and puts the query's fresh runtime state
+    /// in place, pending (no record, not scheduled) until connected.
     fn put_query(
         &mut self,
         spec: Arc<QuerySpec>,
         id: QueryId,
         seq: u64,
-        record: Option<InstallRecord>,
         issue_age_us: i64,
         local_now: i64,
-    ) -> Vec<NodeId> {
+    ) {
         self.removed.remove(&id);
-        let window = spec.window;
-        window.validate();
-        let t_ref_base = local_now - issue_age_us;
-        let frame_now = match self.cfg.indexing {
-            super::IndexingMode::Syncless => local_now - t_ref_base,
-            super::IndexingMode::Timestamp => local_now,
-        };
-        let slide = window.slide as i64;
-        let source = Source::new(&spec.sensor, local_now - t_ref_base);
+        spec.window.validate();
         let name = self.directory.bind(id, &spec.name);
         let state = QueryState {
             name,
-            route_template: route_template(record.as_ref()),
+            route_template: RouteState::from_levels(&[]),
             spec,
             id,
             seq,
-            record,
+            record: None,
             plan: Box::default(),
-            t_ref_base_us: t_ref_base,
+            t_ref_base_us: local_now - issue_age_us,
             ts: TimeSpaceList::new(),
             netdist: [NetDist::new(NETDIST_INIT_US); MAX_TREES],
             stripe_rr: self.id as usize, // Stagger striping across peers.
             buckets: super::Buckets::default(),
-            next_close_k: if window.kind == WindowKind::Time {
-                frame_now.div_euclid(slide)
-            } else {
-                0
-            },
-            source,
+            next_close_k: 0,
+            source: Source::default(),
             tuple_buf: Vec::new(),
             tuples_seen: 0,
             tuples_out: 0,
             sched_due_us: i64::MAX,
         };
         // A refresh replaces the whole runtime state; drop the old state's
-        // due-index entry before it is clobbered.
+        // due-index entry and routes before they are clobbered.
         self.unschedule(id);
-        let neighbours: Vec<NodeId> = state
-            .record
-            .as_ref()
-            .map(|r| {
-                r.links
-                    .iter()
-                    .flat_map(|l| l.parent.into_iter().chain(l.children.iter().copied()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        self.register_routes(id, state.record.as_ref());
+        self.route_table.remove(id);
         self.index_subscriptions(id, &state.spec.sensor);
         self.queries.insert(id, Box::new(state));
-        neighbours
+    }
+
+    /// Connects a held query to its plan record: registers its routes and
+    /// starts its window grid and source at `local_now`, then gives it a
+    /// due instant.
+    fn connect(&mut self, id: QueryId, record: InstallRecord, local_now: i64) {
+        let Some(q) = self.queries.get_mut(&id) else { return };
+        let levels = record.levels();
+        q.route_template = RouteState::from_levels(&levels);
+        let frame = q.frame_now(self.cfg.indexing, local_now);
+        q.next_close_k = frame.div_euclid(q.spec.window.slide as i64);
+        q.source = Source::new(&q.spec.sensor, local_now - q.t_ref_base_us);
+        let child_counts = record.links.iter().map(|l| l.children.len()).collect();
+        self.route_table.register(id, levels, child_counts);
+        q.record = Some(record);
+        self.reschedule(id);
     }
 
     /// Records the query's subscription edges in the subscriber index
@@ -197,58 +212,66 @@ impl MortarPeer {
         });
     }
 
-    /// (Re)registers a query's static routing inputs from its record.
-    pub(crate) fn register_routes(&mut self, id: QueryId, record: Option<&InstallRecord>) {
-        match record {
-            Some(rec) => {
-                let levels = rec.levels();
-                let child_counts = rec.links.iter().map(|l| l.children.len()).collect();
-                self.route_table.register(id, levels, child_counts);
-            }
-            None => self.route_table.remove(id),
+    /// The one removal path: applies a removal at sequence `rseq`, from a
+    /// multicast `Remove` or a reconciliation tombstone (which carries its
+    /// `name`). Under an equal or newer cached tombstone it does nothing.
+    /// A held install the removal beats is torn down if the directory
+    /// names its id (a newer incarnation may have taken the name since),
+    /// and its primary-tree children are returned for forwarding. A query
+    /// not held gets the tombstone cached when the directory names its id
+    /// or a `name` came with it — the name bound first when neither key is
+    /// taken — so this peer's store hash can match the remover's.
+    pub(crate) fn remove_query(
+        &mut self,
+        id: QueryId,
+        rseq: u64,
+        name: Option<&str>,
+    ) -> Option<Vec<NodeId>> {
+        if self.removed.get(&id).is_some_and(|&r| r >= rseq) {
+            return None; // An equal or newer tombstone is already cached.
         }
-    }
-
-    /// Removes a query; returns the primary-tree children to forward the
-    /// removal to, or `None` when the removal is stale or unknown.
-    pub(crate) fn remove_query(&mut self, id: QueryId, seq: u64) -> Option<Vec<NodeId>> {
-        let q = self.queries.get(&id)?;
-        if q.seq >= seq {
+        let named = self.directory.name_of(id).is_some();
+        if let Some(q) = self.queries.get(&id) {
+            if q.seq >= rseq || !named {
+                return None;
+            }
+            let fwd = q.record.as_ref().map(|r| r.links[0].children.clone()).unwrap_or_default();
+            self.unschedule(id);
+            self.edit_store(id, None, |p| {
+                p.queries.remove(&id);
+                p.route_table.remove(id);
+                p.unindex_subscriptions(id);
+                // The directory keeps the retired id→name binding, so the
+                // id-keyed tombstone can still be hashed (and reported) by
+                // name, and stale data frames for this id still trigger
+                // removal reconciliation.
+                p.removed.insert(id, rseq);
+            });
+            self.stats.removals += 1;
+            self.rebuild_hb_children();
+            return Some(fwd);
+        }
+        if !named && name.is_none() {
             return None;
         }
-        let fwd: Vec<NodeId> =
-            q.record.as_ref().map(|r| r.links[0].children.clone()).unwrap_or_default();
-        self.unschedule(id);
+        // Bound only when both keys are free, so it displaces no other id.
+        let bind = name.filter(|n| !named && self.directory.id_of(n).is_none());
         self.edit_store(id, None, |p| {
-            p.queries.remove(&id);
-            p.route_table.remove(id);
-            p.unindex_subscriptions(id);
-            // The directory keeps the retired id→name binding, so the
-            // id-keyed tombstone can still be hashed (and reported) by
-            // name, and stale data frames for this id still trigger
-            // removal reconciliation.
-            p.removed.insert(id, seq);
+            if let Some(n) = bind {
+                p.directory.bind(id, n);
+            }
+            p.removed.insert(id, rseq);
         });
-        self.stats.removals += 1;
-        self.rebuild_hb_children();
-        Some(fwd)
+        None
     }
 
-    /// Handles an id-carrying removal command, forwarding it down the
-    /// primary tree. An id this peer's directory does not name was never
-    /// installed here under it, so there is nothing to remove or forward
-    /// (reconciliation covers peers that missed both the install and the
-    /// removal).
+    /// Handles a removal command, forwarding it down the primary tree
+    /// from a peer that tore the query down.
     pub(crate) fn handle_remove(&mut self, ctx: &mut Ctx<'_, MortarMsg>, id: QueryId, seq: u64) {
-        if self.directory.name_of(id).is_none() {
-            return;
-        }
-        if let Some(children) = self.remove_query(id, seq) {
-            for c in children {
-                let msg = MortarMsg::Remove { id, seq };
-                let bytes = msg.wire_bytes();
-                ctx.send_classified(c, msg, bytes, TrafficClass::Control);
-            }
+        for c in self.remove_query(id, seq, None).unwrap_or_default() {
+            let msg = MortarMsg::Remove { id, seq };
+            let bytes = msg.wire_bytes();
+            ctx.send_classified(c, msg, bytes, TrafficClass::Control);
         }
     }
 
@@ -289,83 +312,6 @@ impl MortarPeer {
                 self.trigger_reconcile(ctx, from);
             }
         }
-    }
-
-    /// Installs one entry learned through reconciliation (a plan's push
-    /// or a transfer) and, if this peer is a member, fetches its
-    /// physical-plan record from the query root (the root answers members
-    /// only, so a non-member's request would be wasted control bytes).
-    /// Entries the local state already beats — an equal or
-    /// newer install, or an equal or newer tombstone — are skipped, so no
-    /// spurious topology fetch goes out; these are exactly the
-    /// [`crate::reconcile::reconcile`] `to_install` conditions, re-checked
-    /// here because a digest plan was computed from a snapshot that may
-    /// have raced a direct install or removal in flight.
-    fn reconcile_install(
-        &mut self,
-        ctx: &mut Ctx<'_, MortarMsg>,
-        spec: Arc<QuerySpec>,
-        id: QueryId,
-        seq: u64,
-        age: i64,
-        local_now: i64,
-    ) {
-        let have = self.queries.get(&id).is_some_and(|q| q.seq >= seq);
-        let removed_newer = self.removed.get(&id).is_some_and(|&r| r >= seq);
-        if have || removed_newer {
-            return;
-        }
-        let age = age + HOP_AGE_EST_US as i64;
-        let fetch = spec.member_of(self.id).map(|_| (spec.root, spec.name.clone()));
-        self.install_query(spec, id, seq, None, age, local_now);
-        if let Some((root, name)) = fetch {
-            let req = MortarMsg::TopoRequest { name };
-            let bytes = req.wire_bytes();
-            ctx.send_classified(root, req, bytes, TrafficClass::Control);
-        }
-    }
-
-    /// Applies one remote tombstone, whatever this peer knew before:
-    ///
-    /// - a live install the removal beats is torn down
-    ///   ([`Self::remove_query`], which also discards stale sequences);
-    /// - a query never seen here gets the tombstone *adopted* — id bound
-    ///   (unless either key already belongs to a newer incarnation) and
-    ///   the removal cached — so this peer's store hash can actually
-    ///   match the remover's instead of re-reconciling every hash beat.
-    pub(crate) fn adopt_removal(&mut self, name: &str, id: QueryId, rseq: u64) {
-        let unseen = self.removed.get(&id).is_none_or(|&r| r < rseq)
-            && !self.queries.contains_key(&id)
-            && self.directory.name_of(id).is_none()
-            && self.directory.id_of(name).is_none();
-        if !unseen {
-            return self.adopt_bound_removal(id, rseq);
-        }
-        // Both keys are free, so the binding displaces no other id.
-        self.edit_store(id, None, |p| {
-            p.directory.bind(id, name);
-            p.removed.insert(id, rseq);
-        });
-    }
-
-    /// [`Self::adopt_removal`] for a tombstone whose id this peer does not
-    /// bind anew: the name, if any, is the one the directory holds.
-    fn adopt_bound_removal(&mut self, id: QueryId, rseq: u64) {
-        if self.removed.get(&id).is_some_and(|&r| r >= rseq) {
-            return; // An equal or newer tombstone is already cached.
-        }
-        if self.queries.contains_key(&id) {
-            // A live install always bound its id, and ids map 1:1 to names
-            // under the single-writer store (colliding ids were refused at
-            // install) — unless a newer incarnation took the name since.
-            if self.directory.name_of(id).is_some() {
-                self.remove_query(id, rseq);
-            }
-            return;
-        }
-        self.edit_store(id, None, |p| {
-            p.removed.insert(id, rseq);
-        });
     }
 
     /// Handles a store digest (phase 1 → phase 2): computes which entries
@@ -448,14 +394,14 @@ impl MortarPeer {
         // Adopt after the plan is built from the pre-exchange snapshot, so
         // the plan reflects what this peer held when the digest arrived.
         for (id, rseq) in adopt {
-            self.adopt_bound_removal(id, rseq);
+            self.remove_query(id, rseq, None);
         }
     }
 
-    /// Handles a reconciliation plan (phase 2 → phase 3): installs the
-    /// pushed entries, adopts the planner's tombstones, and answers
-    /// the `want`/`want_removed` lists with full entries (and named
-    /// tombstones) from the live state.
+    /// Handles a reconciliation plan (phase 2 → phase 3): answers the
+    /// `want`/`want_removed` lists with full entries (and named
+    /// tombstones) from the live state, then applies the pushed entries
+    /// and the planner's tombstones as a transfer.
     pub(crate) fn handle_reconcile_plan(
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
@@ -485,33 +431,30 @@ impl MortarPeer {
             let transfer = MortarMsg::ReconcileTransfer { entries, removed: tombstones };
             self.send_reconcile_msg(ctx, from, transfer);
         }
-        for (spec, id, seq, age) in push {
-            self.reconcile_install(ctx, spec, id, seq, age, local_now);
-        }
-        for (name, id, rseq) in &removed {
-            self.adopt_removal(name, *id, *rseq);
-        }
+        self.handle_reconcile_transfer(ctx, push, removed);
     }
 
-    /// Handles a reconciliation transfer (phase 3): the requested entries
-    /// arrive in full and install under the usual sequence guards; the
-    /// requested tombstones arrive named and are adopted.
+    /// Handles a reconciliation transfer (phase 3): the entries arrive in
+    /// full, without records, and install as pending; the tombstones
+    /// arrive named.
     pub(crate) fn handle_reconcile_transfer(
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
         entries: Vec<(Arc<QuerySpec>, QueryId, u64, i64)>,
         removed: Vec<(Arc<str>, QueryId, u64)>,
     ) {
-        let local_now = ctx.local_now_us();
         for (spec, id, seq, age) in entries {
-            self.reconcile_install(ctx, spec, id, seq, age, local_now);
+            self.install_query(ctx, spec, id, seq, None, age + HOP_AGE_EST_US as i64);
         }
         for (name, id, rseq) in &removed {
-            self.adopt_removal(name, *id, *rseq);
+            self.remove_query(*id, *rseq, Some(name));
         }
     }
 
-    /// Handles a chunked-multicast install (Section 6).
+    /// Handles a chunked-multicast install (Section 6): installs this
+    /// peer's own record, then forwards the chunk — or, at the query root
+    /// holding the whole plan, chunks and multicasts it and keeps the plan
+    /// for the topology service.
     pub(crate) fn handle_install(
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
@@ -521,67 +464,40 @@ impl MortarPeer {
         records: Vec<InstallRecord>,
         issue_age_us: i64,
     ) {
-        let local_now = ctx.local_now_us();
         if self.removed.get(&id).is_some_and(|&r| r >= seq) {
             return;
         }
-        let my_member = spec.member_of(self.id);
-        let is_root = spec.root == self.id;
-        if is_root && records.len() == spec.members.len() {
-            // Acting as the installer: chunk and multicast, then keep the
-            // full plan with the query for the topology service.
-            if let Some(m) = my_member {
-                if let Some(rec) = records.iter().find(|r| r.member == m) {
-                    self.install_query(
-                        spec.clone(),
-                        id,
-                        seq,
-                        Some(rec.clone()),
-                        issue_age_us,
-                        local_now,
-                    );
-                }
-            }
-            let chunks =
-                chunk_components_with_peers(&records, Some(&spec.members), self.cfg.install_chunks);
-            let age = issue_age_us + HOP_AGE_EST_US as i64;
-            for chunk in chunks {
-                let croot = component_root(&chunk, Some(&spec.members));
-                let croot_peer = spec.members[croot as usize];
-                if croot_peer == self.id {
-                    // Our own component: forward directly to children.
-                    self.forward_install(ctx, &spec, id, seq, &chunk, age);
-                    continue;
-                }
-                let msg = MortarMsg::Install {
-                    spec: spec.clone(),
-                    id,
-                    seq,
-                    records: chunk,
-                    issue_age_us: age,
-                };
-                let bytes = msg.wire_bytes();
-                ctx.send_classified(croot_peer, msg, bytes, TrafficClass::Control);
-            }
-            if let Some(q) = self.queries.get_mut(&id) {
-                q.plan = records.into_boxed_slice();
-            }
-            return;
-        }
-        if let Some(m) = my_member {
-            if let Some(rec) = records.iter().find(|r| r.member == m) {
-                self.install_query(
-                    spec.clone(),
-                    id,
-                    seq,
-                    Some(rec.clone()),
-                    issue_age_us,
-                    local_now,
-                );
-            }
+        let m = spec.member_of(self.id);
+        if let Some(rec) = records.iter().find(|r| Some(r.member) == m) {
+            self.install_query(ctx, spec.clone(), id, seq, Some(rec.clone()), issue_age_us);
         }
         let age = issue_age_us + HOP_AGE_EST_US as i64;
-        self.forward_install(ctx, &spec, id, seq, &records, age);
+        if spec.root != self.id || records.len() != spec.members.len() {
+            return self.forward_install(ctx, &spec, id, seq, &records, age);
+        }
+        let chunks =
+            chunk_components_with_peers(&records, Some(&spec.members), self.cfg.install_chunks);
+        for chunk in chunks {
+            let croot = component_root(&chunk, Some(&spec.members));
+            let croot_peer = spec.members[croot as usize];
+            if croot_peer == self.id {
+                // Our own component: forward directly to children.
+                self.forward_install(ctx, &spec, id, seq, &chunk, age);
+                continue;
+            }
+            let msg = MortarMsg::Install {
+                spec: spec.clone(),
+                id,
+                seq,
+                records: chunk,
+                issue_age_us: age,
+            };
+            let bytes = msg.wire_bytes();
+            ctx.send_classified(croot_peer, msg, bytes, TrafficClass::Control);
+        }
+        if let Some(q) = self.queries.get_mut(&id) {
+            q.plan = records.into_boxed_slice();
+        }
     }
 
     fn forward_install(
@@ -615,7 +531,6 @@ impl MortarPeer {
             let m = q.spec.member_of(from)?;
             let rec = q.plan.iter().find(|r| r.member == m)?.clone();
             Some(MortarMsg::TopoReply {
-                name: name.to_string(),
                 id: q.id,
                 seq: q.seq,
                 spec: q.spec.clone(),
@@ -629,7 +544,8 @@ impl MortarPeer {
         }
     }
 
-    /// Applies a topology-service reply, connecting a pending install.
+    /// Applies a topology-service reply: the record connects a pending
+    /// install of the same incarnation in place, or installs afresh.
     pub(crate) fn handle_topo_reply(
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
@@ -639,32 +555,8 @@ impl MortarPeer {
         record: InstallRecord,
         issue_age_us: i64,
     ) {
-        let local_now = ctx.local_now_us();
         let age = issue_age_us + HOP_AGE_EST_US as i64;
-        match self.queries.get_mut(&id) {
-            Some(q) if q.record.is_none() => {
-                q.record = Some(record);
-                q.route_template = route_template(q.record.as_ref());
-                let slide = q.spec.window.slide as i64;
-                let frame = q.frame_now(self.cfg.indexing, local_now);
-                q.next_close_k = frame.div_euclid(slide);
-                q.source = Source::new(&q.spec.sensor, local_now - q.t_ref_base_us);
-                let rec = q.record.clone();
-                self.register_routes(id, rec.as_ref());
-                // The query just went active: give it a due instant.
-                self.reschedule(id);
-                self.edit_store(id, None, |p| {
-                    if let Some(q) = p.queries.get_mut(&id) {
-                        q.seq = q.seq.max(seq);
-                    }
-                });
-                self.rebuild_hb_children();
-            }
-            Some(_) => {}
-            None => {
-                self.install_query(spec, id, seq, Some(record), age, local_now);
-            }
-        }
+        self.install_query(ctx, spec, id, seq, Some(record), age);
     }
 
     /// Emits this beat's heartbeats to all distinct children.

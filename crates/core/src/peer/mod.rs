@@ -599,7 +599,7 @@ impl MortarPeer {
     pub fn store_entries(&self) -> impl Iterator<Item = (&str, u64, bool)> {
         let installed = self.queries.values().map(|q| (q.spec.name.as_str(), q.seq, false));
         // Tombstones are named through the directory, which retains the
-        // id → name binding `remove_query` or adoption made; one whose
+        // id → name binding an install or `remove_query` made; one whose
         // name a newer id has taken since is left out. Naming them keeps
         // the fingerprint comparable across peers whatever ids they
         // learned the removal under.
@@ -832,7 +832,7 @@ impl App for MortarPeer {
             MortarMsg::TopoRequest { name } => {
                 self.handle_topo_request(ctx, from, &name);
             }
-            MortarMsg::TopoReply { name: _, id, seq, spec, record, issue_age_us } => {
+            MortarMsg::TopoReply { id, seq, spec, record, issue_age_us } => {
                 self.handle_topo_reply(ctx, id, seq, spec, record, issue_age_us);
             }
         }
@@ -1057,20 +1057,31 @@ mod tests {
         assert_eq!(sim.app(5).query_id("count"), Some(QueryId(1)));
     }
 
-    /// A peer that records who sent it a topology request.
-    struct TopoLog {
+    /// A peer that records who sent it a topology request, and counts the
+    /// removals it receives.
+    struct ControlLog {
         peer: MortarPeer,
         requests_from: Vec<NodeId>,
+        removes: usize,
     }
 
-    impl App for TopoLog {
+    impl ControlLog {
+        fn new(id: NodeId) -> Self {
+            let peer = MortarPeer::new(id, PeerConfig::default(), OpRegistry::new());
+            Self { peer, requests_from: Vec::new(), removes: 0 }
+        }
+    }
+
+    impl App for ControlLog {
         type Msg = MortarMsg;
         fn on_start(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
             self.peer.on_start(ctx);
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_, MortarMsg>, from: NodeId, m: MortarMsg, b: u32) {
-            if let MortarMsg::TopoRequest { .. } = m {
-                self.requests_from.push(from);
+            match m {
+                MortarMsg::TopoRequest { .. } => self.requests_from.push(from),
+                MortarMsg::Remove { .. } => self.removes += 1,
+                _ => {}
             }
             self.peer.on_message(ctx, from, m, b);
         }
@@ -1086,10 +1097,7 @@ mod tests {
         // through reconciliation. The root answers members only, so only
         // members may ask it for their plan record.
         let n = 8;
-        let mut sim = SimBuilder::new(Topology::star(n, 1_000), 42).build(|id| TopoLog {
-            peer: MortarPeer::new(id, PeerConfig::default(), OpRegistry::new()),
-            requests_from: Vec::new(),
-        });
+        let mut sim = SimBuilder::new(Topology::star(n, 1_000), 42).build(ControlLog::new);
         let wide = count_spec(n);
         let narrow =
             QuerySpec { name: "narrow".into(), members: (0..4).collect(), ..count_spec(4) };
@@ -1108,6 +1116,85 @@ mod tests {
         }
         let from = &sim.app(0).requests_from;
         assert!(from.iter().all(|&p| p < 4), "non-members fetched a plan record: {from:?}");
+    }
+
+    #[test]
+    fn a_stale_removal_tears_nothing_down_and_is_not_forwarded() {
+        // Every peer holds `count` at seq 5; a removal at seq 3 loses to
+        // it, so the root must not pass it down the tree.
+        let n = 8;
+        let mut sim = SimBuilder::new(Topology::star(n, 1_000), 42).build(ControlLog::new);
+        let spec = count_spec(n);
+        let records = build_records(&spec.members, &chain_trees(n));
+        let (spec, id) = (Arc::new(spec), QueryId(1));
+        sim.inject(0, 0, MortarMsg::Install { spec, id, seq: 5, records, issue_age_us: 0 }, 256);
+        sim.run_for_secs(1.0);
+        sim.inject(0, 0, MortarMsg::Remove { id, seq: 3 }, 32);
+        sim.run_for_secs(1.0);
+        for p in 0..n as NodeId {
+            assert!(sim.app(p).peer.is_active("count"), "peer {p} lost the query");
+        }
+        let removes: usize = (0..n as NodeId).map(|p| sim.app(p).removes).sum();
+        assert_eq!(removes, 1, "the injected removal was forwarded");
+    }
+
+    /// A 4-peer sim whose peer 2 holds `count` pending at seq 5: learned
+    /// by reconciliation, so without its plan record (the root holds no
+    /// plan, so the record fetch goes unanswered).
+    fn pending_at_seq_5() -> mortar_net::Simulator<MortarPeer> {
+        let mut sim = build_sim(4);
+        let entry = (Arc::new(count_spec(4)), QueryId(1), 5, 0);
+        let transfer = MortarMsg::ReconcileTransfer { entries: vec![entry], removed: vec![] };
+        sim.inject(2, 1, transfer, 64);
+        sim.run_for_secs(0.1);
+        assert!(sim.app(2).has_query("count") && !sim.app(2).is_active("count"));
+        sim
+    }
+
+    #[test]
+    fn a_stale_install_chunk_does_not_rewind_a_pending_install() {
+        let mut sim = pending_at_seq_5();
+        let records = build_records(&(0..4).collect::<Vec<_>>(), &chain_trees(4));
+        let spec = Arc::new(count_spec(4));
+        let install = MortarMsg::Install { spec, id: QueryId(1), seq: 3, records, issue_age_us: 0 };
+        sim.inject(2, 1, install, 256);
+        sim.run_for_secs(0.1);
+        let peer = sim.app(2);
+        assert_eq!(peer.store_entries().collect::<Vec<_>>(), [("count", 5, false)]);
+        assert!(!peer.is_active("count"), "the seq-3 plan connected a seq-5 install");
+    }
+
+    #[test]
+    fn a_topology_reply_for_a_newer_incarnation_replaces_pending_state() {
+        let mut sim = pending_at_seq_5();
+        let records = build_records(&(0..4).collect::<Vec<_>>(), &chain_trees(4));
+        let mut spec = count_spec(4);
+        spec.window = WindowSpec::time_tumbling_us(2_000_000);
+        let reply = MortarMsg::TopoReply {
+            id: QueryId(1),
+            seq: 7,
+            spec: Arc::new(spec),
+            record: records[2].clone(),
+            issue_age_us: 0,
+        };
+        sim.inject(2, 0, reply, 256);
+        sim.run_for_secs(0.1);
+        let q = &sim.app(2).queries[&QueryId(1)];
+        assert!(q.active());
+        assert_eq!((q.seq, q.spec.window.slide), (7, 2_000_000));
+    }
+
+    #[test]
+    fn a_newer_removal_is_cached_whichever_message_carries_it() {
+        let mut sim = build_sim(4);
+        let tombstone = ("count".into(), QueryId(1), 2);
+        let transfer = MortarMsg::ReconcileTransfer { entries: vec![], removed: vec![tombstone] };
+        sim.inject(2, 1, transfer, 64);
+        sim.run_for_secs(0.1);
+        assert_eq!(sim.app(2).store_entries().collect::<Vec<_>>(), [("count", 2, true)]);
+        sim.inject(2, 1, MortarMsg::Remove { id: QueryId(1), seq: 4 }, 32);
+        sim.run_for_secs(0.1);
+        assert_eq!(sim.app(2).store_entries().collect::<Vec<_>>(), [("count", 4, true)]);
     }
 
     #[test]

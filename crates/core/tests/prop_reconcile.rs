@@ -499,3 +499,22 @@ fn a_name_rebound_to_a_new_id_hides_the_old_tombstone_from_the_fingerprint() {
     assert_eq!(view[0].0, vec![("q0".to_string(), 3, false)]);
     assert_eq!(view[0], view[1], "the hidden tombstone still weighs in the fingerprint");
 }
+
+#[test]
+fn a_named_tombstone_never_takes_a_name_a_newer_id_holds() {
+    // A second injector's install holds q0 under another id. A tombstone
+    // for the first injector's id, shipped named by reconciliation, is
+    // cached under its own id, but must not bind q0 away from the live
+    // install.
+    let mut sim = peer_pair(&Vec::new(), [0, 0]);
+    let other_id = QueryId(id_of("q0").0 + 100);
+    sim.inject(0, 0, install_msg("q0", 0, other_id, 3), 64);
+    sim.run_for_secs(0.01);
+    let removed = vec![(Arc::from("q0"), id_of("q0"), 2)];
+    sim.inject(0, 1, MortarMsg::ReconcileTransfer { entries: vec![], removed }, 64);
+    sim.run_for_secs(0.01);
+    let peer = sim.app(0);
+    assert_eq!(peer.query_id("q0"), Some(other_id));
+    assert!(peer.is_active("q0"));
+    assert_eq!(stores(&sim)[0].0, vec![("q0".to_string(), 3, false)]);
+}

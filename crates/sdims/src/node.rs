@@ -146,12 +146,6 @@ impl SdimsNode {
         self.view.is_root
     }
 
-    /// Whether this node currently believes `n` is down (private belief —
-    /// other nodes may disagree, which is the route-flap mechanism).
-    pub fn believes_dead(&self, n: NodeId) -> bool {
-        self.dead.contains_key(&n)
-    }
-
     fn aggregate(&self, now: i64) -> (f64, u32) {
         let mut v = self.local_value;
         let mut c = 1u32;
