@@ -168,25 +168,21 @@ impl MortarPeer {
             sched_due_us: i64::MAX,
         };
         // A refresh replaces the whole runtime state; drop the old state's
-        // due-index entry and routes before they are clobbered.
+        // due-index entry before it is clobbered.
         self.unschedule(id);
-        self.route_table.remove(id);
         self.index_subscriptions(id, &state.spec.sensor);
         self.queries.insert(id, Box::new(state));
     }
 
-    /// Connects a held query to its plan record: registers its routes and
-    /// starts its window grid and source at `local_now`, then gives it a
-    /// due instant.
+    /// Connects a held query to its plan record: takes its route template
+    /// from the record's levels and starts its window grid and source at
+    /// `local_now`, then gives it a due instant.
     fn connect(&mut self, id: QueryId, record: InstallRecord, local_now: i64) {
         let Some(q) = self.queries.get_mut(&id) else { return };
-        let levels = record.levels();
-        q.route_template = RouteState::from_levels(&levels);
+        q.route_template = RouteState::from_levels(&record.levels());
         let frame = q.frame_now(self.cfg.indexing, local_now);
         q.next_close_k = frame.div_euclid(q.spec.window.slide as i64);
         q.source = Source::new(&q.spec.sensor, local_now - q.t_ref_base_us);
-        let child_counts = record.links.iter().map(|l| l.children.len()).collect();
-        self.route_table.register(id, levels, child_counts);
         q.record = Some(record);
         self.reschedule(id);
     }
@@ -239,7 +235,6 @@ impl MortarPeer {
             self.unschedule(id);
             self.edit_store(id, None, |p| {
                 p.queries.remove(&id);
-                p.route_table.remove(id);
                 p.unindex_subscriptions(id);
                 // The directory keeps the retired id→name binding, so the
                 // id-keyed tombstone can still be hashed (and reported) by
@@ -454,7 +449,8 @@ impl MortarPeer {
     /// Handles a chunked-multicast install (Section 6): installs this
     /// peer's own record, then forwards the chunk — or, at the query root
     /// holding the whole plan, chunks and multicasts it and keeps the plan
-    /// for the topology service.
+    /// for the topology service, provided the root holds the query at this
+    /// message's `seq` (a stale plan goes nowhere).
     pub(crate) fn handle_install(
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
@@ -474,6 +470,9 @@ impl MortarPeer {
         let age = issue_age_us + HOP_AGE_EST_US as i64;
         if spec.root != self.id || records.len() != spec.members.len() {
             return self.forward_install(ctx, &spec, id, seq, &records, age);
+        }
+        if self.queries.get(&id).is_none_or(|q| q.seq != seq) {
+            return;
         }
         let chunks =
             chunk_components_with_peers(&records, Some(&spec.members), self.cfg.install_chunks);

@@ -51,7 +51,7 @@ use crate::tslist::TimeSpaceList;
 use crate::tuple::{RawTuple, Truth};
 use crate::value::AggState;
 use mortar_net::{App, Ctx, NodeId};
-use mortar_overlay::{RouteState, RouteTable, MAX_TREES};
+use mortar_overlay::{RouteState, MAX_TREES};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -301,7 +301,8 @@ pub(crate) struct QueryState {
     pub(crate) plan: Box<[InstallRecord]>,
     /// Origin route state for locally created summaries, precomputed from
     /// the install record (`Copy` — window close stamps it for free
-    /// instead of cloning the level vector twice per window).
+    /// instead of cloning the level vector twice per window). Its levels
+    /// are this member's `OL` per tree, which routing reads.
     pub(crate) route_template: RouteState,
     /// Local µs corresponding to the query's issue instant.
     pub(crate) t_ref_base_us: i64,
@@ -413,8 +414,6 @@ pub struct MortarPeer {
     pub(crate) queries: BTreeMap<QueryId, Box<QueryState>>,
     /// Name↔id bindings, including retired ones for removed queries.
     pub(crate) directory: QueryDirectory,
-    /// Per-query routing cache (levels / child lists per tree).
-    pub(crate) route_table: RouteTable,
     /// Removal tombstones, keyed by interned id (the directory retains
     /// the retired id → name binding; names only matter when hashing or
     /// reconciling, never as runtime keys).
@@ -489,7 +488,6 @@ impl MortarPeer {
             registry,
             queries: BTreeMap::new(),
             directory: QueryDirectory::new(),
-            route_table: RouteTable::new(),
             removed: BTreeMap::new(),
             last_heard: HashMap::new(),
             hb_children: BTreeSet::new(),
@@ -1058,17 +1056,18 @@ mod tests {
     }
 
     /// A peer that records who sent it a topology request, and counts the
-    /// removals it receives.
+    /// installs and removals it receives.
     struct ControlLog {
         peer: MortarPeer,
         requests_from: Vec<NodeId>,
+        installs: usize,
         removes: usize,
     }
 
     impl ControlLog {
         fn new(id: NodeId) -> Self {
             let peer = MortarPeer::new(id, PeerConfig::default(), OpRegistry::new());
-            Self { peer, requests_from: Vec::new(), removes: 0 }
+            Self { peer, requests_from: Vec::new(), installs: 0, removes: 0 }
         }
     }
 
@@ -1080,6 +1079,7 @@ mod tests {
         fn on_message(&mut self, ctx: &mut Ctx<'_, MortarMsg>, from: NodeId, m: MortarMsg, b: u32) {
             match m {
                 MortarMsg::TopoRequest { .. } => self.requests_from.push(from),
+                MortarMsg::Install { .. } => self.installs += 1,
                 MortarMsg::Remove { .. } => self.removes += 1,
                 _ => {}
             }
@@ -1136,6 +1136,35 @@ mod tests {
         }
         let removes: usize = (0..n as NodeId).map(|p| sim.app(p).removes).sum();
         assert_eq!(removes, 1, "the injected removal was forwarded");
+    }
+
+    #[test]
+    fn a_stale_install_at_the_root_keeps_its_plan_and_is_not_multicast() {
+        // The root holds `count` at seq 5 over the two-tree chain set; an
+        // install at seq 3 over a one-tree star loses to it, so the root
+        // must neither multicast the stale plan nor keep it for its
+        // topology service.
+        let n = 4;
+        let mut sim = SimBuilder::new(Topology::star(n, 1_000), 42).build(ControlLog::new);
+        let (spec, id) = (Arc::new(count_spec(n)), QueryId(1));
+        let records = build_records(&spec.members, &chain_trees(n));
+        let install =
+            MortarMsg::Install { spec: spec.clone(), id, seq: 5, records, issue_age_us: 0 };
+        sim.inject(0, 0, install, 256);
+        sim.run_for_secs(1.0);
+        let plan = sim.app(0).peer.queries[&id].plan.clone();
+        let installs = |sim: &mortar_net::Simulator<ControlLog>| {
+            (0..n as NodeId).map(|p| sim.app(p).installs).sum::<usize>()
+        };
+        let before = installs(&sim);
+        let star = TreeSet::new(vec![chain_trees(n).tree(1).clone()]);
+        let records = build_records(&spec.members, &star);
+        sim.inject(0, 0, MortarMsg::Install { spec, id, seq: 3, records, issue_age_us: 0 }, 256);
+        sim.run_for_secs(1.0);
+        let q = &sim.app(0).peer.queries[&id];
+        assert_eq!(q.seq, 5);
+        assert!(q.plan == plan, "the seq-3 plan replaced the root's seq-5 plan");
+        assert_eq!(installs(&sim) - before, 1, "the stale install was multicast");
     }
 
     /// A 4-peer sim whose peer 2 holds `count` pending at seq 5: learned

@@ -30,7 +30,7 @@ use crate::query::{mix_key, InstallRecord, QueryId};
 use crate::tuple::{RawTuple, SummaryTuple};
 use crate::value::{AggState, KeyedGroups};
 use mortar_net::{Ctx, NodeId, TrafficClass};
-use mortar_overlay::{Decision, HopBins, NodeBitmap, RouteState, MAX_TREES};
+use mortar_overlay::{route_decision_local, Decision, HopBins, NodeBitmap, RouteState, MAX_TREES};
 use std::sync::Arc;
 
 /// Every Nth summary tuple a query sends carries the sender's store hash,
@@ -225,6 +225,8 @@ impl MortarPeer {
         // out for the duration of the pass (nothing below reads it through
         // the query) and restored at the end.
         let rec = q.record.take().expect("active query has a record");
+        let template = q.route_template;
+        let levels = template.last_level.as_slice();
         let is_root = q.spec.root == self.id;
         let width = rec.width();
         let name = q.name.clone();
@@ -234,10 +236,11 @@ impl MortarPeer {
         // the parent view is an inline array, so the pass performs no
         // snapshot allocation at all.
         let live = &scratch.live;
-        let mut parent_live = [false; MAX_TREES];
-        for (x, slot) in parent_live.iter_mut().enumerate().take(width) {
+        let mut parent_buf = [false; MAX_TREES];
+        for (x, slot) in parent_buf.iter_mut().enumerate().take(width) {
             *slot = rec.links[x].parent.is_some_and(|p| live.get(p));
         }
+        let parent_live = &parent_buf[..width];
         let mut frames = FrameBuilder::new(id, &mut scratch.frame_bins, self.cfg.summary_batch_max);
         for entry in due {
             self.stats.evictions += 1;
@@ -259,7 +262,8 @@ impl MortarPeer {
                                 id,
                                 ctx,
                                 &rec,
-                                &parent_live[..width],
+                                levels,
+                                parent_live,
                                 live,
                                 &mut frames,
                                 part,
@@ -272,7 +276,7 @@ impl MortarPeer {
             } else {
                 summary
             };
-            self.route_summary(id, ctx, &rec, &parent_live[..width], live, &mut frames, summary);
+            self.route_summary(id, ctx, &rec, levels, parent_live, live, &mut frames, summary);
         }
         frames.finish(self, ctx);
         if let Some(q) = self.queries.get_mut(&id) {
@@ -282,7 +286,8 @@ impl MortarPeer {
 
     /// Routes one outgoing summary up the tree set: the tuple continues up
     /// the tree it was striped onto (stage 1); failures migrate it per the
-    /// staged policy.
+    /// staged policy, which reads this member's `levels` and the record's
+    /// per-tree child lists.
     #[allow(clippy::too_many_arguments)]
     // lint:hot-path
     fn route_summary(
@@ -290,6 +295,7 @@ impl MortarPeer {
         id: QueryId,
         ctx: &mut Ctx<'_, MortarMsg>,
         rec: &InstallRecord,
+        levels: &[u32],
         parent_live: &[bool],
         live: &NodeBitmap,
         frames: &mut FrameBuilder<'_>,
@@ -297,11 +303,15 @@ impl MortarPeer {
     ) {
         let width = rec.width();
         let arrival_tree = (summary.stripe_tree as usize).min(width.saturating_sub(1));
-        let mut child_live = |x: usize, c: usize| live.get(rec.links[x].children[c]);
-        let decision = self
-            .route_table
-            .decide(id, arrival_tree, &mut summary.route, parent_live, &mut child_live, ctx.rng())
-            .expect("active query is registered in the route table");
+        let decision = route_decision_local(
+            levels,
+            &rec.links,
+            arrival_tree,
+            &mut summary.route,
+            parent_live,
+            &mut |_, c| live.get(c),
+            ctx.rng(),
+        );
         let (dest, tree) = match decision {
             Decision::Parent { tree } => {
                 (rec.links[tree].parent.expect("live parent exists"), tree)

@@ -14,7 +14,21 @@ use mortar_overlay::TreeSet;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-pub use mortar_overlay::QueryId;
+/// An interned query handle.
+///
+/// Assigned once by the injecting peer's object store (which owns the
+/// query's sequence space, so it can own its id space too) and carried by
+/// every data-plane message instead of the query's name. `u32` keeps frame
+/// headers fixed-size; names appear on the wire only in control messages
+/// that already ship whole query specs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct QueryId(pub u32);
+
+impl std::fmt::Display for QueryId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "q#{}", self.0)
+    }
+}
 
 /// A peer's name↔id resolution table, populated at install time.
 ///
@@ -210,6 +224,14 @@ pub struct TreeLink {
     pub key_range: KeyRange,
 }
 
+/// A link is its tree's child list to the routing policy
+/// ([`mortar_overlay::route_decision_local`]).
+impl AsRef<[NodeId]> for TreeLink {
+    fn as_ref(&self) -> &[NodeId] {
+        &self.children
+    }
+}
+
 /// A member's complete physical-plan record: its links on every tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstallRecord {
@@ -285,6 +307,12 @@ mod tests {
             sensor: SensorSpec::Periodic { period_us: 1_000_000, value: 1.0 },
             post: None,
         }
+    }
+
+    #[test]
+    fn query_id_formats_and_orders() {
+        assert_eq!(QueryId(7).to_string(), "q#7");
+        assert!(QueryId(1) < QueryId(2));
     }
 
     #[test]

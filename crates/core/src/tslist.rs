@@ -13,26 +13,24 @@
 //! root, with its age set to the participant-weighted average age of its
 //! constituents (Section 5.1, Figure 7).
 //!
-//! **Layout.** Every summary passes through this list at every hop, and a
-//! 25 ms slide under multi-second timeouts keeps ~1000 entries open per
-//! operator, so no per-tick or per-frame operation may walk the list:
+//! **Layout.** Every summary passes through this list at every hop. A
+//! 25 ms slide under second-scale timeouts keeps ~120 entries open per
+//! operator at the workloads' peak, so no per-frame operation walks the
+//! list, and an eviction reads it once:
 //!
 //! * Entries live in a ring ([`VecDeque`]) ordered by `tb`. Windows open
 //!   at the back and — since a deadline is roughly the window centre plus
 //!   netDist — expire from the front, so the common eviction is an O(k)
 //!   front drain and the common insert of the newest window an O(1) push;
 //!   an insert elsewhere moves only the shorter side of the ring.
-//! * Deadlines are not monotone in `tb` (netDist moves between windows),
-//!   so the due set is only *usually* a prefix. Each entry therefore
-//!   carries one flag, *lead*: it expires strictly before every entry
-//!   behind it. Leads' deadlines rise along the list, so the first lead
-//!   holds the list's minimum, the minimum of any suffix is its first
-//!   lead's deadline, and nothing is due behind the first lead that is
-//!   not. [`TimeSpaceList::pop_due`] thus reads the list only up to that
-//!   lead, partitions that stretch when a survivor sits among the due,
-//!   and restores `tb` order among the evicted — same entries, same
-//!   order as a full scan — and the next minimum falls out of the same
-//!   walk, which makes [`TimeSpaceList::next_deadline_us`] a field read.
+//! * Beside the entries the list keeps one fact, the exact minimum of
+//!   their deadlines, so [`TimeSpaceList::next_deadline_us`] is a field
+//!   read and a tick with nothing due is one comparison. An insert only
+//!   folds its new deadline in, since no deadline ever rises. Deadlines
+//!   are not monotone in `tb` (netDist moves between windows), so the due
+//!   set is only *usually* a prefix: [`TimeSpaceList::pop_due`] reads
+//!   every deadline once, which also yields the survivors' minimum, and
+//!   moves entries only where a survivor sits among the due.
 
 use std::collections::VecDeque;
 
@@ -69,10 +67,6 @@ pub struct TsEntry {
     pub stripe_tree: u8,
     /// Ground-truth bookkeeping (`None` unless truth tracking is on).
     pub truth: Truth,
-    /// Whether `deadline_us` is strictly earlier than that of every entry
-    /// behind this one in its list (maintained by the list; meaningless
-    /// once evicted). Fits the struct's padding.
-    lead: bool,
 }
 
 impl TsEntry {
@@ -91,7 +85,6 @@ impl TsEntry {
             hops: t.hops,
             stripe_tree: t.stripe_tree,
             truth: t.truth.clone(),
-            lead: false,
         }
     }
 
@@ -148,10 +141,10 @@ impl TsEntry {
 /// The time-space list.
 #[derive(Debug)]
 pub struct TimeSpaceList {
-    /// Disjoint entries sorted by `tb`, each `lead` flag current.
+    /// Disjoint entries sorted by `tb`.
     entries: VecDeque<TsEntry>,
-    /// The exact minimum of the entries' deadlines — the first lead's —
-    /// or `i64::MAX` with no entries.
+    /// The exact minimum of the entries' deadlines, or `i64::MAX` with no
+    /// entries.
     min_deadline: i64,
 }
 
@@ -195,7 +188,9 @@ impl TimeSpaceList {
     /// search plus the overlap it actually touches. The general path moves
     /// only the shorter side of the ring: entries outside
     /// `[tuple.tb, tuple.te)` are never cloned or re-sorted, and fully
-    /// covered entries merge by move rather than clone.
+    /// covered entries merge by move rather than clone. Of the list's
+    /// bookkeeping only the kept minimum changes: it folds in the new
+    /// deadline.
     // lint:hot-path
     pub fn insert(&mut self, tuple: &SummaryTuple, now_us: i64, timeout_us: u64) -> bool {
         if tuple.tb >= tuple.te {
@@ -209,8 +204,8 @@ impl TimeSpaceList {
             _ => self.entries.len(),
         };
         // Fast path: exact index match (the common case for time windows).
-        // Absorb keeps the entry's (earlier) deadline, so neither the lead
-        // flags nor the minimum move.
+        // Absorb keeps the entry's (earlier) deadline, so the minimum does
+        // not move.
         if let Some(e) = self.entries.get_mut(lo) {
             if e.tb == tuple.tb && e.te == tuple.te {
                 e.absorb_tuple(tuple, now_us);
@@ -226,7 +221,6 @@ impl TimeSpaceList {
             // No overlap at all: one new entry, one ordered insert.
             self.reserve(1);
             self.entries.insert(lo, TsEntry::from_tuple(tuple, now_us, new_deadline));
-            self.restore_leads(lo, lo + 1);
             return true;
         }
         // Split against the overlapping entries. Each produces ≤3 segments
@@ -277,12 +271,10 @@ impl TimeSpaceList {
             created = true;
         }
         self.reserve(seg.len());
-        let seg_end = lo + seg.len();
         for e in seg.into_iter().rev() {
             self.entries.push_front(e);
         }
         self.entries.rotate_right(lo);
-        self.restore_leads(lo, seg_end);
         created
     }
 
@@ -300,32 +292,6 @@ impl TimeSpaceList {
             }
         }
         self.entries.partition_point(|e| e.te <= tb)
-    }
-
-    /// The minimum deadline among entries `from..`: their first lead's.
-    fn min_deadline_from(&self, from: usize) -> i64 {
-        self.entries.range(from..).find(|e| e.lead).map_or(i64::MAX, |e| e.deadline_us)
-    }
-
-    /// Recomputes the lead flags after the entries in `lo..hi` were put in
-    /// or had their deadlines lowered (nothing is ever raised): their own
-    /// flags against what lies behind them, then the leads in front of
-    /// `lo` that are no longer earlier than all of `lo..`. Stops at the
-    /// first lead that still is, since every lead before it is earlier
-    /// still — one step when the new deadline is the latest, as a newly
-    /// opened window's usually is.
-    fn restore_leads(&mut self, lo: usize, hi: usize) {
-        let mut min_behind = self.min_deadline_from(hi);
-        for e in self.entries.range_mut(lo..hi).rev() {
-            e.lead = e.deadline_us < min_behind;
-            min_behind = min_behind.min(e.deadline_us);
-        }
-        for e in self.entries.range_mut(..lo).rev().filter(|e| e.lead) {
-            if e.deadline_us < min_behind {
-                break;
-            }
-            e.lead = false;
-        }
     }
 
     /// Makes room for `additional` more entries. A ring, unlike a vector,
@@ -356,41 +322,40 @@ impl TimeSpaceList {
     /// Due entries are moved out, never cloned; the common no-eviction
     /// tick is one comparison and allocates nothing, and an evicting tick
     /// allocates the returned vector, plus a smaller ring on the rare
-    /// eviction that leaves it under a quarter full. Only the front of
-    /// the list is read: up to the first lead that is not yet due.
+    /// eviction that leaves it under a quarter full. An evicting tick
+    /// reads every entry's deadline once, which sets the survivors' exact
+    /// minimum; entries move only where a survivor sits among the due.
     // lint:hot-path
     pub fn pop_due(&mut self, now_us: i64) -> Vec<TsEntry> {
         if self.min_deadline > now_us {
             return Vec::new();
         }
-        // Every entry behind a lead expires after it, so nothing is due
-        // from the first lead that is not: `p` is one past the last due
-        // lead, and `rest_min` the minimum behind it.
-        let (mut p, mut rest_min) = (0, i64::MAX);
-        for (i, e) in self.entries.iter().enumerate().filter(|(_, e)| e.lead) {
-            if e.deadline_us > now_us {
-                rest_min = e.deadline_us;
-                break;
+        // `p` is one past the last due entry, `n` the number due.
+        let (mut p, mut n, mut rest_min) = (0, 0, i64::MAX);
+        for (i, e) in self.entries.iter().enumerate() {
+            if e.deadline_us <= now_us {
+                (p, n) = (i + 1, n + 1);
+            } else {
+                rest_min = rest_min.min(e.deadline_us);
             }
-            p = i + 1;
         }
         // Deadlines are not monotone in `tb`, so survivors may sit among
         // the due in `[0, p)`. Walking down from `p`, `[i + 1, w)` holds
         // only due entries: swapping a survivor at `i` into `w - 1` keeps
         // the survivors in order while the due entries drift to the front.
-        let mut w = p;
-        for i in (0..p).rev() {
-            let e = &mut self.entries[i];
-            if e.deadline_us > now_us {
-                e.lead = e.deadline_us < rest_min;
-                rest_min = rest_min.min(e.deadline_us);
-                w -= 1;
-                self.entries.swap(i, w);
+        let scattered = n < p;
+        if scattered {
+            let mut w = p;
+            for i in (0..p).rev() {
+                if self.entries[i].deadline_us > now_us {
+                    w -= 1;
+                    self.entries.swap(i, w);
+                }
             }
         }
-        let mut due = Vec::with_capacity(w);
-        due.extend(self.entries.drain(..w));
-        if w < p {
+        let mut due = Vec::with_capacity(n);
+        due.extend(self.entries.drain(..n));
+        if scattered {
             // The swaps scrambled the evicted; intervals are disjoint, so
             // `tb` order is the list's order.
             due.sort_unstable_by_key(|e| e.tb);
@@ -408,19 +373,15 @@ impl TimeSpaceList {
     }
 
     /// Asserts the list's invariants (test/diagnostic helper): entries
-    /// nonempty, sorted and disjoint; every lead flag and the kept
-    /// minimum equal to what a full scan finds.
+    /// nonempty, sorted and disjoint; the kept minimum equal to what a
+    /// full scan finds.
     pub fn check_invariants(&self) {
         for (a, b) in self.entries.iter().zip(self.entries.iter().skip(1)) {
             assert!(a.te <= b.tb, "entries overlap or unsorted");
         }
         assert!(self.entries.iter().all(|e| e.tb < e.te), "empty interval");
-        let mut min_behind = i64::MAX;
-        for e in self.entries.iter().rev() {
-            assert_eq!(e.lead, e.deadline_us < min_behind, "stale lead flag at tb {}", e.tb);
-            min_behind = min_behind.min(e.deadline_us);
-        }
-        assert_eq!(self.min_deadline, min_behind, "kept minimum deadline is stale");
+        let min = self.entries.iter().map(|e| e.deadline_us).min().unwrap_or(i64::MAX);
+        assert_eq!(self.min_deadline, min, "kept minimum deadline is stale");
     }
 }
 

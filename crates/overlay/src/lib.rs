@@ -16,7 +16,6 @@ pub mod bitset;
 pub mod failure_sim;
 pub mod hopbins;
 pub mod planner;
-pub mod route_table;
 pub mod routing;
 pub mod tree;
 
@@ -24,7 +23,6 @@ pub use bitset::NodeBitmap;
 pub use failure_sim::{simulate_completeness, FailureSimConfig, Strategy};
 pub use hopbins::HopBins;
 pub use planner::{derive_sibling, plan_primary, plan_tree_set, PlannerConfig};
-pub use route_table::{QueryId, RouteEntry, RouteTable};
 pub use routing::{
     route_decision, route_decision_local, Decision, LevelVec, RouteState, MAX_TREES, TTL_DOWN_LIMIT,
 };

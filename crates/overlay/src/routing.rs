@@ -181,10 +181,8 @@ pub enum Decision {
     Child {
         /// Tree whose child edge to use.
         tree: usize,
-        /// The chosen child, expressed in whatever space the caller's
-        /// children lists use (member ids via [`route_decision`], list
-        /// indices via [`route_decision_local`] when the caller passes
-        /// index lists).
+        /// The chosen child: a member id from [`route_decision`], an
+        /// index into the tree's child list from [`route_decision_local`].
         child: usize,
     },
     /// No usable destination; the tuple is dropped (stage 5).
@@ -208,22 +206,37 @@ pub fn route_decision<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Decision {
     let levels = trees.levels_of(member);
-    let children: Vec<Vec<usize>> =
-        (0..trees.width()).map(|x| trees.tree(x).children(member).to_vec()).collect();
-    route_decision_local(&levels, &children, arrival_tree, state, parent_live, child_live, rng)
+    let children: Vec<&[usize]> =
+        (0..trees.width()).map(|x| trees.tree(x).children(member)).collect();
+    match route_decision_local(
+        &levels,
+        &children,
+        arrival_tree,
+        state,
+        parent_live,
+        child_live,
+        rng,
+    ) {
+        Decision::Child { tree, child } => Decision::Child { tree, child: children[tree][child] },
+        d => d,
+    }
 }
 
 /// The policy over a member's *local* view: its level and child list per
-/// tree. This is what a Mortar peer actually has (its install record);
-/// [`route_decision`] is a convenience wrapper for tree-set callers.
+/// tree. This is what a Mortar peer actually has (its install record, whose
+/// per-tree links are the child lists); [`route_decision`] is a
+/// convenience wrapper for tree-set callers.
+///
+/// `child_live(x, c)` is asked about child `c` of tree `x`'s list; a
+/// `Child` decision names the chosen child by its index in that list.
 #[allow(clippy::too_many_arguments)]
-pub fn route_decision_local<R: Rng + ?Sized>(
+pub fn route_decision_local<N: Copy, C: AsRef<[N]>, R: Rng + ?Sized>(
     levels: &[u32],
-    children: &[Vec<usize>],
+    children: &[C],
     arrival_tree: usize,
     state: &mut RouteState,
     parent_live: &[bool],
-    child_live: &mut dyn FnMut(usize, usize) -> bool,
+    child_live: &mut dyn FnMut(usize, N) -> bool,
     rng: &mut R,
 ) -> Decision {
     let width = levels.len();
@@ -259,9 +272,9 @@ pub fn route_decision_local<R: Rng + ?Sized>(
             if ol(x) > state.last_level[x] {
                 continue;
             }
-            for &c in kids {
+            for (i, &c) in kids.as_ref().iter().enumerate() {
                 if child_live(x, c) {
-                    candidates.push((x, c));
+                    candidates.push((x, i));
                 }
             }
         }
