@@ -89,8 +89,7 @@ pub struct RunReport {
     pub duplicates_suppressed: u64,
     /// Mean completeness per base query (percent), in install order.
     pub completeness: Vec<f64>,
-    /// Queries live on the directory at the end (base + surviving
-    /// storm installs).
+    /// Queries live at the end (base + surviving storm installs).
     pub installed_total: usize,
 }
 

@@ -11,6 +11,7 @@
 
 use mortar_core::engine::Engine;
 use mortar_core::metrics;
+use mortar_core::query::QueryId;
 use std::collections::BTreeMap;
 
 /// One broken property.
@@ -171,13 +172,22 @@ pub fn evaluate(
     }
 
     if cfg.require_convergence {
-        let want = (log.names(true), log.names(false));
+        // Peers key their stores by the id the engine's object store gave
+        // each name (one id per name for good), so the log is compared in
+        // id space.
+        let ids = |install: bool| -> Vec<QueryId> {
+            let mut ids: Vec<QueryId> =
+                log.names(install).into_iter().filter_map(|n| eng.query_id(n)).collect();
+            ids.sort_unstable();
+            ids
+        };
+        let want = (ids(true), ids(false));
         let diverged: Vec<_> = live
             .iter()
             .map(|&n| {
-                let mut store: (Vec<&str>, Vec<&str>) = (Vec::new(), Vec::new());
-                for (name, _, removed) in eng.sim.app(n).store_entries() {
-                    if removed { &mut store.1 } else { &mut store.0 }.push(name);
+                let mut store: (Vec<QueryId>, Vec<QueryId>) = (Vec::new(), Vec::new());
+                for (id, _, removed) in eng.sim.app(n).store_entries() {
+                    if removed { &mut store.1 } else { &mut store.0 }.push(id);
                 }
                 store.0.sort_unstable();
                 store.1.sort_unstable();
@@ -258,7 +268,7 @@ pub fn evaluate(
     out
 }
 
-/// The names of `a` missing from `b` (both sorted).
-fn diff<'a>(a: &[&'a str], b: &[&str]) -> Vec<&'a str> {
-    a.iter().copied().filter(|n| b.binary_search(n).is_err()).collect()
+/// The ids of `a` missing from `b` (both sorted).
+fn diff(a: &[QueryId], b: &[QueryId]) -> Vec<QueryId> {
+    a.iter().copied().filter(|id| b.binary_search(id).is_err()).collect()
 }

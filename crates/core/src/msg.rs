@@ -15,10 +15,9 @@
 //! clone is a pointer bump, never a tuple-vector copy. Control messages
 //! (install/reconcile/topology) ship whole query specs behind
 //! `Arc<QuerySpec>` (multicast chunking and reconciliation pushes clone
-//! the pointer, not the spec) and therefore carry the id → name binding
-//! each peer records in its [`crate::query::QueryDirectory`]. Digests
-//! carry the removal cache as `(QueryId, seq)` pairs; a tombstone travels
-//! with its name only when the receiver must adopt it.
+//! the pointer, not the spec). Everything else names a query by its id
+//! alone: removals, topology requests, digests and tombstones, which
+//! travel as 12-byte `(QueryId, seq)` pairs.
 
 use crate::query::{InstallRecord, QueryId, QuerySpec};
 use crate::tuple::SummaryTuple;
@@ -119,25 +118,16 @@ pub enum MortarMsg {
         /// Ids the planner itself is missing; the digest sender answers
         /// with a [`MortarMsg::ReconcileTransfer`].
         want: Vec<QueryId>,
-        /// Tombstone ids from the digest the planner cannot resolve to a
-        /// name (it never saw the query); the digest sender answers them,
-        /// named, in the transfer so the planner can adopt them.
-        want_removed: Vec<QueryId>,
         /// The planner's tombstones the digest lacks or holds at an older
-        /// sequence, as `(name, id, seq)`. The name rides along so a
-        /// receiver that never installed the query can still *adopt* the
-        /// tombstone (bind the id, cache the removal) — without it, peers
-        /// that missed both the install and the removal could never
-        /// match the remover's store hash and would re-reconcile on every
-        /// hash beat forever.
-        removed: Vec<(Arc<str>, QueryId, u64)>,
+        /// sequence, as `(id, seq)`, like a digest entry. A receiver that
+        /// never saw the query adopts the tombstone all the same, so its
+        /// store hash can match the remover's.
+        removed: Vec<(QueryId, u64)>,
     },
     /// Phase 3: full entries answering a plan's `want` list.
     ReconcileTransfer {
         /// The requested entries (shared specs).
         entries: Vec<(Arc<QuerySpec>, QueryId, u64, i64)>,
-        /// Named tombstones answering the plan's `want_removed` list.
-        removed: Vec<(Arc<str>, QueryId, u64)>,
     },
     /// Chunked-multicast query installation.
     Install {
@@ -154,9 +144,8 @@ pub enum MortarMsg {
         issue_age_us: i64,
     },
     /// Query removal, multicast down the primary tree. Like installs, the
-    /// command is id-carrying: receivers resolve the name through their
-    /// [`crate::query::QueryDirectory`] (which retains retired bindings),
-    /// so the name string never travels on the wire.
+    /// command carries the id, never the name. A receiver that neither
+    /// holds the query nor caches a tombstone for it drops the command.
     Remove {
         /// Interned query handle.
         id: QueryId,
@@ -165,8 +154,8 @@ pub enum MortarMsg {
     },
     /// Ask the query root (topology server) for this peer's record.
     TopoRequest {
-        /// Query name.
-        name: String,
+        /// Interned query id.
+        id: QueryId,
     },
     /// Topology service reply.
     TopoReply {
@@ -195,20 +184,19 @@ impl MortarMsg {
             MortarMsg::ReconcileDigest { installed, removed } => {
                 16 + (installed.len() + removed.len()) as u32 * 12
             }
-            MortarMsg::ReconcilePlan { push, want, want_removed, removed } => {
+            MortarMsg::ReconcilePlan { push, want, removed } => {
                 16 + push.iter().map(|(s, _, _, _)| s.wire_bytes() + 20).sum::<u32>()
-                    + (want.len() + want_removed.len()) as u32 * 8
-                    + removed.iter().map(|(n, _, _)| 12 + n.len() as u32).sum::<u32>()
+                    + want.len() as u32 * 8
+                    + removed.len() as u32 * 12
             }
-            MortarMsg::ReconcileTransfer { entries, removed } => {
+            MortarMsg::ReconcileTransfer { entries } => {
                 16 + entries.iter().map(|(s, _, _, _)| s.wire_bytes() + 20).sum::<u32>()
-                    + removed.iter().map(|(n, _, _)| 12 + n.len() as u32).sum::<u32>()
             }
             MortarMsg::Install { spec, records, .. } => {
                 28 + spec.wire_bytes() + records.iter().map(InstallRecord::wire_bytes).sum::<u32>()
             }
             MortarMsg::Remove { .. } => 16,
-            MortarMsg::TopoRequest { name } => 12 + name.len() as u32,
+            MortarMsg::TopoRequest { .. } => 16,
             MortarMsg::TopoReply { spec, record, .. } => {
                 32 + spec.wire_bytes() + record.wire_bytes()
             }
@@ -308,25 +296,28 @@ mod tests {
             removed: vec![(QueryId(3), 9)],
         };
         assert_eq!(three.wire_bytes() - base.wire_bytes(), 36);
-        // A plan with no pushes is want ids + named tombstones.
+        // A plan with no pushes is want ids + tombstones.
         let plan = MortarMsg::ReconcilePlan {
             push: vec![],
             want: vec![QueryId(1), QueryId(2)],
-            want_removed: vec![QueryId(5)],
-            removed: vec![(Arc::from("gone"), QueryId(3), 9)],
+            removed: vec![(QueryId(3), 9)],
         };
-        assert_eq!(plan.wire_bytes(), 16 + 3 * 8 + (12 + 4));
+        assert_eq!(plan.wire_bytes(), 16 + 2 * 8 + 12);
     }
 
     #[test]
-    fn removal_entries_charge_for_their_names() {
-        // Applied removal entries carry the name so any receiver can adopt
-        // the tombstone: 12 bytes of (id, seq) plus the name itself.
-        let base = MortarMsg::ReconcileTransfer { entries: vec![], removed: vec![] };
-        let two = MortarMsg::ReconcileTransfer {
-            entries: vec![],
-            removed: vec![(Arc::from("abc"), QueryId(7), 3), (Arc::from("x"), QueryId(900), 12)],
+    fn tombstones_and_topology_requests_are_fixed_size() {
+        // No message names a query outside a shipped spec: a plan's
+        // tombstone costs 12 bytes like a digest entry, and a topology
+        // request 16, whatever the query is called.
+        let base = MortarMsg::ReconcilePlan { push: vec![], want: vec![], removed: vec![] };
+        let two = MortarMsg::ReconcilePlan {
+            push: vec![],
+            want: vec![],
+            removed: vec![(QueryId(7), 3), (QueryId(900), 12)],
         };
-        assert_eq!(two.wire_bytes() - base.wire_bytes(), (12 + 3) + (12 + 1));
+        assert_eq!(two.wire_bytes() - base.wire_bytes(), 2 * 12);
+        assert_eq!(MortarMsg::ReconcileTransfer { entries: vec![] }.wire_bytes(), 16);
+        assert_eq!(MortarMsg::TopoRequest { id: QueryId(1) }.wire_bytes(), 16);
     }
 }

@@ -15,11 +15,15 @@
 //!
 //! Spec-carrying control messages ship `Arc<QuerySpec>`: multicast
 //! chunking, install forwarding, reconciliation pushes and topology
-//! replies clone a pointer, never the spec. The removal cache is id-keyed
-//! end to end — tombstones live under [`crate::query::QueryId`] and travel
-//! as `(id, seq)` pairs; names are resolved through the directory only
-//! where a receiver must adopt a tombstone it cannot name, or where the
-//! portable store hash needs them.
+//! replies clone a pointer, never the spec. Everything else goes by
+//! [`crate::query::QueryId`] alone: tombstones live under it, travel as
+//! `(id, seq)` pairs and hash by it, and a peer adopts a tombstone for a
+//! query it never saw as readily as one for a query it holds.
+//!
+//! Removal discards a query's open state where it stands: its TS list,
+//! open buckets and pending source tuples go with it, and nothing is
+//! drained toward the root first. A window that was still collecting is
+//! simply never reported.
 
 use super::{MortarPeer, QueryState, HOP_AGE_EST_US, NETDIST_INIT_US};
 use crate::feed::Source;
@@ -71,7 +75,7 @@ impl MortarPeer {
     /// `record` this peer's plan record, if the message carries one.
     ///
     /// The install is refused under an equal or newer cached tombstone, an
-    /// id bound to another name, a newer held install, or the same `seq`
+    /// id held under another name, a newer held install, or the same `seq`
     /// held and either already connected or offered no record. The same
     /// `seq` held pending and offered a record is connected in place,
     /// keeping its issue instant, TS list and netDist. Anything else puts
@@ -91,24 +95,20 @@ impl MortarPeer {
         if self.removed.get(&id).is_some_and(|&rseq| rseq >= seq) {
             return; // A newer removal wins.
         }
-        // Id collision guard: ids are unique only within one injector's
-        // object store (the single-writer assumption). If a second injector
-        // ever mints the same id for a *different* name, refuse the install
-        // rather than merge two queries' data paths.
-        if self.directory.name_of(id).is_some_and(|n| n != spec.name) {
+        let held = self.queries.get(&id);
+        // The install is peer input: an id that names another query here
+        // must not merge two queries' data paths.
+        if held.is_some_and(|q| *q.name != *spec.name) {
             return;
         }
-        let held = self.queries.get(&id).map(|q| (q.seq, q.active()));
+        let held = held.map(|q| (q.seq, q.active()));
         let in_place = held == Some((seq, false)) && record.is_some();
         if held.is_some_and(|(s, _)| s >= seq) && !in_place {
             return; // A newer install, or this one, is already held.
         }
         if !in_place {
             // Only now — past every refusal path — may the store change.
-            // Binding the name to `id` hides the tombstone of any other id
-            // it named.
-            let displaced = self.directory.id_of(&spec.name);
-            self.edit_store(id, displaced, |p| p.put_query(spec, id, seq, issue_age_us, local_now));
+            self.edit_store(id, |p| p.put_query(spec, id, seq, issue_age_us, local_now));
             self.stats.installs += 1;
             // Mark known neighbours as recently heard so routing starts
             // optimistic (the paper installs assuming the plan is live).
@@ -123,7 +123,7 @@ impl MortarPeer {
             None => {
                 let spec = self.queries.get(&id).map(|q| &q.spec);
                 if let Some(spec) = spec.filter(|s| s.member_of(self.id).is_some()) {
-                    let req = MortarMsg::TopoRequest { name: spec.name.clone() };
+                    let req = MortarMsg::TopoRequest { id };
                     let bytes = req.wire_bytes();
                     ctx.send_classified(spec.root, req, bytes, TrafficClass::Control);
                 }
@@ -134,8 +134,8 @@ impl MortarPeer {
 
     /// The store half of a fresh install, run inside
     /// [`Self::install_query`]'s [`Self::edit_store`]: clears the
-    /// tombstone, binds the name and puts the query's fresh runtime state
-    /// in place, pending (no record, not scheduled) until connected.
+    /// tombstone and puts the query's fresh runtime state in place,
+    /// pending (no record, not scheduled) until connected.
     fn put_query(
         &mut self,
         spec: Arc<QuerySpec>,
@@ -146,9 +146,8 @@ impl MortarPeer {
     ) {
         self.removed.remove(&id);
         spec.window.validate();
-        let name = self.directory.bind(id, &spec.name);
         let state = QueryState {
-            name,
+            name: Arc::from(spec.name.as_str()),
             route_template: RouteState::from_levels(&[]),
             spec,
             id,
@@ -209,61 +208,46 @@ impl MortarPeer {
     }
 
     /// The one removal path: applies a removal at sequence `rseq`, from a
-    /// multicast `Remove` or a reconciliation tombstone (which carries its
-    /// `name`). Under an equal or newer cached tombstone it does nothing.
-    /// A held install the removal beats is torn down if the directory
-    /// names its id (a newer incarnation may have taken the name since),
-    /// and its primary-tree children are returned for forwarding. A query
-    /// not held gets the tombstone cached when the directory names its id
-    /// or a `name` came with it — the name bound first when neither key is
-    /// taken — so this peer's store hash can match the remover's.
-    pub(crate) fn remove_query(
-        &mut self,
-        id: QueryId,
-        rseq: u64,
-        name: Option<&str>,
-    ) -> Option<Vec<NodeId>> {
+    /// multicast `Remove` or a reconciliation tombstone. Under an equal or
+    /// newer cached tombstone, or a held install at an equal or newer
+    /// sequence, it does nothing. A held install the removal beats is torn
+    /// down (its open state discarded, not drained), the tombstone cached,
+    /// and its primary-tree children returned for forwarding. Otherwise
+    /// the tombstone is cached, so this peer's store hash can match the
+    /// remover's.
+    pub(crate) fn remove_query(&mut self, id: QueryId, rseq: u64) -> Option<Vec<NodeId>> {
         if self.removed.get(&id).is_some_and(|&r| r >= rseq) {
             return None; // An equal or newer tombstone is already cached.
         }
-        let named = self.directory.name_of(id).is_some();
-        if let Some(q) = self.queries.get(&id) {
-            if q.seq >= rseq || !named {
-                return None;
-            }
-            let fwd = q.record.as_ref().map(|r| r.links[0].children.clone()).unwrap_or_default();
-            self.unschedule(id);
-            self.edit_store(id, None, |p| {
-                p.queries.remove(&id);
-                p.unindex_subscriptions(id);
-                // The directory keeps the retired id→name binding, so the
-                // id-keyed tombstone can still be hashed (and reported) by
-                // name, and stale data frames for this id still trigger
-                // removal reconciliation.
-                p.removed.insert(id, rseq);
-            });
-            self.stats.removals += 1;
-            self.rebuild_hb_children();
-            return Some(fwd);
-        }
-        if !named && name.is_none() {
+        let Some(q) = self.queries.get(&id) else {
+            self.edit_store(id, |p| p.removed.insert(id, rseq));
+            return None;
+        };
+        if q.seq >= rseq {
             return None;
         }
-        // Bound only when both keys are free, so it displaces no other id.
-        let bind = name.filter(|n| !named && self.directory.id_of(n).is_none());
-        self.edit_store(id, None, |p| {
-            if let Some(n) = bind {
-                p.directory.bind(id, n);
-            }
+        let fwd = q.record.as_ref().map(|r| r.links[0].children.clone()).unwrap_or_default();
+        self.unschedule(id);
+        self.edit_store(id, |p| {
+            p.queries.remove(&id);
+            p.unindex_subscriptions(id);
             p.removed.insert(id, rseq);
         });
-        None
+        self.stats.removals += 1;
+        self.rebuild_hb_children();
+        Some(fwd)
     }
 
     /// Handles a removal command, forwarding it down the primary tree
-    /// from a peer that tore the query down.
+    /// from a peer that tore the query down. Only a query this peer holds
+    /// or has a tombstone for is removed: a multicast `Remove` for one it
+    /// never heard of (say, an install injected at a dead root) would
+    /// otherwise mint a tombstone that no command log names.
     pub(crate) fn handle_remove(&mut self, ctx: &mut Ctx<'_, MortarMsg>, id: QueryId, seq: u64) {
-        for c in self.remove_query(id, seq, None).unwrap_or_default() {
+        if !self.queries.contains_key(&id) && !self.removed.contains_key(&id) {
+            return;
+        }
+        for c in self.remove_query(id, seq).unwrap_or_default() {
             let msg = MortarMsg::Remove { id, seq };
             let bytes = msg.wire_bytes();
             ctx.send_classified(c, msg, bytes, TrafficClass::Control);
@@ -315,14 +299,13 @@ impl MortarPeer {
     /// the tombstones of this peer's removal cache that the digest lacks.
     /// The decisions are exactly [`crate::reconcile::digest_plan`]'s —
     /// [`crate::reconcile::reconcile`] run in both directions — expressed
-    /// in id space (ids bind 1:1 to names through the single-writer object
-    /// store; a colliding id from a second injector is refused at
-    /// install).
+    /// in id space (the single-writer object store gives each name one id
+    /// for good).
     ///
     /// The digest's lists and this peer's maps are all id-ordered, so one
     /// merge-join walk over each pair decides everything: an entry both
     /// sides hold alike costs a comparison, and only an entry that is
-    /// shipped or adopted costs a name lookup or a pointer clone.
+    /// shipped costs a pointer clone.
     // lint:hot-path
     pub(crate) fn handle_reconcile_digest(
         &mut self,
@@ -357,54 +340,39 @@ impl MortarPeer {
                 }
             }
         });
-        let (mut want_removed, mut tombstones, mut adopt) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut tombstones, mut adopt) = (Vec::new(), Vec::new());
         let mine = self.removed.iter().map(|(&id, &s)| (id, s));
         join_by_id(removed.iter().copied(), mine, |id, theirs, mine| match (theirs, mine) {
-            // A digest tombstone that beats the local cache: adopted after
-            // the plan goes out if this peer can name its id, else
-            // requested (`want_removed`) — adoption needs the name, so the
-            // digest sender ships it named in the transfer.
-            (Some(rseq), mine) if mine.is_none_or(|s| s < rseq) => {
-                if self.directory.name_of(id).is_some() {
-                    adopt.push((id, rseq));
-                } else {
-                    want_removed.push(id);
-                }
-            }
+            // A digest tombstone that beats the local cache is adopted
+            // after the plan goes out, whether or not this peer ever saw
+            // the query.
+            (Some(rseq), mine) if mine.is_none_or(|s| s < rseq) => adopt.push((id, rseq)),
             // A local tombstone the digest lacks or holds at an older
             // sequence ships; the receiver would skip any other one anyway
             // (it already caches an equal or newer tombstone, which only a
             // newer install — one that outranks ours — can have cleared).
-            // One whose id no longer resolves (the name was re-bound to a
-            // newer incarnation) is invisible to the store hash and stays.
-            (theirs, Some(s)) if theirs.is_none_or(|r| r < s) => {
-                if let Some(name) = self.directory.shared_name(id) {
-                    tombstones.push((name, id, s));
-                }
-            }
+            (theirs, Some(s)) if theirs.is_none_or(|r| r < s) => tombstones.push((id, s)),
             _ => {}
         });
-        let plan = MortarMsg::ReconcilePlan { push, want, want_removed, removed: tombstones };
+        let plan = MortarMsg::ReconcilePlan { push, want, removed: tombstones };
         self.send_reconcile_msg(ctx, from, plan);
         // Adopt after the plan is built from the pre-exchange snapshot, so
         // the plan reflects what this peer held when the digest arrived.
         for (id, rseq) in adopt {
-            self.remove_query(id, rseq, None);
+            self.remove_query(id, rseq);
         }
     }
 
     /// Handles a reconciliation plan (phase 2 → phase 3): answers the
-    /// `want`/`want_removed` lists with full entries (and named
-    /// tombstones) from the live state, then applies the pushed entries
-    /// and the planner's tombstones as a transfer.
+    /// `want` list with full entries from the live state, then applies the
+    /// pushed entries and the planner's tombstones.
     pub(crate) fn handle_reconcile_plan(
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
         from: NodeId,
         push: Vec<(Arc<QuerySpec>, QueryId, u64, i64)>,
         want: Vec<QueryId>,
-        want_removed: Vec<QueryId>,
-        removed: Vec<(Arc<str>, QueryId, u64)>,
+        removed: Vec<(QueryId, u64)>,
     ) {
         let local_now = ctx.local_now_us();
         let entries: Vec<(Arc<QuerySpec>, QueryId, u64, i64)> = want
@@ -415,34 +383,25 @@ impl MortarPeer {
                     .map(|q| (q.spec.clone(), q.id, q.seq, local_now - q.t_ref_base_us))
             })
             .collect();
-        let tombstones: Vec<(Arc<str>, QueryId, u64)> = want_removed
-            .iter()
-            .filter_map(|&id| {
-                let &rseq = self.removed.get(&id)?;
-                Some((self.directory.shared_name(id)?, id, rseq))
-            })
-            .collect();
-        if !entries.is_empty() || !tombstones.is_empty() {
-            let transfer = MortarMsg::ReconcileTransfer { entries, removed: tombstones };
+        if !entries.is_empty() {
+            let transfer = MortarMsg::ReconcileTransfer { entries };
             self.send_reconcile_msg(ctx, from, transfer);
         }
-        self.handle_reconcile_transfer(ctx, push, removed);
+        self.handle_reconcile_transfer(ctx, push);
+        for (id, rseq) in removed {
+            self.remove_query(id, rseq);
+        }
     }
 
     /// Handles a reconciliation transfer (phase 3): the entries arrive in
-    /// full, without records, and install as pending; the tombstones
-    /// arrive named.
+    /// full, without records, and install as pending.
     pub(crate) fn handle_reconcile_transfer(
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
         entries: Vec<(Arc<QuerySpec>, QueryId, u64, i64)>,
-        removed: Vec<(Arc<str>, QueryId, u64)>,
     ) {
         for (spec, id, seq, age) in entries {
             self.install_query(ctx, spec, id, seq, None, age + HOP_AGE_EST_US as i64);
-        }
-        for (name, id, rseq) in &removed {
-            self.remove_query(*id, *rseq, Some(name));
         }
     }
 
@@ -523,10 +482,10 @@ impl MortarPeer {
         &mut self,
         ctx: &mut Ctx<'_, MortarMsg>,
         from: NodeId,
-        name: &str,
+        id: QueryId,
     ) {
         let local_now = ctx.local_now_us();
-        let reply = self.query_by_name(name).and_then(|q| {
+        let reply = self.queries.get(&id).and_then(|q| {
             let m = q.spec.member_of(from)?;
             let rec = q.plan.iter().find(|r| r.member == m)?.clone();
             Some(MortarMsg::TopoReply {

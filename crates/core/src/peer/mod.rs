@@ -25,8 +25,10 @@
 //! * `route` (private) — TS-list eviction, staged multipath routing, and
 //!   summary-frame handling.
 //!
-//! Queries are keyed by interned [`QueryId`] handles resolved at install
-//! time through a [`QueryDirectory`]; all summary traffic travels in
+//! Queries are keyed by interned [`QueryId`] handles, the only key the
+//! peer's store uses: installs, tombstones and the store hash all go by
+//! id, and a name is looked up only where a caller asks by name (the
+//! facade, subscriptions). All summary traffic travels in
 //! per-query frames that coalesce every tuple bound for the same (query,
 //! tree, next hop) within one timer tick, and — with
 //! [`PeerConfig::envelope_budget`] > 0 — every frame owed to one next hop
@@ -44,7 +46,7 @@ use crate::feed::{ReplayTrace, Source};
 use crate::msg::MortarMsg;
 use crate::netdist::NetDist;
 use crate::op::OpRegistry;
-use crate::query::{InstallRecord, QueryDirectory, QueryId, QuerySpec, SensorSpec};
+use crate::query::{InstallRecord, QueryId, QuerySpec, SensorSpec};
 use crate::reconcile::{entry_hash, store_hash};
 use crate::rlog::ResultLog;
 use crate::tslist::TimeSpaceList;
@@ -288,9 +290,9 @@ pub(crate) struct QueryState {
     /// spec per message.
     pub(crate) spec: Arc<QuerySpec>,
     pub(crate) id: QueryId,
-    /// The query name, bound once in the peer's directory at install:
-    /// the directory, result records and subscriber feeds share this one
-    /// allocation instead of re-cloning the spec's `String`.
+    /// The query name, allocated once at install: result records and
+    /// subscriber feeds share it instead of re-cloning the spec's
+    /// `String`.
     pub(crate) name: Arc<str>,
     pub(crate) seq: u64,
     pub(crate) record: Option<InstallRecord>,
@@ -412,11 +414,7 @@ pub struct MortarPeer {
     /// a map node's eleven slots cost pointers, not eleven inline states,
     /// whatever number of them is installed.
     pub(crate) queries: BTreeMap<QueryId, Box<QueryState>>,
-    /// Name↔id bindings, including retired ones for removed queries.
-    pub(crate) directory: QueryDirectory,
-    /// Removal tombstones, keyed by interned id (the directory retains
-    /// the retired id → name binding; names only matter when hashing or
-    /// reconciling, never as runtime keys).
+    /// Removal tombstones: interned id → removal sequence.
     pub(crate) removed: BTreeMap<QueryId, u64>,
     pub(crate) last_heard: HashMap<NodeId, i64>,
     pub(crate) hb_children: BTreeSet<NodeId>,
@@ -487,7 +485,6 @@ impl MortarPeer {
             cfg,
             registry,
             queries: BTreeMap::new(),
-            directory: QueryDirectory::new(),
             removed: BTreeMap::new(),
             last_heard: HashMap::new(),
             hb_children: BTreeSet::new(),
@@ -526,14 +523,15 @@ impl MortarPeer {
         }
     }
 
-    /// Resolves a query name to its state.
+    /// The installed query of that name: a scan, as only callers that
+    /// ask by name (the facade, diagnostics) look queries up this way.
     pub(crate) fn query_by_name(&self, name: &str) -> Option<&QueryState> {
-        self.queries.get(&self.directory.id_of(name)?).map(|q| &**q)
+        self.queries.values().find(|q| *q.name == *name).map(|q| &**q)
     }
 
-    /// The interned id a query name resolved to at this peer, if any.
+    /// The interned id of the installed query of that name, if any.
     pub fn query_id(&self, name: &str) -> Option<QueryId> {
-        self.directory.id_of(name)
+        self.query_by_name(name).map(|q| q.id)
     }
 
     /// Whether a query is installed (record may still be pending).
@@ -544,11 +542,6 @@ impl MortarPeer {
     /// Whether a query is installed *and* connected to the physical plan.
     pub fn is_active(&self, name: &str) -> bool {
         self.query_by_name(name).is_some_and(QueryState::active)
-    }
-
-    /// Names of installed queries.
-    pub fn installed_names(&self) -> Vec<&str> {
-        self.queries.values().map(|q| q.spec.name.as_str()).collect()
     }
 
     /// Current netDist estimate for a query (diagnostics): the largest
@@ -591,21 +584,12 @@ impl MortarPeer {
         self.my_store_hash()
     }
 
-    /// The store the fingerprint covers: one `(name, seq, removed)` entry
+    /// The store the fingerprint covers: one `(id, seq, removed)` entry
     /// per installed query (`removed = false`), then one per removal-cache
     /// tombstone (`removed = true`), each in id order.
-    pub fn store_entries(&self) -> impl Iterator<Item = (&str, u64, bool)> {
-        let installed = self.queries.values().map(|q| (q.spec.name.as_str(), q.seq, false));
-        // Tombstones are named through the directory, which retains the
-        // id → name binding an install or `remove_query` made; one whose
-        // name a newer id has taken since is left out. Naming them keeps
-        // the fingerprint comparable across peers whatever ids they
-        // learned the removal under.
-        let removed = self
-            .removed
-            .iter()
-            .filter_map(|(&id, &s)| self.directory.name_of(id).map(|n| (n, s, true)));
-        installed.chain(removed)
+    pub fn store_entries(&self) -> impl Iterator<Item = (QueryId, u64, bool)> + '_ {
+        let installed = self.queries.values().map(|q| (q.id, q.seq, false));
+        installed.chain(self.removed.iter().map(|(&id, &s)| (id, s, true)))
     }
 
     /// The store hash. Debug builds check it on every read against
@@ -613,7 +597,10 @@ impl MortarPeer {
     pub(crate) fn my_store_hash(&self) -> u64 {
         debug_assert_eq!(
             self.store_hash,
-            store_hash(self.store_entries().map(|(n, s, removed)| (n, entry_seq(s, removed)))),
+            store_hash(
+                self.store_entries()
+                    .map(|(id, s, removed)| (id.0.to_le_bytes(), entry_seq(s, removed)))
+            ),
             "peer {}: the incremental store hash drifted from the store",
             self.id
         );
@@ -621,39 +608,25 @@ impl MortarPeer {
     }
 
     /// The store hash's share of what is held under `id`: its install and
-    /// its tombstone, the latter only while the directory names it (as in
-    /// [`Self::store_entries`]).
+    /// its tombstone.
     // lint:hot-path
     fn store_share(&self, id: QueryId) -> u64 {
-        let installed = self.queries.get(&id).map_or(0, |q| entry_hash(&q.spec.name, q.seq));
-        let tombstone = match self.removed.get(&id) {
-            Some(&s) => self.directory.name_of(id).map_or(0, |n| entry_hash(n, entry_seq(s, true))),
-            None => 0,
-        };
+        let key = id.0.to_le_bytes();
+        let installed = self.queries.get(&id).map_or(0, |q| entry_hash(key, q.seq));
+        let tombstone = self.removed.get(&id).map_or(0, |&s| entry_hash(key, entry_seq(s, true)));
         installed.wrapping_add(tombstone)
     }
 
     /// The one store-mutation seam: every change to the installed set, an
-    /// install's sequence, the removal cache or a directory binding runs
-    /// as an `edit` here. `edit` may change only what is held under `id`,
-    /// and may bind `id` to a name that was bound to `displaced`, which
-    /// hides `displaced`'s tombstone; the store hash subtracts both ids'
-    /// shares before the edit and adds them back after it, so a change
-    /// costs O(1) whatever the store holds.
+    /// install's sequence or the removal cache runs as an `edit` here.
+    /// `edit` may change only what is held under `id`; the store hash
+    /// subtracts that id's share before the edit and adds it back after
+    /// it, so a change costs O(1) whatever the store holds.
     // lint:hot-path
-    pub(crate) fn edit_store<R>(
-        &mut self,
-        id: QueryId,
-        displaced: Option<QueryId>,
-        edit: impl FnOnce(&mut Self) -> R,
-    ) -> R {
-        let share = |p: &Self| {
-            let other = displaced.filter(|&d| d != id).map_or(0, |d| p.store_share(d));
-            p.store_share(id).wrapping_add(other)
-        };
-        let before = share(self);
+    pub(crate) fn edit_store<R>(&mut self, id: QueryId, edit: impl FnOnce(&mut Self) -> R) -> R {
+        let before = self.store_share(id);
         let out = edit(self);
-        self.store_hash = self.store_hash.wrapping_sub(before).wrapping_add(share(self));
+        self.store_hash = self.store_hash.wrapping_sub(before).wrapping_add(self.store_share(id));
         out
     }
 
@@ -815,11 +788,11 @@ impl App for MortarPeer {
             MortarMsg::ReconcileDigest { installed, removed } => {
                 self.handle_reconcile_digest(ctx, from, installed, removed);
             }
-            MortarMsg::ReconcilePlan { push, want, want_removed, removed } => {
-                self.handle_reconcile_plan(ctx, from, push, want, want_removed, removed);
+            MortarMsg::ReconcilePlan { push, want, removed } => {
+                self.handle_reconcile_plan(ctx, from, push, want, removed);
             }
-            MortarMsg::ReconcileTransfer { entries, removed } => {
-                self.handle_reconcile_transfer(ctx, entries, removed);
+            MortarMsg::ReconcileTransfer { entries } => {
+                self.handle_reconcile_transfer(ctx, entries);
             }
             MortarMsg::Install { spec, id, seq, records, issue_age_us } => {
                 self.handle_install(ctx, spec, id, seq, records, issue_age_us);
@@ -827,8 +800,8 @@ impl App for MortarPeer {
             MortarMsg::Remove { id, seq } => {
                 self.handle_remove(ctx, id, seq);
             }
-            MortarMsg::TopoRequest { name } => {
-                self.handle_topo_request(ctx, from, &name);
+            MortarMsg::TopoRequest { id } => {
+                self.handle_topo_request(ctx, from, id);
             }
             MortarMsg::TopoReply { id, seq, spec, record, issue_age_us } => {
                 self.handle_topo_reply(ctx, id, seq, spec, record, issue_age_us);
@@ -1173,7 +1146,7 @@ mod tests {
     fn pending_at_seq_5() -> mortar_net::Simulator<MortarPeer> {
         let mut sim = build_sim(4);
         let entry = (Arc::new(count_spec(4)), QueryId(1), 5, 0);
-        let transfer = MortarMsg::ReconcileTransfer { entries: vec![entry], removed: vec![] };
+        let transfer = MortarMsg::ReconcileTransfer { entries: vec![entry] };
         sim.inject(2, 1, transfer, 64);
         sim.run_for_secs(0.1);
         assert!(sim.app(2).has_query("count") && !sim.app(2).is_active("count"));
@@ -1189,7 +1162,7 @@ mod tests {
         sim.inject(2, 1, install, 256);
         sim.run_for_secs(0.1);
         let peer = sim.app(2);
-        assert_eq!(peer.store_entries().collect::<Vec<_>>(), [("count", 5, false)]);
+        assert_eq!(peer.store_entries().collect::<Vec<_>>(), [(QueryId(1), 5, false)]);
         assert!(!peer.is_active("count"), "the seq-3 plan connected a seq-5 install");
     }
 
@@ -1215,15 +1188,55 @@ mod tests {
 
     #[test]
     fn a_newer_removal_is_cached_whichever_message_carries_it() {
+        // A plan's tombstone is cached for a query this peer never saw; a
+        // newer multicast removal then replaces it, and a digest's newer
+        // tombstone replaces that.
         let mut sim = build_sim(4);
-        let tombstone = ("count".into(), QueryId(1), 2);
-        let transfer = MortarMsg::ReconcileTransfer { entries: vec![], removed: vec![tombstone] };
-        sim.inject(2, 1, transfer, 64);
+        let tombstones = |sim: &mortar_net::Simulator<MortarPeer>| {
+            sim.app(2).store_entries().collect::<Vec<_>>()
+        };
+        let plan =
+            MortarMsg::ReconcilePlan { push: vec![], want: vec![], removed: vec![(QueryId(1), 2)] };
+        sim.inject(2, 1, plan, 64);
         sim.run_for_secs(0.1);
-        assert_eq!(sim.app(2).store_entries().collect::<Vec<_>>(), [("count", 2, true)]);
+        assert_eq!(tombstones(&sim), [(QueryId(1), 2, true)]);
         sim.inject(2, 1, MortarMsg::Remove { id: QueryId(1), seq: 4 }, 32);
         sim.run_for_secs(0.1);
-        assert_eq!(sim.app(2).store_entries().collect::<Vec<_>>(), [("count", 4, true)]);
+        assert_eq!(tombstones(&sim), [(QueryId(1), 4, true)]);
+        let digest =
+            MortarMsg::ReconcileDigest { installed: vec![], removed: vec![(QueryId(1), 6)] };
+        sim.inject(2, 1, digest, 64);
+        sim.run_for_secs(0.1);
+        assert_eq!(tombstones(&sim), [(QueryId(1), 6, true)]);
+    }
+
+    #[test]
+    fn a_digest_tombstone_for_an_unknown_query_is_adopted_at_once() {
+        // Peer 2 never saw query 1. A digest from peer 1 carries its
+        // tombstone, and peer 1 is down, so nothing it could send back
+        // would arrive: peer 2 must take the tombstone from the digest.
+        let mut sim = build_sim(4);
+        sim.set_host_up(1, false);
+        let digest =
+            MortarMsg::ReconcileDigest { installed: vec![], removed: vec![(QueryId(1), 2)] };
+        sim.inject(2, 1, digest, 64);
+        sim.run_for_secs(0.1);
+        assert_eq!(sim.app(2).store_entries().collect::<Vec<_>>(), [(QueryId(1), 2, true)]);
+    }
+
+    #[test]
+    fn a_removal_for_an_unknown_query_is_not_cached() {
+        // A multicast removal of a query this peer neither holds nor has a
+        // tombstone for (its install never reached the root) tombstones
+        // nothing and goes no further.
+        let n = 4;
+        let mut sim = SimBuilder::new(Topology::star(n, 1_000), 42).build(ControlLog::new);
+        sim.inject(0, 0, MortarMsg::Remove { id: QueryId(1), seq: 2 }, 32);
+        sim.run_for_secs(1.0);
+        for p in 0..n as NodeId {
+            assert_eq!(sim.app(p).peer.store_entries().count(), 0, "peer {p} cached a tombstone");
+        }
+        assert_eq!((0..n as NodeId).map(|p| sim.app(p).removes).sum::<usize>(), 1);
     }
 
     #[test]

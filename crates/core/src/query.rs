@@ -11,90 +11,22 @@ use crate::op::{OpKind, Predicate};
 use crate::window::WindowSpec;
 use mortar_net::NodeId;
 use mortar_overlay::TreeSet;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// An interned query handle.
 ///
 /// Assigned once by the injecting peer's object store (which owns the
-/// query's sequence space, so it can own its id space too) and carried by
-/// every data-plane message instead of the query's name. `u32` keeps frame
-/// headers fixed-size; names appear on the wire only in control messages
-/// that already ship whole query specs.
+/// query's sequence space, so it can own its id space too: a name keeps
+/// its id forever) and carried by every message instead of the query's
+/// name. It is the only key a peer's store uses — installs, tombstones and
+/// the store hash all go by id. `u32` keeps frame headers fixed-size;
+/// names appear on the wire only inside the query specs that installs,
+/// reconciliation pushes and topology replies ship.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u32);
 
 impl std::fmt::Display for QueryId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "q#{}", self.0)
-    }
-}
-
-/// A peer's name↔id resolution table, populated at install time.
-///
-/// The injector interns each query name to a dense [`QueryId`] (its object
-/// store owns the name's sequence space, so it owns the id space too) and
-/// every control message that ships a spec also ships the id. Data-plane
-/// frames then carry only the 4-byte handle. Bindings for removed queries
-/// are retained so stale data frames can still be attributed to a name (and
-/// answered with a removal reconciliation, Section 6.1).
-///
-/// Each name is allocated once per peer: both directions of the table and
-/// the installed query's state share one `Arc<str>`.
-#[derive(Debug, Default)]
-pub struct QueryDirectory {
-    by_name: HashMap<Arc<str>, QueryId>,
-    by_id: HashMap<QueryId, Arc<str>>,
-}
-
-impl QueryDirectory {
-    /// An empty directory.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the binding `id ↔ name`, replacing earlier bindings of
-    /// *either* key (latest install wins) so the table stays a bijection,
-    /// and returns the bound name. Re-binding a current pair allocates
-    /// nothing and hands back the name already held.
-    pub fn bind(&mut self, id: QueryId, name: &str) -> Arc<str> {
-        if let Some(bound) = self.by_id.get(&id).filter(|n| ***n == *name) {
-            return bound.clone();
-        }
-        let shared: Arc<str> = Arc::from(name);
-        if let Some(old_id) = self.by_name.remove(name) {
-            self.by_id.remove(&old_id);
-        }
-        if let Some(old_name) = self.by_id.insert(id, shared.clone()) {
-            self.by_name.remove(&*old_name);
-        }
-        self.by_name.insert(shared.clone(), id);
-        shared
-    }
-
-    /// Resolves a name to its interned id.
-    pub fn id_of(&self, name: &str) -> Option<QueryId> {
-        self.by_name.get(name).copied()
-    }
-
-    /// Resolves an id back to the query name.
-    pub fn name_of(&self, id: QueryId) -> Option<&str> {
-        self.by_id.get(&id).map(|n| &**n)
-    }
-
-    /// The bound name itself, for callers that keep or ship it.
-    pub fn shared_name(&self, id: QueryId) -> Option<Arc<str>> {
-        self.by_id.get(&id).cloned()
-    }
-
-    /// Number of known bindings.
-    pub fn len(&self) -> usize {
-        self.by_id.len()
-    }
-
-    /// Whether no bindings are known.
-    pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
     }
 }
 
@@ -313,42 +245,6 @@ mod tests {
     fn query_id_formats_and_orders() {
         assert_eq!(QueryId(7).to_string(), "q#7");
         assert!(QueryId(1) < QueryId(2));
-    }
-
-    #[test]
-    fn directory_binds_both_ways() {
-        let mut d = QueryDirectory::new();
-        assert!(d.is_empty());
-        d.bind(QueryId(1), "a");
-        d.bind(QueryId(2), "b");
-        assert_eq!(d.id_of("a"), Some(QueryId(1)));
-        assert_eq!(d.name_of(QueryId(2)), Some("b"));
-        assert_eq!(d.len(), 2);
-        assert_eq!(d.id_of("nope"), None);
-        assert_eq!(d.name_of(QueryId(9)), None);
-    }
-
-    #[test]
-    fn directory_rebind_replaces_stale_id() {
-        let mut d = QueryDirectory::new();
-        d.bind(QueryId(1), "a");
-        d.bind(QueryId(5), "a");
-        assert_eq!(d.id_of("a"), Some(QueryId(5)));
-        assert_eq!(d.name_of(QueryId(1)), None, "stale id unbound");
-        assert_eq!(d.len(), 1);
-    }
-
-    #[test]
-    fn directory_rebind_replaces_stale_name() {
-        // Rebinding an id to a new name must purge the old forward mapping
-        // too, or lookups by the dead name resolve to the wrong query.
-        let mut d = QueryDirectory::new();
-        d.bind(QueryId(1), "a");
-        d.bind(QueryId(1), "b");
-        assert_eq!(d.name_of(QueryId(1)), Some("b"));
-        assert_eq!(d.id_of("a"), None, "stale name unbound");
-        assert_eq!(d.id_of("b"), Some(QueryId(1)));
-        assert_eq!(d.len(), 1);
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! sequence, and a re-install with a larger sequence overrides a cached
 //! removal. The protocol is eventually consistent (single-writer storage,
 //! structured communication — the paper's streamlining of Bayou).
+//!
+//! [`reconcile`] and [`digest_plan`] state those decisions over names: the
+//! reference model. Peers make the same decisions over interned query ids
+//! (an object store gives a name one id for good), so neither a digest
+//! entry nor a tombstone ever carries a name.
 
 use std::collections::BTreeMap;
 
@@ -92,13 +97,14 @@ pub fn digest_plan(
     DigestPlan { push: theirs.to_install, want: mine.to_install, to_remove: mine.to_remove }
 }
 
-/// The hash of one store entry: FNV-1a over the name's bytes and the
+/// The hash of one store entry: FNV-1a over the key's bytes and the
 /// sequence, finished with the splitmix64 mixer so that [`store_hash`]'s
-/// sums of entry hashes carry no structure from the names.
+/// sums of entry hashes carry no structure from the keys. A peer keys its
+/// entries by the query id's little-endian bytes.
 // lint:hot-path
-pub fn entry_hash(name: &str, seq: u64) -> u64 {
+pub fn entry_hash(key: impl AsRef<[u8]>, seq: u64) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.bytes().chain(seq.to_le_bytes()) {
+    for &b in key.as_ref().iter().chain(&seq.to_le_bytes()) {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
@@ -107,13 +113,13 @@ pub fn entry_hash(name: &str, seq: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// The wrapping sum of [`entry_hash`] over the (name, seq) pairs — the
+/// The wrapping sum of [`entry_hash`] over the (key, seq) pairs — the
 /// summary the paper computes with MD5. Identical sets ⇒ identical
 /// hashes, in any order; and because it is a sum, a peer keeps its own
 /// current by adding and subtracting the entries a store change touches
 /// instead of re-walking the store.
-pub fn store_hash<'a>(entries: impl Iterator<Item = (&'a str, u64)>) -> u64 {
-    entries.fold(0, |h, (name, seq)| h.wrapping_add(entry_hash(name, seq)))
+pub fn store_hash<K: AsRef<[u8]>>(entries: impl Iterator<Item = (K, u64)>) -> u64 {
+    entries.fold(0, |h, (key, seq)| h.wrapping_add(entry_hash(key, seq)))
 }
 
 #[cfg(test)]
@@ -310,6 +316,6 @@ mod tests {
         let h3 = store_hash([("a", 1u64), ("b", 3)].into_iter());
         assert_eq!(h1, h2);
         assert_ne!(h1, h3);
-        assert_ne!(h1, store_hash(std::iter::empty()));
+        assert_ne!(h1, store_hash(std::iter::empty::<(&str, u64)>()));
     }
 }

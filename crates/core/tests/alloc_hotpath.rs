@@ -265,18 +265,15 @@ fn an_agreeing_digest_allocates_nothing_whatever_the_tombstones() {
     use mortar_core::peer::{MortarPeer, PeerConfig};
     use mortar_core::query::QueryId;
     use mortar_net::{SimBuilder, Topology};
-    use std::sync::Arc;
 
     let reg = OpRegistry::new();
     let mut sim = SimBuilder::new(Topology::star(2, 1_000), 11)
         .build(move |id| MortarPeer::new(id, PeerConfig::default(), reg.clone()));
-    // Peer 0 adopts 1,000 named tombstones, as a reconcile transfer ships
-    // them.
-    let removed: Vec<(Arc<str>, QueryId, u64)> = (1..=1_000u32)
-        .map(|i| (Arc::from(format!("gone{i}").as_str()), QueryId(i), 2 * u64::from(i)))
-        .collect();
-    let digest: Vec<(QueryId, u64)> = removed.iter().map(|&(_, id, s)| (id, s)).collect();
-    sim.inject(0, 1, MortarMsg::ReconcileTransfer { entries: vec![], removed }, 64);
+    // Peer 0 adopts 1,000 tombstones, as a reconcile plan ships them.
+    let digest: Vec<(QueryId, u64)> =
+        (1..=1_000u32).map(|i| (QueryId(i), 2 * u64::from(i))).collect();
+    let plan = MortarMsg::ReconcilePlan { push: vec![], want: vec![], removed: digest.clone() };
+    sim.inject(0, 1, plan, 64);
     sim.run_for_secs(0.1);
     assert_eq!(sim.app(0).store_entries().count(), 1_000);
     let agreeing = || MortarMsg::ReconcileDigest { installed: vec![], removed: digest.clone() };
@@ -549,15 +546,16 @@ fn fleet_footprint(mut cfg: mortar_core::engine::EngineConfig, marks_s: &[f64]) 
 
 /// Live bytes per (peer, query) a warm fleet may hold. Measured in a
 /// debug build (`EngineConfig::paper(100, 13)`, Vivaldi-planned, truth
-/// tracking off, fleet1000's 13-query mix, 20 sim-s of warm-up): 2,759 B,
-/// against 2,975 B while each peer kept a second copy of every query's
-/// levels and child counts beside its install record, and 5,705 B when
-/// every per-peer container kept its reserved slack (query states inline
-/// in map nodes, TS rings grown by at least four entries, emptied bucket
-/// maps, a bin for every next hop ever used). The budget is the
-/// measurement plus 2 %; the 1000-host census deployment reads 2,752 B
-/// at 90 sim-s in release.
-const FOOTPRINT_BUDGET_B: f64 = 2_814.0;
+/// tracking off, fleet1000's 13-query mix, 20 sim-s of warm-up): 2,655 B,
+/// against 2,759 B while each peer kept a name↔id directory of two hash
+/// maps beside its queries, 2,975 B while it also kept a second copy of
+/// every query's levels and child counts beside its install record, and
+/// 5,705 B when every per-peer container kept its reserved slack (query
+/// states inline in map nodes, TS rings grown by at least four entries,
+/// emptied bucket maps, a bin for every next hop ever used). The budget
+/// is the measurement plus 2 %; the 1000-host census deployment reads
+/// 2,626 B at 90 sim-s in release.
+const FOOTPRINT_BUDGET_B: f64 = 2_708.0;
 
 #[test]
 fn warm_fleet_footprint_per_peer_query_stays_in_budget() {

@@ -85,6 +85,11 @@ fn id_of(name: &str) -> QueryId {
     QueryId(name[1..].parse::<u32>().expect("history names are q<digit>") + 1)
 }
 
+/// The history name interned under `id`: [`id_of`]'s inverse.
+fn name_of(id: QueryId) -> String {
+    format!("q{}", id.0 - 1)
+}
+
 /// A single-member query on `node`, rooted there (no tree links, so no
 /// heartbeat starts an exchange on its own).
 fn spec_for(name: &str, node: NodeId) -> QuerySpec {
@@ -140,7 +145,7 @@ fn stores(sim: &Simulator<MortarPeer>) -> StoreView {
         .map(|node| {
             let app = sim.app(node);
             let mut entries: Vec<_> =
-                app.store_entries().map(|(n, s, removed)| (n.to_string(), s, removed)).collect();
+                app.store_entries().map(|(id, s, removed)| (name_of(id), s, removed)).collect();
             entries.sort();
             (entries, app.store_fingerprint())
         })
@@ -272,12 +277,10 @@ fn reference_exchange(s: &Store, p: &Store) -> [Store; 2] {
 }
 
 /// The wire size of the plan planner `p` (peer 1) owes `s`'s digest, by the
-/// name-space algebra: the pushes in full, the wants, the digest
-/// tombstones `p` cannot name (it never held the name), and `p`'s
-/// tombstones that `s` lacks or holds at an older sequence.
+/// name-space algebra: the pushes in full, the wants, and `p`'s tombstones
+/// that `s` lacks or holds at an older sequence.
 fn reference_plan_bytes(s: &Store, p: &Store) -> u64 {
     let plan = digest_plan(&p.0, &p.1, &s.0, &s.1);
-    let named = |n: &String| p.0.contains_key(n) || p.1.contains_key(n);
     let tombstones = p.1.iter().filter(|&(n, r)| s.1.get(n).is_none_or(|x| x < r));
     let msg = MortarMsg::ReconcilePlan {
         push: plan
@@ -286,8 +289,7 @@ fn reference_plan_bytes(s: &Store, p: &Store) -> u64 {
             .map(|(n, seq)| (Arc::new(spec_for(n, 1)), id_of(n), *seq, 0))
             .collect(),
         want: plan.want.iter().map(|(n, _)| id_of(n)).collect(),
-        want_removed: s.1.keys().filter(|n| !named(n)).map(|n| id_of(n)).collect(),
-        removed: tombstones.map(|(n, &r)| (Arc::from(n.as_str()), id_of(n), r)).collect(),
+        removed: tombstones.map(|(n, &r)| (id_of(n), r)).collect(),
     };
     u64::from(msg.wire_bytes())
 }
@@ -298,9 +300,9 @@ type Digest = (Vec<(QueryId, u64)>, Vec<(QueryId, u64)>);
 /// Peer 0's store digest, both lists in id order.
 fn digest_of(sim: &Simulator<MortarPeer>) -> Digest {
     let (mut installed, mut removed) = (Vec::new(), Vec::new());
-    for (name, seq, is_removed) in sim.app(0).store_entries() {
+    for (id, seq, is_removed) in sim.app(0).store_entries() {
         let side = if is_removed { &mut removed } else { &mut installed };
-        side.push((id_of(name), seq));
+        side.push((id, seq));
     }
     installed.sort();
     removed.sort();
@@ -422,14 +424,13 @@ proptest! {
         let mut filtered = peer_pair(&history, [mask_a, mask_b]);
         let mut unfiltered = peer_pair(&history, [mask_a, mask_b]);
         prop_assert_eq!(stores(&filtered), stores(&unfiltered));
-        let removed: Vec<(Arc<str>, QueryId, u64)> = unfiltered
+        let removed: Vec<(QueryId, u64)> = unfiltered
             .app(1)
             .store_entries()
             .filter(|&(_, _, removed)| removed)
-            .map(|(n, s, _)| (Arc::from(n), id_of(n), s))
+            .map(|(id, s, _)| (id, s))
             .collect();
-        let plan =
-            MortarMsg::ReconcilePlan { push: vec![], want: vec![], want_removed: vec![], removed };
+        let plan = MortarMsg::ReconcilePlan { push: vec![], want: vec![], removed };
         unfiltered.inject(0, 1, plan, 64);
         unfiltered.run_for_secs(0.01);
         exchange(&mut filtered);
@@ -479,42 +480,22 @@ fn data_for_a_removed_query_starts_one_counted_digest_exchange() {
 }
 
 #[test]
-fn a_name_rebound_to_a_new_id_hides_the_old_tombstone_from_the_fingerprint() {
-    // Ids are unique only within one injector's object store, so a second
-    // injector can install a removed name under another id. The directory
-    // then binds the name to the new id, and the old id's tombstone drops
-    // out of the store entries — and must drop out of the fingerprint,
-    // which a peer keeps by folding in each change.
-    let history: History = vec![("q0".into(), 1, true), ("q0".into(), 2, false)];
-    let mut sim = peer_pair(&history, [u64::MAX, 0]);
-    assert_eq!(stores(&sim)[0].0, vec![("q0".to_string(), 2, true)]);
-    let other_id = QueryId(id_of("q0").0 + 100);
-    let install = |node: NodeId| install_msg("q0", node, other_id, 3);
-    // Peer 0 re-binds q0 over its tombstone; peer 1 never saw q0 at all.
-    for node in 0..2 {
-        sim.inject(node, node, install(node), 64);
-    }
-    sim.run_for_secs(0.01);
-    let view = stores(&sim);
-    assert_eq!(view[0].0, vec![("q0".to_string(), 3, false)]);
-    assert_eq!(view[0], view[1], "the hidden tombstone still weighs in the fingerprint");
-}
-
-#[test]
-fn a_named_tombstone_never_takes_a_name_a_newer_id_holds() {
-    // A second injector's install holds q0 under another id. A tombstone
-    // for the first injector's id, shipped named by reconciliation, is
-    // cached under its own id, but must not bind q0 away from the live
-    // install.
+fn an_id_names_one_query_and_a_tombstone_touches_only_its_own_id() {
+    // Peer input could reuse a name under another id, or an id under
+    // another name. The store goes by id: a tombstone for q0's id leaves
+    // a query installed as q0 under another id running, and an install of
+    // another name under that held id is refused.
     let mut sim = peer_pair(&Vec::new(), [0, 0]);
     let other_id = QueryId(id_of("q0").0 + 100);
     sim.inject(0, 0, install_msg("q0", 0, other_id, 3), 64);
     sim.run_for_secs(0.01);
-    let removed = vec![(Arc::from("q0"), id_of("q0"), 2)];
-    sim.inject(0, 1, MortarMsg::ReconcileTransfer { entries: vec![], removed }, 64);
+    let removed = vec![(id_of("q0"), 2)];
+    sim.inject(0, 1, MortarMsg::ReconcilePlan { push: vec![], want: vec![], removed }, 64);
+    sim.inject(0, 0, install_msg("q1", 0, other_id, 5), 64);
     sim.run_for_secs(0.01);
     let peer = sim.app(0);
     assert_eq!(peer.query_id("q0"), Some(other_id));
-    assert!(peer.is_active("q0"));
-    assert_eq!(stores(&sim)[0].0, vec![("q0".to_string(), 3, false)]);
+    assert!(peer.is_active("q0") && !peer.has_query("q1"));
+    let entries: Vec<_> = peer.store_entries().collect();
+    assert_eq!(entries, [(other_id, 3, false), (id_of("q0"), 2, true)]);
 }

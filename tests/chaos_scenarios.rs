@@ -69,9 +69,9 @@ fn churn_scenario_recovers() {
 /// peer sleeps through installs *and* removals of queries it has never
 /// heard of; after revival the no-stale oracle demands the removed ones
 /// are gone everywhere and the convergence oracle demands the sleeper
-/// adopted their tombstones (equal store fingerprints — the named
-/// removal entries carried by reconciliation are what make that
-/// possible for a query the sleeper never installed).
+/// adopted their tombstones (equal store fingerprints: reconciliation's
+/// `(id, seq)` tombstones are adopted whether or not the sleeper ever
+/// installed the query).
 #[test]
 fn removal_storm_reconciles_to_a_revived_sleeper() {
     let sc = Scenario::new(43, 16, 20_000)
@@ -80,7 +80,7 @@ fn removal_storm_reconciles_to_a_revived_sleeper() {
         .at(8_000, Fault::RemoveStorm { count: 2 })
         .at(14_000, Fault::Revive { nodes: vec![3] });
     let r = run(&sc, &RunConfig::default());
-    // 3 base + 4 storm installs - 2 removals survive on the directory.
+    // 3 base + 4 storm installs - 2 removals survive in the stores.
     assert_eq!(r.installed_total, 5, "storm bookkeeping drifted");
     assert!(r.reconcile_msgs > 0, "anti-entropy never ran");
 }
