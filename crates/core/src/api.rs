@@ -996,12 +996,14 @@ impl Mortar {
     }
 
     /// Hands a peer the trace replayed by [`SensorSpec::Replay`] queries
-    /// (local-µs offset from query activation, tuple). Each replay query
-    /// keeps its own cursor: every one of them ingests the whole trace,
-    /// each from its own activation, so two replay queries on one peer
-    /// both see every tuple and a query installed later starts at the
-    /// first tuple. A new trace restarts every installed replay query at
-    /// its first tuple.
+    /// (offset in query-frame µs, tuple): an offset counts from the
+    /// query's issue instant, not from its activation on this peer, so
+    /// tuples whose offsets passed before activation arrive at its first
+    /// pump. Each replay query keeps its own cursor: every one of them
+    /// ingests the whole trace in its own frame, so two replay queries on
+    /// one peer both see every tuple and a query installed later starts
+    /// at the first tuple. A new trace restarts every installed replay
+    /// query at its first tuple.
     pub fn set_replay(&mut self, node: NodeId, trace: Vec<(u64, RawTuple)>) {
         self.engine.sim.app_mut(node).set_replay(trace);
     }

@@ -503,11 +503,13 @@ impl MortarPeer {
     }
 
     /// Sets the replay trace used by `SensorSpec::Replay` queries.
-    /// Offsets are local µs from query activation, and the cursor is per
-    /// query: every replay query ingests the whole trace, each from its own
-    /// activation, so two replay queries on one peer both see every tuple
-    /// and a query installed later starts at the trace's first tuple. A
-    /// new trace restarts every installed replay query at its first tuple.
+    /// Offsets are query-frame µs, counted from the query's issue instant
+    /// (not its activation here: tuples already past at activation arrive
+    /// at its first pump), and the cursor is per query: every replay query
+    /// ingests the whole trace in its own frame, so two replay queries on
+    /// one peer both see every tuple and a query installed later starts at
+    /// the trace's first tuple. A new trace restarts every installed replay
+    /// query at its first tuple.
     /// The trace is packed into flat arrays (about 28 B per 1-field tuple).
     pub fn set_replay(&mut self, trace: Vec<(u64, RawTuple)>) {
         self.replay = ReplayTrace::pack(trace);

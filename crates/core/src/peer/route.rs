@@ -25,12 +25,10 @@
 use super::{MortarPeer, TickScratch, HOP_AGE_EST_US, MIN_TIMEOUT_US};
 use crate::metrics::ResultRecord;
 use crate::msg::{MortarMsg, SummaryFrame};
-use crate::op::OpKind;
-use crate::query::{mix_key, InstallRecord, QueryId};
+use crate::query::QueryId;
 use crate::tuple::{RawTuple, SummaryTuple};
-use crate::value::{AggState, KeyedGroups};
 use mortar_net::{Ctx, NodeId, TrafficClass};
-use mortar_overlay::{route_decision_local, Decision, HopBins, NodeBitmap, RouteState, MAX_TREES};
+use mortar_overlay::{route_decision_local, Decision, HopBins, RouteState, MAX_TREES};
 use std::sync::Arc;
 
 /// Every Nth summary tuple a query sends carries the sender's store hash,
@@ -230,7 +228,6 @@ impl MortarPeer {
         let is_root = q.spec.root == self.id;
         let width = rec.width();
         let name = q.name.clone();
-        let split_keyed = width > 1 && matches!(q.spec.op, OpKind::Keyed { .. });
         // Liveness answers come from the tick's bitmap snapshot (built
         // once per tick from `last_heard`, which nothing below mutates);
         // the parent view is an inline array, so the pass performs no
@@ -244,92 +241,48 @@ impl MortarPeer {
         let mut frames = FrameBuilder::new(id, &mut scratch.frame_bins, self.cfg.summary_batch_max);
         for entry in due {
             self.stats.evictions += 1;
-            let summary = entry.into_summary(local_now);
+            let mut summary = entry.into_summary(local_now);
             if is_root {
                 self.record_result(id, &name, summary, local_now, true_now, &mut scratch.raw);
                 continue;
             }
-            // Keyed states split across the sibling trees by key range at
-            // every hop: each tree carries only its slice of the per-key
-            // map, receivers re-merge the (disjoint) slices key-wise, and
-            // exactly one part keeps the participants/truth so the root's
-            // completeness accounting sees each constituent once.
-            let summary = if split_keyed {
-                match split_keyed_summary(summary, &rec) {
-                    Ok(parts) => {
-                        for part in parts {
-                            self.route_summary(
-                                id,
-                                ctx,
-                                &rec,
-                                levels,
-                                parent_live,
-                                live,
-                                &mut frames,
-                                part,
-                            );
-                        }
-                        continue;
-                    }
-                    Err(whole) => whole,
+            // The summary continues up the tree it was striped onto
+            // (stage 1), whatever its operator; failures migrate it per
+            // the staged policy, which reads this member's `levels` and
+            // the record's per-tree child lists.
+            let arrival_tree = (summary.stripe_tree as usize).min(width.saturating_sub(1));
+            let decision = route_decision_local(
+                levels,
+                &rec.links,
+                arrival_tree,
+                &mut summary.route,
+                parent_live,
+                &mut |_, c| live.get(c),
+                ctx.rng(),
+            );
+            let (dest, tree) = match decision {
+                Decision::Parent { tree } => {
+                    (rec.links[tree].parent.expect("live parent exists"), tree)
                 }
-            } else {
-                summary
+                Decision::Child { tree, child } => (rec.links[tree].children[child], tree),
+                Decision::Drop => {
+                    self.stats.route_drops += 1;
+                    continue;
+                }
             };
-            self.route_summary(id, ctx, &rec, levels, parent_live, live, &mut frames, summary);
+            summary.stripe_tree = tree as u8;
+            summary.age_us += HOP_AGE_EST_US as i64;
+            summary.hops = summary.hops.saturating_add(1);
+            let q = self.queries.get_mut(&id).expect("query exists");
+            q.tuples_out += 1;
+            let need_hash = q.tuples_out.is_multiple_of(DATA_HASH_EVERY);
+            let hash = if need_hash { Some(self.my_store_hash()) } else { None };
+            frames.push(self, ctx, dest, tree as u8, summary, hash);
         }
         frames.finish(self, ctx);
         if let Some(q) = self.queries.get_mut(&id) {
             q.record = Some(rec);
         }
-    }
-
-    /// Routes one outgoing summary up the tree set: the tuple continues up
-    /// the tree it was striped onto (stage 1); failures migrate it per the
-    /// staged policy, which reads this member's `levels` and the record's
-    /// per-tree child lists.
-    #[allow(clippy::too_many_arguments)]
-    // lint:hot-path
-    fn route_summary(
-        &mut self,
-        id: QueryId,
-        ctx: &mut Ctx<'_, MortarMsg>,
-        rec: &InstallRecord,
-        levels: &[u32],
-        parent_live: &[bool],
-        live: &NodeBitmap,
-        frames: &mut FrameBuilder<'_>,
-        mut summary: SummaryTuple,
-    ) {
-        let width = rec.width();
-        let arrival_tree = (summary.stripe_tree as usize).min(width.saturating_sub(1));
-        let decision = route_decision_local(
-            levels,
-            &rec.links,
-            arrival_tree,
-            &mut summary.route,
-            parent_live,
-            &mut |_, c| live.get(c),
-            ctx.rng(),
-        );
-        let (dest, tree) = match decision {
-            Decision::Parent { tree } => {
-                (rec.links[tree].parent.expect("live parent exists"), tree)
-            }
-            Decision::Child { tree, child } => (rec.links[tree].children[child], tree),
-            Decision::Drop => {
-                self.stats.route_drops += 1;
-                return;
-            }
-        };
-        summary.stripe_tree = tree as u8;
-        summary.age_us += HOP_AGE_EST_US as i64;
-        summary.hops = summary.hops.saturating_add(1);
-        let q = self.queries.get_mut(&id).expect("query exists");
-        q.tuples_out += 1;
-        let need_hash = q.tuples_out.is_multiple_of(DATA_HASH_EVERY);
-        let hash = if need_hash { Some(self.my_store_hash()) } else { None };
-        frames.push(self, ctx, dest, tree as u8, summary, hash);
     }
 
     /// Finalizes a root eviction into a [`ResultRecord`] and feeds any
@@ -505,65 +458,4 @@ impl MortarPeer {
         q.ts.insert(&tuple, local_now, timeout);
         self.stats.ts_peak_entries = self.stats.ts_peak_entries.max(q.ts.len() as u64);
     }
-}
-
-/// Splits one evicted keyed summary into per-tree parts: group `k` rides
-/// the tree whose installed [`crate::query::KeyRange`] contains
-/// `mix_key(k)`. Exactly one part — the tuple's current stripe tree —
-/// keeps the participants count and truth metadata (and is emitted even
-/// when its key slice is empty), so the root's completeness and
-/// ground-truth accounting see each constituent exactly once; the other
-/// parts carry pure keyed payload. The groups move into their parts and
-/// none is cloned: a counting pass sizes each other tree's slice exactly,
-/// and one partition pass moves their groups out of the summary's vector,
-/// which stays behind as the home tree's slice. Hands the summary back
-/// (`Err`) when its state holds fewer than two groups — nothing to split,
-/// the caller routes the tuple whole.
-fn split_keyed_summary(
-    mut summary: SummaryTuple,
-    rec: &InstallRecord,
-) -> Result<Vec<SummaryTuple>, SummaryTuple> {
-    let (cap, mut pairs) = match summary.state {
-        AggState::Keyed { cap, groups } if groups.len() >= 2 => (cap, groups.into_vec()),
-        _ => return Err(summary),
-    };
-    let width = rec.width();
-    let home = (summary.stripe_tree as usize).min(width - 1);
-    let tree_of = |k: u64| rec.links.iter().position(|l| l.key_range.contains(mix_key(k)));
-    let mut counts = [0usize; MAX_TREES];
-    for &(k, _) in &pairs {
-        if let Some(t) = tree_of(k) {
-            counts[t] += 1;
-        }
-    }
-    let mut slices: [Vec<(u64, AggState)>; MAX_TREES] =
-        std::array::from_fn(|t| if t == home { Vec::new() } else { Vec::with_capacity(counts[t]) });
-    pairs.retain_mut(|(k, st)| match tree_of(*k) {
-        Some(t) if t == home => true,
-        Some(t) => {
-            slices[t].push((*k, std::mem::replace(st, AggState::None)));
-            false
-        }
-        None => false,
-    });
-    slices[home] = pairs;
-    let mut parts = Vec::with_capacity(width);
-    for (t, slice) in slices.into_iter().enumerate().take(width) {
-        if slice.is_empty() && t != home {
-            continue;
-        }
-        parts.push(SummaryTuple {
-            tb: summary.tb,
-            te: summary.te,
-            age_us: summary.age_us,
-            participants: if t == home { summary.participants } else { 0 },
-            has_value: summary.has_value,
-            state: AggState::Keyed { cap, groups: KeyedGroups::from_sorted(slice) },
-            route: summary.route,
-            hops: summary.hops,
-            stripe_tree: t as u8,
-            truth: if t == home { summary.truth.take() } else { None },
-        });
-    }
-    Ok(parts)
 }

@@ -99,48 +99,6 @@ impl QuerySpec {
     }
 }
 
-/// A contiguous slice of the *mixed* 64-bit key space owned by one tree of
-/// the set. Sibling trees partition the space: a keyed aggregate splits
-/// into disjoint per-tree maps at each eviction hop, and the root's
-/// time-division join re-merges them without double counting. Ranges
-/// derive from the tree index and set width alone, so every member stamps
-/// identical ranges at install time and they add nothing to the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyRange {
-    /// Inclusive lower bound (mixed key).
-    pub lo: u64,
-    /// Inclusive upper bound (mixed key).
-    pub hi: u64,
-}
-
-impl KeyRange {
-    /// The range tree `tree` owns in a `width`-tree set: the `tree`-th of
-    /// `width` equal contiguous slices of the mixed key space.
-    pub fn of_tree(tree: usize, width: usize) -> Self {
-        let w = width.max(1) as u128;
-        let t = (tree as u128).min(w - 1);
-        let lo = ((t << 64) / w) as u64;
-        let hi = ((((t + 1) << 64) / w) - 1) as u64;
-        Self { lo, hi }
-    }
-
-    /// Whether a mixed key falls in this range.
-    pub fn contains(&self, mixed: u64) -> bool {
-        self.lo <= mixed && mixed <= self.hi
-    }
-}
-
-/// Mixes a raw group key into the uniform space that [`KeyRange`]s
-/// partition (the splitmix64 finalizer). Without mixing, contiguous raw
-/// keys — host ids, ports — would pile into one tree's slice and defeat
-/// the load split.
-pub fn mix_key(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One member's position on one tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeLink {
@@ -150,10 +108,6 @@ pub struct TreeLink {
     pub children: Vec<NodeId>,
     /// Level on this tree (root = 0).
     pub level: u32,
-    /// The slice of the mixed key space this tree carries for keyed
-    /// aggregates. Derivable from (tree index, width), so it contributes
-    /// no install-record wire bytes.
-    pub key_range: KeyRange,
 }
 
 /// A link is its tree's child list to the routing policy
@@ -203,7 +157,6 @@ impl InstallRecord {
 /// indices.
 pub fn build_records(members: &[NodeId], trees: &TreeSet) -> Vec<InstallRecord> {
     assert_eq!(members.len(), trees.len(), "member list and tree set disagree");
-    let width = trees.trees().len();
     (0..members.len())
         .map(|m| InstallRecord {
             member: m as u32,
@@ -211,12 +164,10 @@ pub fn build_records(members: &[NodeId], trees: &TreeSet) -> Vec<InstallRecord> 
             links: trees
                 .trees()
                 .iter()
-                .enumerate()
-                .map(|(x, t)| TreeLink {
+                .map(|t| TreeLink {
                     parent: t.parent(m).map(|p| members[p]),
                     children: t.children(m).iter().map(|&c| members[c]).collect(),
                     level: t.level(m),
-                    key_range: KeyRange::of_tree(x, width),
                 })
                 .collect(),
         })
@@ -269,36 +220,5 @@ mod tests {
         assert_eq!(r1.links[1].level, 2);
         assert_eq!(recs[0].primary_parent(), None);
         assert_eq!(recs[2].levels(), vec![2, 1]);
-        // Every member stamps identical per-tree key ranges.
-        for r in &recs {
-            assert_eq!(r.links[0].key_range, KeyRange::of_tree(0, 2));
-            assert_eq!(r.links[1].key_range, KeyRange::of_tree(1, 2));
-        }
-    }
-
-    #[test]
-    fn key_ranges_partition_the_mixed_space() {
-        for width in 1..=4usize {
-            let ranges: Vec<KeyRange> = (0..width).map(|t| KeyRange::of_tree(t, width)).collect();
-            assert_eq!(ranges[0].lo, 0);
-            assert_eq!(ranges[width - 1].hi, u64::MAX);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].hi.wrapping_add(1), w[1].lo, "ranges must be contiguous");
-            }
-            // Any mixed key lands in exactly one tree's slice.
-            for k in [0u64, 1, 7, 255, 1_000_003, u64::MAX] {
-                let m = mix_key(k);
-                assert_eq!(ranges.iter().filter(|r| r.contains(m)).count(), 1);
-            }
-        }
-    }
-
-    #[test]
-    fn mix_key_spreads_contiguous_keys() {
-        // splitmix64 finalizer: deterministic, and sequential host ids do
-        // not all land in one half of the space.
-        assert_eq!(mix_key(42), mix_key(42));
-        let low_half = (0..64u64).filter(|&k| mix_key(k) < u64::MAX / 2).count();
-        assert!((16..=48).contains(&low_half), "mixer left keys clumped: {low_half}");
     }
 }

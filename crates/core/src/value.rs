@@ -220,17 +220,6 @@ impl KeyedGroups {
         self.0.iter().map(|(_, st)| st)
     }
 
-    /// The owned `(key, group)` pairs in ascending key order.
-    pub(crate) fn into_vec(self) -> Vec<(u64, AggState)> {
-        self.0
-    }
-
-    /// Wraps pairs already sorted by strictly ascending key.
-    pub(crate) fn from_sorted(pairs: Vec<(u64, AggState)>) -> Self {
-        debug_assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "groups not strictly sorted");
-        Self(pairs)
-    }
-
     /// Merges `other` key-wise under the overflow rule: walking `other` in
     /// ascending key order, a tracked key merges and an unseen key is
     /// admitted only while fewer than `cap` groups are tracked. With no key

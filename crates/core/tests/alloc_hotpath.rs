@@ -546,16 +546,17 @@ fn fleet_footprint(mut cfg: mortar_core::engine::EngineConfig, marks_s: &[f64]) 
 
 /// Live bytes per (peer, query) a warm fleet may hold. Measured in a
 /// debug build (`EngineConfig::paper(100, 13)`, Vivaldi-planned, truth
-/// tracking off, fleet1000's 13-query mix, 20 sim-s of warm-up): 2,655 B,
-/// against 2,759 B while each peer kept a name↔id directory of two hash
-/// maps beside its queries, 2,975 B while it also kept a second copy of
-/// every query's levels and child counts beside its install record, and
-/// 5,705 B when every per-peer container kept its reserved slack (query
-/// states inline in map nodes, TS rings grown by at least four entries,
-/// emptied bucket maps, a bin for every next hop ever used). The budget
-/// is the measurement plus 2 %; the 1000-host census deployment reads
-/// 2,626 B at 90 sim-s in release.
-const FOOTPRINT_BUDGET_B: f64 = 2_708.0;
+/// tracking off, fleet1000's 13-query mix, 20 sim-s of warm-up): 2,527 B,
+/// against 2,655 B while every tree link carried a 16 B key range for
+/// splitting keyed states across the trees, 2,759 B while each peer also
+/// kept a name↔id directory of two hash maps beside its queries, 2,975 B
+/// while it also kept a second copy of every query's levels and child
+/// counts beside its install record, and 5,705 B when every per-peer
+/// container kept its reserved slack (query states inline in map nodes,
+/// TS rings grown by at least four entries, emptied bucket maps, a bin
+/// for every next hop ever used). The budget is the measurement plus 2 %;
+/// the 1000-host census deployment reads 2,498 B at 90 sim-s in release.
+const FOOTPRINT_BUDGET_B: f64 = 2_578.0;
 
 #[test]
 fn warm_fleet_footprint_per_peer_query_stays_in_budget() {

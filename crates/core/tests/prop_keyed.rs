@@ -1,13 +1,13 @@
 //! Property tests of keyed GROUP-BY partial aggregation: the per-key map
 //! is a proper Mortar partial — merging is associative and commutative,
-//! any merge order over any partitioning of the sources reproduces the
-//! centralized reference bit for bit, and the key-range split that rides
-//! the sibling trees is lossless (its parts re-merge to the whole).
+//! and any merge order over any partitioning of the sources reproduces the
+//! centralized reference bit for bit. That is all the sibling trees need:
+//! a keyed state, like a scalar one, rides whole on its window's stripe
+//! tree.
 
 use mortar_core::op::{KeyField, OpKind, OpRegistry};
-use mortar_core::query::{mix_key, KeyRange};
 use mortar_core::tuple::RawTuple;
-use mortar_core::value::{AggState, KeyedGroups};
+use mortar_core::value::AggState;
 use proptest::prelude::*;
 
 /// The op under test: per-key sums, keyed by the tuple's routing key.
@@ -81,34 +81,6 @@ proptest! {
         let mut ba = b.clone();
         ba.merge(&a);
         prop_assert_eq!(&ab, &ba, "commutativity violated");
-    }
-
-    #[test]
-    fn key_range_split_is_lossless(ts in tuples(), width in 2usize..5) {
-        // The eviction-hop invariant: slicing a keyed state by the per-tree
-        // key ranges and re-merging the slices reproduces the whole state —
-        // the ranges partition the mixed space, so no group is dropped or
-        // duplicated.
-        let op = keyed_sum(64);
-        let reg = OpRegistry::new();
-        let whole = lift_all(&op, &reg, &ts);
-        let AggState::Keyed { cap, groups } = &whole else {
-            return Err(TestCaseError::fail("keyed zero lifted to a non-keyed state"));
-        };
-        let mut rejoined = op.zero(&reg);
-        let mut seen = 0usize;
-        for t in 0..width {
-            let range = KeyRange::of_tree(t, width);
-            let slice: KeyedGroups = groups
-                .iter()
-                .filter(|(k, _)| range.contains(mix_key(**k)))
-                .map(|(k, v)| (*k, v.clone()))
-                .collect();
-            seen += slice.len();
-            rejoined.merge(&AggState::Keyed { cap: *cap, groups: slice });
-        }
-        prop_assert_eq!(seen, groups.len(), "ranges dropped or duplicated a group");
-        prop_assert_eq!(&rejoined, &whole, "split + re-merge diverged");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Top-k talkers via keyed GROUP-BY aggregation: peers observe flow
 //! records keyed by source address and aggregate per-source byte counts
 //! *in the network* — the root receives one bounded per-key map per
-//! window (split across the sibling trees by key range on the way up) and
-//! ranks it, instead of every raw flow crossing the federation.
+//! window (riding the window's stripe tree on the way up) and ranks it,
+//! instead of every raw flow crossing the federation.
 //!
 //! ```sh
 //! cargo run --release --example topk_talkers

@@ -1,6 +1,6 @@
 //! Keyed GROUP-BY aggregation end to end: per-key partial aggregates lift
-//! at the sources, split across the sibling trees by key range at every
-//! hop, re-merge key-wise through the tree set, and surface as a bounded
+//! at the sources, ride each window's stripe tree like any scalar state,
+//! re-merge key-wise through the tree set, and surface as a bounded
 //! per-key map at the root — through both the typed builder
 //! (`group_by`/`group_by_key`) and the MSL `group by` clause.
 
@@ -37,10 +37,10 @@ fn session(n: usize, seed: u64) -> Mortar {
     mortar
 }
 
-/// Folds the root's emission stream per window index: a straggling key
-/// slice that misses the root entry's timeout re-emits as a fragment of
-/// the same `[tb, te)` interval (ordinary multipath behaviour), so the
-/// window's answer is the merge of its emissions.
+/// Folds the root's emission stream per window index: a straggling
+/// subtree's summary that misses the root entry's timeout re-emits as a
+/// fragment of the same `[tb, te)` interval (ordinary multipath
+/// behaviour), so the window's answer is the merge of its emissions.
 fn fold_windows(
     results: &[mortar::stream::metrics::ResultRecord],
 ) -> std::collections::BTreeMap<(i64, i64), (u32, std::collections::BTreeMap<u64, f64>)> {

@@ -22,8 +22,8 @@ type KeyedRow = (i64, i64, u32, Vec<(u64, u64)>);
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
     results: Vec<(i64, i64, Option<u64>, u32)>,
-    /// Keyed emissions — the group maps that rode the key-range split
-    /// must coincide bit for bit.
+    /// Keyed emissions — the group maps merged through the tree set must
+    /// coincide bit for bit.
     keyed: Vec<KeyedRow>,
     completeness_bits: u64,
     tuples_sent: u64,
