@@ -30,6 +30,10 @@ pub struct NetDist {
     /// fast-raise intensity.
     samples_above: u32,
     samples_in_window: u32,
+    /// Sample-less rolls since the last commit, counted only once the
+    /// estimator has committed: the next commit takes one EWMA step for
+    /// each of them too.
+    idle_rolls: u32,
     /// Whether any sample was ever observed.
     sampled: bool,
 }
@@ -42,6 +46,7 @@ impl NetDist {
             window_max_us: 0.0,
             samples_above: 0,
             samples_in_window: 0,
+            idle_rolls: 0,
             sampled: false,
         }
     }
@@ -64,15 +69,30 @@ impl NetDist {
         }
     }
 
-    /// Folds the window into the EWMA; call once per eviction. The
-    /// fast-raise commits first, then the regular EWMA step applies.
+    /// Folds the window into the EWMA; call once per tick that closes a
+    /// window. The fast-raise commits first, then the regular EWMA step
+    /// applies. A roll with no samples commits nothing, but once the
+    /// estimator has committed it counts: a commit after `k` such rolls
+    /// takes `1 + k` steps toward the window's maximum
+    /// (`1 − (1 − α)^(1 + k)`), so a tree that hears from a child only
+    /// every few ticks decays as fast as one that hears every tick. Before
+    /// the first commit nothing is counted, so the initial estimate
+    /// stands until real ages arrive.
     pub fn roll(&mut self) {
         if self.samples_in_window > 0 {
+            // α itself for one step: `1 − 0.9` is not exactly 0.1 in f64.
+            let gain = match self.idle_rolls {
+                0 => ALPHA,
+                k => 1.0 - (1.0 - ALPHA).powi(1 + k.min(1_000) as i32),
+            };
             self.rolled_us = self.effective_us();
-            self.rolled_us += ALPHA * (self.window_max_us - self.rolled_us);
+            self.rolled_us += gain * (self.window_max_us - self.rolled_us);
             self.window_max_us = 0.0;
             self.samples_above = 0;
             self.samples_in_window = 0;
+            self.idle_rolls = 0;
+        } else if self.sampled {
+            self.idle_rolls = self.idle_rolls.saturating_add(1);
         }
     }
 
@@ -216,6 +236,46 @@ mod tests {
         assert!(nd.has_samples(), "a clamped negative age still counts");
         nd.roll();
         assert!(nd.has_samples(), "rolling the window keeps the history");
+    }
+
+    #[test]
+    fn a_commit_after_idle_rolls_takes_one_step_per_roll() {
+        // A parent's tree estimator hears from a child only on the ticks
+        // that child stripes onto the tree; the ticks between must still
+        // decay it. The maximum sits below the estimate, so no fast-raise
+        // differs between the two paths.
+        for k in [1, 3, 7, 40] {
+            let mut paced = NetDist::new(4_000_000);
+            paced.observe(2_000_000);
+            paced.roll();
+            for _ in 0..k {
+                paced.roll();
+            }
+            paced.observe(500_000);
+            paced.roll();
+            let mut stepped = NetDist::new(4_000_000);
+            stepped.observe(2_000_000);
+            stepped.roll();
+            for _ in 0..=k {
+                stepped.observe(500_000);
+                stepped.roll();
+            }
+            let (p, s) = (paced.rolled_us, stepped.rolled_us);
+            assert!((p - s).abs() <= 1e-6 * s, "{k} idle rolls: paced {p} µs, stepped {s} µs");
+        }
+    }
+
+    #[test]
+    fn no_catch_up_before_the_first_commit() {
+        // Rolls before any sample hold nothing to catch up on: the
+        // initial estimate stands, and the first commit is one step.
+        let mut late = NetDist::new(2_500_000);
+        for _ in 0..20 {
+            late.roll();
+        }
+        late.observe(1_000_000);
+        late.roll();
+        assert_eq!(late.estimate_us(), 2_350_000);
     }
 
     #[test]

@@ -103,13 +103,19 @@ impl MortarPeer {
         let frame = q.frame_now(self.cfg.indexing, local_now);
         let slide = q.spec.window.slide as i64;
         let cur_k = frame.div_euclid(slide);
-        let width = q.route_template.last_level.len().max(1);
+        if q.next_close_k < cur_k {
+            // One roll per tick that closes a window: the estimators fold
+            // the tick's maximum age (Section 4.3), and a tree that heard
+            // nothing this tick catches up at its next commit
+            // ([`NetDist::roll`]). Every window the tick closes rides the
+            // same stripe tree, so the tick owes each query one next hop.
+            q.netdist.iter_mut().for_each(NetDist::roll);
+            q.stripe_rr = (q.stripe_rr + 1) % q.route_template.last_level.len().max(1);
+        }
+        let stripe = q.stripe_rr as u8;
         while q.next_close_k < cur_k {
             let k = q.next_close_k;
             q.next_close_k += 1;
-            // One EWMA step per window slide: netDist is an EWMA of the
-            // *per-window* maximum age sample (Section 4.3).
-            q.netdist.iter_mut().for_each(NetDist::roll);
             let (tb, te) = q.spec.window.interval_of(k);
             let bucket = q.buckets.close(k);
             // Inception is anchored at the *centre* of the identifying
@@ -117,8 +123,6 @@ impl MortarPeer {
             // of accumulated age error instead of flip-flopping across the
             // boundary (the tight dispersion bound of Section 5.1).
             let age = frame - (tb + te) / 2;
-            q.stripe_rr = (q.stripe_rr + 1) % width;
-            let stripe = q.stripe_rr as u8;
             let s = match bucket {
                 Some(b) if b.state.is_some() => SummaryTuple {
                     tb,

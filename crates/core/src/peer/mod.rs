@@ -976,6 +976,116 @@ mod tests {
         );
     }
 
+    /// One data message received: the true arrival instant, the sender,
+    /// and each tuple's (tree, window start).
+    type DataMsg = (u64, NodeId, Vec<(u8, i64)>);
+
+    /// A peer that records every data message it receives.
+    struct DataLog {
+        peer: MortarPeer,
+        got: Vec<DataMsg>,
+    }
+
+    impl App for DataLog {
+        type Msg = MortarMsg;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
+            self.peer.on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, MortarMsg>, from: NodeId, m: MortarMsg, b: u32) {
+            let frames: &[SummaryFrame] = match &m {
+                MortarMsg::SummaryBatch(f) => std::slice::from_ref(f),
+                MortarMsg::Envelope { frames } => frames,
+                _ => &[],
+            };
+            if !frames.is_empty() {
+                let tuples =
+                    frames.iter().flat_map(|f| f.tuples.iter().map(|t| (f.tree, t.tb))).collect();
+                self.got.push((ctx.true_now_us(), from, tuples));
+            }
+            self.peer.on_message(ctx, from, m, b);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, MortarMsg>, tag: u64) {
+            self.peer.on_timer(ctx, tag);
+        }
+    }
+
+    #[test]
+    fn a_tick_s_windows_ride_one_stripe_tree() {
+        // Four trees; on tree t peer 5 is a leaf under peer 1 + t, so
+        // windows striped onto different trees would need a message per
+        // parent. A 25 ms slide on the 200 ms tick closes eight windows a
+        // tick: all eight must ride one tree, in one message, and the
+        // leaf must visit every tree over four ticks.
+        let (n, width, leaf) = (6, 4, 5);
+        let trees = TreeSet::new(
+            (0..width)
+                .map(|t| {
+                    let hub = 1 + t;
+                    let parents = (0..n)
+                        .map(|m| match m {
+                            0 => None,
+                            m if m == hub => Some(0),
+                            _ => Some(hub),
+                        })
+                        .collect();
+                    Tree::from_parents(0, parents)
+                })
+                .collect(),
+        );
+        let spec = QuerySpec {
+            window: WindowSpec::time_tumbling_us(25_000),
+            sensor: SensorSpec::Periodic { period_us: 25_000, value: 1.0 },
+            ..count_spec(n)
+        };
+        let cfg = PeerConfig::default();
+        let mut sim = SimBuilder::new(Topology::star(n, 1_000), 42).build(move |id| DataLog {
+            peer: MortarPeer::new(id, cfg, OpRegistry::new()),
+            got: Vec::new(),
+        });
+        let records = build_records(&spec.members, &trees);
+        let install = MortarMsg::Install {
+            spec: Arc::new(spec),
+            id: QueryId(1),
+            seq: 1,
+            records,
+            issue_age_us: 0,
+        };
+        sim.inject(0, 0, install, 256);
+        sim.run_for_secs(12.0);
+        // Every link is equally long, so the leaf's messages of one tick
+        // land together and ticks land 200 ms apart: cluster by gaps.
+        let mut from_leaf: Vec<_> = (1..=width as NodeId)
+            .flat_map(|hub| sim.app(hub).got.iter().filter(|g| g.1 == leaf as NodeId))
+            .filter(|g| g.0 >= 4_000_000)
+            .collect();
+        from_leaf.sort_by_key(|g| g.0);
+        let mut ticks: Vec<(usize, Vec<(u8, i64)>)> = Vec::new();
+        let mut last = 0;
+        for (at, _, tuples) in from_leaf {
+            if ticks.is_empty() || at - last > cfg.tick_us / 2 {
+                ticks.push((0, Vec::new()));
+            }
+            last = *at;
+            let tick = ticks.last_mut().expect("pushed");
+            tick.0 += 1;
+            tick.1.extend_from_slice(tuples);
+        }
+        assert!(ticks.len() >= 30, "only {} ticks of data from the leaf", ticks.len());
+        let mut trees_seen = Vec::new();
+        for (i, (msgs, tuples)) in ticks.iter().enumerate() {
+            assert_eq!(*msgs, 1, "tick {i}: the leaf sent {msgs} data messages");
+            assert_eq!(tuples.len(), 8, "tick {i}: {} windows, expected 8", tuples.len());
+            let tree = tuples[0].0;
+            assert!(tuples.iter().all(|t| t.0 == tree), "tick {i} split over trees: {tuples:?}");
+            trees_seen.push(tree);
+        }
+        for run in trees_seen.windows(width) {
+            let mut run = run.to_vec();
+            run.sort_unstable();
+            assert_eq!(run, [0, 1, 2, 3], "four ticks in a row missed a tree: {trees_seen:?}");
+        }
+    }
+
     #[test]
     fn removal_propagates() {
         let n = 8;

@@ -18,6 +18,12 @@
 //!    else flushes at the end of the tick, so nothing waits in the outbox
 //!    across ticks and a frame's `hold_age_us` is always 0.
 //!
+//! Every window a peer closes in one tick rides the same stripe tree
+//! (`close_windows` advances the stripe once per tick), so a query's own
+//! summaries owe one next hop per tick; a tick's frames span trees only
+//! where a peer forwards what its children striped onto other trees, or
+//! hosts several queries.
+//!
 //! Envelope payloads freeze into `Arc<[SummaryTuple]>` at flush: the
 //! transport's duplication/fan-out clone of a frame is a pointer bump,
 //! never a tuple-vector copy.

@@ -193,9 +193,11 @@ proptest! {
 
     #[test]
     fn batched_delivery_matches_per_tuple_on_multi_tree_plans(seed in 0u64..1_000, batch in 2usize..48) {
-        // On the paper's multi-tree plans, striping interleaves a tick's
-        // evictions across trees, so batching regroups (and so reorders)
-        // the tuples a receiver sees within one tick. Everything the
+        // On the paper's multi-tree plans a tick's evictions still span
+        // trees: a peer's own windows of one tick ride one stripe tree,
+        // but an interior peer forwards what its children striped onto
+        // theirs. So batching regroups (and so reorders) the tuples a
+        // receiver sees within one tick. Everything the
         // receive path computes per tick is order-insensitive — AggState
         // merges commute, per-entry deadlines are set by interval (not
         // arrival), and netDist folds arrivals into a per-window max

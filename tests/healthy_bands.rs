@@ -7,14 +7,17 @@
 //!   depth in link latencies (netDist timeouts, Section 4.3, must not
 //!   ratchet on their own waiting);
 //! * each window is reported once, with every host in it;
+//! * every window a host closes in one tick rides one stripe tree, so
+//!   wire messages per result stay in a band;
 //! * the root's netDist is bounded by the plan: per level, one link, the
 //!   hop age estimate, a tick of rounding on window close and on eviction,
 //!   and the leaf floor.
 //!
 //! An ignored pin holds a 1 s tumbling sum to one record per window from
 //! its first window on, which netDist's warm-up still breaks (ROADMAP
-//! item 4(c)).
+//! item 4(c)): 201 records for 198 windows, the last split at tb = 2 s.
 
+use mortar::net::TrafficClass;
 use mortar::prelude::*;
 use mortar::stream::peer::{HOP_AGE_EST_US, MIN_TIMEOUT_US};
 
@@ -28,6 +31,18 @@ struct Chunk {
     lag_p50_us: i64,
     records: usize,
     participants: u64,
+    /// Wire messages of every traffic class sent in the chunk, per window
+    /// reported.
+    msgs_per_result: f64,
+}
+
+/// Wire messages of every traffic class sent so far, fleet-wide.
+fn wire_msgs(eng: &Engine) -> u64 {
+    let bw = eng.sim.bandwidth();
+    [TrafficClass::Data, TrafficClass::Heartbeat, TrafficClass::Control]
+        .into_iter()
+        .map(|c| bw.msgs_total(c))
+        .sum()
 }
 
 #[test]
@@ -53,15 +68,17 @@ fn fault_free_steady_state_is_flat_complete_and_bounded() {
     let windows = (CHUNK_S * 1e6 / SLIDE_US as f64) as usize;
     let mut chunks = Vec::new();
     for _ in 0..3 {
-        let seq = eng.result_seq(0);
+        let (seq, msgs) = (eng.result_seq(0), wire_msgs(&eng));
         eng.run_secs(CHUNK_S);
         let fresh = eng.results_from(0, seq);
         let mut lags: Vec<i64> = fresh.iter().map(|r| r.due_lag_us).collect();
         lags.sort_unstable();
+        let reported: std::collections::BTreeSet<i64> = fresh.iter().map(|r| r.tb).collect();
         chunks.push(Chunk {
             lag_p50_us: lags.get(lags.len() / 2).copied().unwrap_or(i64::MAX),
             records: fresh.len(),
             participants: fresh.iter().map(|r| r.participants as u64).sum(),
+            msgs_per_result: (wire_msgs(&eng) - msgs) as f64 / reported.len().max(1) as f64,
         });
     }
     let (first, last) = (&chunks[0], &chunks[2]);
@@ -72,6 +89,14 @@ fn fault_free_steady_state_is_flat_complete_and_bounded() {
         last.records as f64 <= 1.05 * windows as f64,
         "windows reported in pieces: {} records for {windows} windows",
         last.records
+    );
+    // A tick's windows ride one stripe tree, so each host owes one next
+    // hop per tick: 19.49 messages per window at the last chunk, held at
+    // that + 2 %.
+    assert!(
+        last.msgs_per_result <= 19.88,
+        "{:.2} wire messages per result: {chunks:?}",
+        last.msgs_per_result
     );
     let coverage = last.participants as f64 / (windows * HOSTS) as f64;
     assert!(coverage >= 0.995, "participants cover {:.2} % of host-windows", coverage * 100.0);
@@ -85,8 +110,8 @@ fn fault_free_steady_state_is_flat_complete_and_bounded() {
 }
 
 #[test]
-#[ignore = "netDist warm-up splits windows (ROADMAP item 4(c)): 213 records for 198 windows \
-            over 200 sim-s, the last split at tb = 48 s"]
+#[ignore = "netDist warm-up splits windows (ROADMAP item 4(c)): 201 records for 198 windows \
+            over 200 sim-s, 3 windows split, the last at tb = 2 s"]
 fn slow_window_is_one_record_from_the_first_window() {
     // A 1 s tumbling sum of 1.0 per host. While the netDist estimators
     // still decay from their initial 2.5 s, an interior peer can time a
