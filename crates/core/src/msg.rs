@@ -6,11 +6,14 @@
 //!
 //! The data plane is *batched, interned, and enveloped*: summary traffic
 //! travels in frames that carry a 4-byte [`QueryId`] handle (never the
-//! query name) and every tuple evicted toward the same next hop on the
-//! same tree in one timer tick. With envelopes enabled
-//! ([`crate::peer::PeerConfig::envelope_budget`] > 0), *all* frames a peer
-//! owes one next hop in a tick — across queries and trees — coalesce into
-//! a single [`MortarMsg::Envelope`] whose payloads are shared
+//! query name) and the tuples one query evicts toward the same next hop
+//! on the same tree in one timer tick, up to
+//! [`crate::peer::PeerConfig::summary_batch_max`] per frame. A peer sends
+//! them all from one end-of-tick flush, which stacks the frames it owes
+//! one next hop — across queries and trees — into one message until its
+//! payload reaches [`crate::peer::PeerConfig::envelope_budget`]: several
+//! frames ride one [`MortarMsg::Envelope`], a lone frame a plain
+//! [`MortarMsg::SummaryBatch`]. Frame payloads are shared
 //! `Arc<[SummaryTuple]>` slices, so the transport's fan-out/duplication
 //! clone is a pointer bump, never a tuple-vector copy. Control messages
 //! (install/reconcile/topology) ship whole query specs behind
@@ -45,11 +48,9 @@ pub struct SummaryFrame {
     pub query: QueryId,
     /// Tree the frame is (now) travelling on.
     pub tree: u8,
-    /// Extra local time this frame waited in the sender's outbox, µs;
-    /// receivers add it to every tuple's age. Always 0 from a peer, which
-    /// flushes its outbox at the end of every tick. Kept because the
-    /// frozen benchmark builds frames with it; modelled as riding the
-    /// frame header's sequence/flags slot.
+    /// Unused: a peer sends every frame in the tick that evicted its
+    /// tuples, so it always sets 0 and no receiver reads it. The field
+    /// exists only because the frozen benchmark builds frames with it.
     pub hold_age_us: i64,
     /// The tuples, in eviction order.
     pub tuples: Arc<[SummaryTuple]>,
@@ -79,17 +80,19 @@ pub enum MortarMsg {
     /// A frame of routed summary tuples for one query, travelling on
     /// `tree`. All tuples share the same next hop; receivers process them
     /// in order, exactly as if they had arrived as individual messages.
-    /// This is the wire shape of a frame that flushes alone: the only
-    /// frame owed to its next hop in a tick, or any frame at
-    /// `envelope_budget = 0` — one message per (query, tree) stream.
+    /// This is the wire shape of a frame the end-of-tick flush sends
+    /// alone: the only frame owed to its next hop in a tick, a frame that
+    /// reaches `envelope_budget` by itself, or any frame at
+    /// `envelope_budget = 0`.
     SummaryBatch(SummaryFrame),
-    /// Every summary frame a peer owes one next hop within a tick —
-    /// across queries and trees — in a single wire message. Receivers
+    /// Several of the summary frames a peer owes one next hop within a
+    /// tick — across queries and trees — in one wire message, cut at
+    /// `envelope_budget` bytes of payload. Receivers
     /// unpack frames in order; the per-frame semantics are identical to
     /// the same frames arriving as individual [`MortarMsg::SummaryBatch`]
     /// messages back-to-back, so envelope coalescing is pure transport.
     Envelope {
-        /// Stacked per-query frames, in eviction order.
+        /// Stacked per-query frames, in (query, tree) order.
         frames: Vec<SummaryFrame>,
     },
     /// Parent→child liveness beacon; every `reconcile_every`-th beat

@@ -158,6 +158,7 @@ impl MortarPeer {
             ts: TimeSpaceList::new(),
             netdist: [NetDist::new(NETDIST_INIT_US); MAX_TREES],
             stripe_rr: self.id as usize, // Stagger striping across peers.
+            striped_at_us: i64::MIN,
             buckets: super::Buckets::default(),
             next_close_k: 0,
             source: Source::default(),

@@ -1,7 +1,7 @@
 //! Ingest stage: source pumping, raw-tuple lift (merging across time), and
 //! window close (Sections 4–5).
 
-use super::{MortarPeer, BUCKET_GC_CAP};
+use super::{MortarPeer, PeerStats, QueryState, BUCKET_GC_CAP};
 use crate::msg::MortarMsg;
 use crate::netdist::NetDist;
 use crate::query::QueryId;
@@ -9,6 +9,24 @@ use crate::tuple::{RawTuple, SummaryTuple, TruthMeta};
 use crate::window::WindowKind;
 use mortar_net::Ctx;
 use std::sync::Arc;
+
+impl QueryState {
+    /// Inserts a summary this peer created (a closed window of either
+    /// kind) into the TS list, striped and timed out on the tick's stripe
+    /// tree. The stripe advances at the first window a tick emits, so
+    /// every window of one tick rides one tree and the tick owes the query
+    /// one next hop.
+    fn insert_local(&mut self, mut s: SummaryTuple, local_now: i64, stats: &mut PeerStats) {
+        if self.striped_at_us != local_now {
+            self.striped_at_us = local_now;
+            self.stripe_rr = (self.stripe_rr + 1) % self.route_template.last_level.len().max(1);
+        }
+        s.stripe_tree = self.stripe_rr as u8;
+        let timeout = self.local_timeout_us(self.stripe_rr, s.age_us);
+        self.ts.insert(&s, local_now, timeout);
+        stats.ts_peak_entries = stats.ts_peak_entries.max(self.ts.len() as u64);
+    }
+}
 
 impl MortarPeer {
     /// Lifts one raw tuple into the query's open windows. The tuple is
@@ -69,7 +87,6 @@ impl MortarPeer {
                     }
                     let tb = win.first().map(|(f, _)| *f).unwrap_or(frame);
                     let te = win.last().map(|(f, _)| *f + 1).unwrap_or(frame + 1);
-                    q.stripe_rr = (q.stripe_rr + 1) % q.route_template.last_level.len().max(1);
                     let s = SummaryTuple {
                         tb,
                         te,
@@ -79,12 +96,10 @@ impl MortarPeer {
                         state: st,
                         route: q.route_template,
                         hops: 0,
-                        stripe_tree: q.stripe_rr as u8,
+                        stripe_tree: 0,
                         truth: None,
                     };
-                    let timeout = q.local_timeout_us(q.stripe_rr, 0);
-                    q.ts.insert(&s, local_now, timeout);
-                    self.stats.ts_peak_entries = self.stats.ts_peak_entries.max(q.ts.len() as u64);
+                    q.insert_local(s, local_now, &mut self.stats);
                     // Trim the buffer.
                     let keep = q.tuple_buf.len().saturating_sub(range);
                     q.tuple_buf.drain(..keep);
@@ -107,12 +122,9 @@ impl MortarPeer {
             // One roll per tick that closes a window: the estimators fold
             // the tick's maximum age (Section 4.3), and a tree that heard
             // nothing this tick catches up at its next commit
-            // ([`NetDist::roll`]). Every window the tick closes rides the
-            // same stripe tree, so the tick owes each query one next hop.
+            // ([`NetDist::roll`]).
             q.netdist.iter_mut().for_each(NetDist::roll);
-            q.stripe_rr = (q.stripe_rr + 1) % q.route_template.last_level.len().max(1);
         }
-        let stripe = q.stripe_rr as u8;
         while q.next_close_k < cur_k {
             let k = q.next_close_k;
             q.next_close_k += 1;
@@ -133,7 +145,7 @@ impl MortarPeer {
                     state: b.state.expect("checked"),
                     route: q.route_template,
                     hops: 0,
-                    stripe_tree: stripe,
+                    stripe_tree: 0,
                     truth: b.truth,
                 },
                 _ => {
@@ -141,13 +153,10 @@ impl MortarPeer {
                     // completeness metric honest.
                     let mut b = SummaryTuple::boundary(tb, te, q.route_template);
                     b.age_us = age;
-                    b.stripe_tree = stripe;
                     b
                 }
             };
-            let timeout = q.local_timeout_us(q.stripe_rr, s.age_us);
-            q.ts.insert(&s, local_now, timeout);
-            self.stats.ts_peak_entries = self.stats.ts_peak_entries.max(q.ts.len() as u64);
+            q.insert_local(s, local_now, &mut self.stats);
         }
         // Garbage-collect pathological bucket growth (timestamp mode with
         // huge offsets can mint far-future buckets), oldest first; under

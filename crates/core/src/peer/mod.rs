@@ -28,12 +28,12 @@
 //! Queries are keyed by interned [`QueryId`] handles, the only key the
 //! peer's store uses: installs, tombstones and the store hash all go by
 //! id, and a name is looked up only where a caller asks by name (the
-//! facade, subscriptions). All summary traffic travels in
-//! per-query frames that coalesce every tuple bound for the same (query,
-//! tree, next hop) within one timer tick, and — with
-//! [`PeerConfig::envelope_budget`] > 0 — every frame owed to one next hop
-//! stacks into a single [`MortarMsg::Envelope`] wire message per tick,
-//! across queries and trees.
+//! facade, subscriptions). All summary traffic leaves from one
+//! end-of-tick flush: every tuple bound for the same (next hop, query,
+//! tree) within one timer tick shares a frame, and every frame owed to
+//! one next hop — across queries and trees — stacks into one
+//! [`MortarMsg::Envelope`] until its payload reaches
+//! [`PeerConfig::envelope_budget`].
 //!
 //! All timing uses the peer's *local* clock; in syncless mode no global
 //! time ever enters the data path.
@@ -108,22 +108,23 @@ pub struct PeerConfig {
     /// Record ground-truth metadata for metrics.
     pub track_truth: bool,
     /// Maximum tuples per outgoing summary frame. Tuples evicted in the
-    /// same tick for the same (query, tree, next hop) coalesce into one
-    /// [`MortarMsg::SummaryBatch`] up to this size; `1` reproduces the
-    /// unbatched one-tuple-per-message protocol exactly.
+    /// same tick for the same (next hop, query, tree) share a frame; the
+    /// tick's outbox seals a frame when it reaches this size and starts
+    /// the next. `1` reproduces the unbatched one-tuple-per-frame protocol
+    /// exactly.
     pub summary_batch_max: usize,
     /// Maximum result records the root operator retains (0 = unbounded).
     /// The log is a ring with stable sequence numbers, so subscriber
     /// drain cursors survive eviction (see [`crate::rlog::ResultLog`]).
     pub result_log_cap: usize,
-    /// Payload-byte budget per outgoing envelope (cross-query frame
-    /// coalescing): every summary frame owed to one next hop within a
-    /// tick — across queries and trees — stacks into a single
-    /// [`MortarMsg::Envelope`] wire message, flushed early once its
-    /// payload reaches this many bytes. At `0` every frame overflows the
-    /// budget on arrival and flushes alone: each (query, tree) frame
-    /// leaves as its own `SummaryBatch` message, the per-query-frame
-    /// protocol.
+    /// Payload-byte budget per outgoing wire message (cross-query frame
+    /// coalescing): the end-of-tick flush stacks the frames a tick owes
+    /// one next hop — across queries and trees — into one message, and
+    /// closes it as soon as its payload reaches this many bytes. A message
+    /// of several frames is a [`MortarMsg::Envelope`], one of a single
+    /// frame a plain `SummaryBatch`. At `0` every frame closes its own
+    /// message: each (query, tree) frame leaves as its own
+    /// `SummaryBatch`, the per-query-frame protocol.
     pub envelope_budget: u32,
 }
 
@@ -159,8 +160,8 @@ pub struct PeerStats {
     /// With envelopes enabled these are *logical* frames; several ride
     /// in one wire message (see `envelopes_out`).
     pub frames_out: u64,
-    /// Envelope wire messages sent, each coalescing every frame owed to
-    /// one next hop in a tick across queries and trees (0 when
+    /// Envelope wire messages sent, each carrying several of the frames
+    /// a tick owes one next hop, across queries and trees (0 when
     /// `envelope_budget = 0`).
     pub envelopes_out: u64,
     /// Envelope wire messages received.
@@ -189,15 +190,14 @@ pub struct PeerStats {
     /// Timer ticks handled.
     pub ticks: u64,
     /// Ticks on which no query was due (the due index reduced them to a
-    /// heartbeat check and an envelope flush).
+    /// heartbeat check and an empty outbox flush).
     pub idle_ticks: u64,
     /// Per-query tick passes run (pump + close + evict): one per query
     /// the due index woke, so an idle query costs nothing.
     pub query_wakeups: u64,
-    /// High-water mark of total pending-envelope payload bytes across the
-    /// outbox — the coalescing memory one tick's evictions hold before the
-    /// end-of-tick flush (bounded per destination by `envelope_budget`
-    /// plus one frame).
+    /// High-water mark of a tick's pending summary payload bytes at the
+    /// end-of-tick flush — the coalescing memory one tick's evictions hold
+    /// before they leave.
     pub outbox_peak_bytes: u64,
 }
 
@@ -316,6 +316,9 @@ pub(crate) struct QueryState {
     /// age that waiting itself adds, a ratchet that never settles.
     pub(crate) netdist: [NetDist; MAX_TREES],
     pub(crate) stripe_rr: usize,
+    /// The local tick instant `stripe_rr` last advanced at: the first
+    /// window a tick emits advances it, the rest of the tick's ride along.
+    pub(crate) striped_at_us: i64,
     pub(crate) buckets: Buckets,
     pub(crate) next_close_k: i64,
     /// The query's local source: its cursor (and a feed's intake), built
@@ -380,11 +383,10 @@ impl QueryState {
 ///   in one pass over `last_heard` (replaces the per-query `Vec<bool>`
 ///   parent snapshot and `Vec<Vec<bool>>` child vectors, and collapses
 ///   repeated heartbeat-map probes into single bit tests);
-/// * `frame_bins` — the eviction pass's frame builder bins: a bin opens
-///   at its (next hop, tree) pair's first tuple and closes when its frame
-///   is emitted, so between passes none is open and only the buffer they
-///   live in is kept (no per-pass allocation, no bin for every pair ever
-///   used);
+/// * `outbox` — the tick's summary outbox: every eviction pass bins its
+///   routed tuples there by (next hop, query, tree), and the end-of-tick
+///   flush cuts them into frames and wire messages, so between ticks it
+///   is empty and only its buffers are kept;
 /// * `raw` — the one raw tuple every sensor emission (periodic value,
 ///   replay-trace tuple, subscription feed) is written into before it is
 ///   lifted, replacing a fresh `RawTuple` (and its field vector) per
@@ -398,7 +400,7 @@ impl QueryState {
 pub(crate) struct TickScratch {
     pub(crate) due_ids: Vec<QueryId>,
     pub(crate) live: mortar_overlay::NodeBitmap,
-    pub(crate) frame_bins: mortar_overlay::HopBins<(NodeId, u8), route::PendingFrame>,
+    pub(crate) outbox: route::Outbox,
     pub(crate) raw: RawTuple,
 }
 
@@ -431,16 +433,6 @@ pub struct MortarPeer {
     /// [`MortarPeer::edit_store`]: each store change folds in the hashes
     /// of the entries it touched, so a read costs nothing.
     store_hash: u64,
-    /// Pending per-next-hop envelopes (cross-query frame coalescing):
-    /// finished frames sorted by destination, then arrival, so each
-    /// destination's run is its envelope and exists only while it holds
-    /// a frame. Flushed at the end of each tick or on budget overflow, so
-    /// it is empty between ticks (and always at `envelope_budget = 0`).
-    pub(crate) outbox: Vec<route::ParkedFrame>,
-    /// Total payload bytes currently pending across the outbox —
-    /// maintained at enqueue/flush so the high-water mark
-    /// (`stats.outbox_peak_bytes`) costs no per-tick scan.
-    pub(crate) outbox_bytes: u64,
     /// The due index: `(next_due_local_us, id)` per schedulable query,
     /// min-ordered so a tick pops exactly the queries whose slide
     /// boundary, sensor cadence, or TS-list deadline has arrived.
@@ -449,7 +441,7 @@ pub struct MortarPeer {
     /// query's due instant earlier. Debug builds check it every tick
     /// against each skipped query's raw state.
     pub(crate) due: BTreeSet<(i64, QueryId)>,
-    /// Per-tick scratch (id buffer, liveness bitmap, frame bins): the
+    /// Per-tick scratch (id buffer, liveness bitmap, outbox): the
     /// steady-state tick reuses these buffers instead of allocating per
     /// query or per pass.
     pub(crate) scratch: TickScratch,
@@ -491,8 +483,6 @@ impl MortarPeer {
             hb_count: 0,
             next_hb_local_us: i64::MIN,
             subscribers: BTreeMap::new(),
-            outbox: Vec::new(),
-            outbox_bytes: 0,
             due: BTreeSet::new(),
             scratch: TickScratch::default(),
             store_hash: 0,
@@ -854,11 +844,11 @@ impl App for MortarPeer {
             self.evict_and_route(id, ctx, &mut scratch);
             self.reschedule(id);
         }
-        self.scratch = scratch;
-        // The coalescing flush: everything the tick's eviction passes owe
-        // each next hop leaves as one envelope per destination, so the
+        // The one send stage: everything the tick's eviction passes owe
+        // leaves now, cut into frames and messages per next hop, so the
         // outbox is empty between ticks.
-        self.flush_envelopes(ctx);
+        scratch.outbox.flush(self.cfg.envelope_budget, &mut self.stats, ctx);
+        self.scratch = scratch;
         if local_now >= self.next_hb_local_us {
             self.next_hb_local_us += HB_PERIOD_US;
             self.send_heartbeats(ctx);
@@ -976,31 +966,33 @@ mod tests {
         );
     }
 
-    /// One data message received: the true arrival instant, the sender,
-    /// and each tuple's (tree, window start).
-    type DataMsg = (u64, NodeId, Vec<(u8, i64)>);
+    /// One summary message delivered: its true arrival instant, sender,
+    /// next hop and frames.
+    type Wire = (u64, NodeId, NodeId, Vec<SummaryFrame>);
 
-    /// A peer that records every data message it receives.
-    struct DataLog {
+    /// A peer that appends every summary message it receives to a log the
+    /// whole fleet shares. Events of one instant run in send order, so on
+    /// a star (every message takes one latency) the log holds each tick's
+    /// messages from one sender in the order it sent them.
+    struct WireLog {
         peer: MortarPeer,
-        got: Vec<DataMsg>,
+        log: Arc<std::sync::Mutex<Vec<Wire>>>,
     }
 
-    impl App for DataLog {
+    impl App for WireLog {
         type Msg = MortarMsg;
         fn on_start(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
             self.peer.on_start(ctx);
         }
         fn on_message(&mut self, ctx: &mut Ctx<'_, MortarMsg>, from: NodeId, m: MortarMsg, b: u32) {
-            let frames: &[SummaryFrame] = match &m {
-                MortarMsg::SummaryBatch(f) => std::slice::from_ref(f),
-                MortarMsg::Envelope { frames } => frames,
-                _ => &[],
+            let frames = match &m {
+                MortarMsg::SummaryBatch(f) => vec![f.clone()],
+                MortarMsg::Envelope { frames } => frames.clone(),
+                _ => Vec::new(),
             };
             if !frames.is_empty() {
-                let tuples =
-                    frames.iter().flat_map(|f| f.tuples.iter().map(|t| (f.tree, t.tb))).collect();
-                self.got.push((ctx.true_now_us(), from, tuples));
+                let mut log = self.log.lock().expect("no logging peer panicked");
+                log.push((ctx.true_now_us(), from, ctx.id(), frames));
             }
             self.peer.on_message(ctx, from, m, b);
         }
@@ -1009,13 +1001,42 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_tick_s_windows_ride_one_stripe_tree() {
-        // Four trees; on tree t peer 5 is a leaf under peer 1 + t, so
-        // windows striped onto different trees would need a message per
-        // parent. A 25 ms slide on the 200 ms tick closes eight windows a
-        // tick: all eight must ride one tree, in one message, and the
-        // leaf must visit every tree over four ticks.
+    /// Installs `specs` as queries 1, 2, … on `trees` over a star of `n`
+    /// logging peers, runs it for `secs`, and returns the fleet's log.
+    fn logged_run(
+        n: usize,
+        cfg: PeerConfig,
+        specs: Vec<QuerySpec>,
+        trees: &TreeSet,
+        secs: f64,
+    ) -> Vec<Wire> {
+        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let shared = log.clone();
+        let mut sim = SimBuilder::new(Topology::star(n, 1_000), 42).build(move |id| WireLog {
+            peer: MortarPeer::new(id, cfg, OpRegistry::new()),
+            log: shared.clone(),
+        });
+        for (i, spec) in specs.into_iter().enumerate() {
+            let records = build_records(&spec.members, trees);
+            let install = MortarMsg::Install {
+                spec: Arc::new(spec),
+                id: QueryId(i as u32 + 1),
+                seq: i as u64 + 1,
+                records,
+                issue_age_us: 0,
+            };
+            sim.inject(0, 0, install, 256);
+        }
+        sim.run_for_secs(secs);
+        let log = std::mem::take(&mut *log.lock().expect("the run is over"));
+        log
+    }
+
+    /// Four trees over six peers: on tree t peer 5 is a leaf under peer
+    /// 1 + t, so windows striped onto different trees need a message per
+    /// parent. Runs `spec` for 12 s and returns, per tick of the leaf's
+    /// data from 4 s on, how many messages it sent and their tuples.
+    fn leaf_ticks(spec: QuerySpec) -> Vec<(usize, Vec<(u8, i64)>)> {
         let (n, width, leaf) = (6, 4, 5);
         let trees = TreeSet::new(
             (0..width)
@@ -1032,58 +1053,73 @@ mod tests {
                 })
                 .collect(),
         );
-        let spec = QuerySpec {
-            window: WindowSpec::time_tumbling_us(25_000),
-            sensor: SensorSpec::Periodic { period_us: 25_000, value: 1.0 },
-            ..count_spec(n)
-        };
         let cfg = PeerConfig::default();
-        let mut sim = SimBuilder::new(Topology::star(n, 1_000), 42).build(move |id| DataLog {
-            peer: MortarPeer::new(id, cfg, OpRegistry::new()),
-            got: Vec::new(),
-        });
-        let records = build_records(&spec.members, &trees);
-        let install = MortarMsg::Install {
-            spec: Arc::new(spec),
-            id: QueryId(1),
-            seq: 1,
-            records,
-            issue_age_us: 0,
-        };
-        sim.inject(0, 0, install, 256);
-        sim.run_for_secs(12.0);
+        let log = logged_run(n, cfg, vec![spec], &trees, 12.0);
         // Every link is equally long, so the leaf's messages of one tick
         // land together and ticks land 200 ms apart: cluster by gaps.
-        let mut from_leaf: Vec<_> = (1..=width as NodeId)
-            .flat_map(|hub| sim.app(hub).got.iter().filter(|g| g.1 == leaf as NodeId))
-            .filter(|g| g.0 >= 4_000_000)
-            .collect();
-        from_leaf.sort_by_key(|g| g.0);
+        let from_leaf = log.iter().filter(|g| g.1 == leaf as NodeId && g.0 >= 4_000_000);
         let mut ticks: Vec<(usize, Vec<(u8, i64)>)> = Vec::new();
         let mut last = 0;
-        for (at, _, tuples) in from_leaf {
+        for (at, _, _, frames) in from_leaf {
             if ticks.is_empty() || at - last > cfg.tick_us / 2 {
                 ticks.push((0, Vec::new()));
             }
             last = *at;
             let tick = ticks.last_mut().expect("pushed");
             tick.0 += 1;
-            tick.1.extend_from_slice(tuples);
+            tick.1.extend(frames.iter().flat_map(|f| f.tuples.iter().map(|t| (f.tree, t.tb))));
         }
         assert!(ticks.len() >= 30, "only {} ticks of data from the leaf", ticks.len());
+        ticks
+    }
+
+    /// Asserts each tick's data left the leaf in one message on one tree,
+    /// and that the leaf visited every one of the four trees in any four
+    /// ticks in a row.
+    fn assert_one_tree_per_tick(ticks: &[(usize, Vec<(u8, i64)>)]) {
         let mut trees_seen = Vec::new();
         for (i, (msgs, tuples)) in ticks.iter().enumerate() {
             assert_eq!(*msgs, 1, "tick {i}: the leaf sent {msgs} data messages");
-            assert_eq!(tuples.len(), 8, "tick {i}: {} windows, expected 8", tuples.len());
             let tree = tuples[0].0;
             assert!(tuples.iter().all(|t| t.0 == tree), "tick {i} split over trees: {tuples:?}");
             trees_seen.push(tree);
         }
-        for run in trees_seen.windows(width) {
+        for run in trees_seen.windows(4) {
             let mut run = run.to_vec();
             run.sort_unstable();
             assert_eq!(run, [0, 1, 2, 3], "four ticks in a row missed a tree: {trees_seen:?}");
         }
+    }
+
+    #[test]
+    fn a_tick_s_windows_ride_one_stripe_tree() {
+        // A 25 ms slide on the 200 ms tick closes eight windows a tick:
+        // all eight must ride one tree, in one message, and the leaf must
+        // visit every tree over four ticks.
+        let spec = QuerySpec {
+            window: WindowSpec::time_tumbling_us(25_000),
+            sensor: SensorSpec::Periodic { period_us: 25_000, value: 1.0 },
+            ..count_spec(6)
+        };
+        let ticks = leaf_ticks(spec);
+        for (i, (_, tuples)) in ticks.iter().enumerate() {
+            assert_eq!(tuples.len(), 8, "tick {i}: {} windows, expected 8", tuples.len());
+        }
+        assert_one_tree_per_tick(&ticks);
+    }
+
+    #[test]
+    fn a_tick_s_tuple_windows_ride_one_stripe_tree() {
+        // A one-tuple window fed every 50 ms emits four windows a tick.
+        // Like a tick's time windows they ride one tree, and the stripe
+        // advances once per tick: advancing it per window would move it
+        // four trees a tick, which on four trees parks the leaf on one.
+        let spec = QuerySpec {
+            window: WindowSpec::tuples(1, 1),
+            sensor: SensorSpec::Periodic { period_us: 50_000, value: 1.0 },
+            ..count_spec(6)
+        };
+        assert_one_tree_per_tick(&leaf_ticks(spec));
     }
 
     #[test]
@@ -1600,7 +1636,7 @@ mod tests {
     #[test]
     fn outbox_is_empty_after_every_tick() {
         // Two queries on one tree set share next hops, so their frames
-        // coalesce into envelopes. Every frame is enqueued and flushed
+        // coalesce into envelopes. Every tuple is binned and flushed
         // inside one tick, so between any two events every peer's outbox
         // is empty — which is why a peer always sends `hold_age_us = 0`.
         let n = 8;
@@ -1630,8 +1666,10 @@ mod tests {
             sim.run_for_secs(0.01);
             for id in 0..n as NodeId {
                 let peer = sim.app(id);
-                assert_eq!(peer.outbox_bytes, 0, "peer {id} kept outbox bytes past a tick");
-                assert!(peer.outbox.is_empty(), "peer {id} kept frames in its outbox past a tick");
+                assert!(
+                    peer.scratch.outbox.is_empty(),
+                    "peer {id} kept frames in its outbox past a tick"
+                );
             }
         }
         let envelopes: u64 = (0..n as NodeId).map(|i| sim.app(i).stats.envelopes_out).sum();
@@ -1642,5 +1680,68 @@ mod tests {
                 "query {name} produced no results"
             );
         }
+    }
+
+    #[test]
+    fn the_flush_cuts_frames_and_messages_at_the_knobs() {
+        // Three fast queries on a chain and a star: peer m ≥ 2 owes next
+        // hops m - 1 and 0, and forwards several (query, tree) streams a
+        // tick. A batch cap of 2 and a budget of three value tuples make
+        // the flush seal frames and split a next hop's traffic.
+        let n = 8;
+        let mut value = SummaryTuple::boundary(0, 1, RouteState::from_levels(&[0, 0]));
+        value.state = AggState::Sum(0.0);
+        let (batch, budget) = (2, 3 * value.wire_bytes());
+        let cfg = PeerConfig {
+            summary_batch_max: batch,
+            envelope_budget: budget,
+            ..PeerConfig::default()
+        };
+        let specs = [25_000, 50_000, 100_000]
+            .into_iter()
+            .enumerate()
+            .map(|(i, slide)| QuerySpec {
+                name: format!("q{i}"),
+                window: WindowSpec::time_tumbling_us(slide),
+                sensor: SensorSpec::Periodic { period_us: slide, value: 1.0 },
+                ..count_spec(n)
+            })
+            .collect();
+        // One tick of one sender: its messages, in send order.
+        let mut ticks: BTreeMap<(NodeId, u64), Vec<Wire>> = BTreeMap::new();
+        for wire in logged_run(n, cfg, specs, &chain_trees(n), 10.0) {
+            ticks.entry((wire.1, wire.0)).or_default().push(wire);
+        }
+        let (mut sealed, mut split) = (0, 0);
+        for ((from, at), msgs) in &ticks {
+            let hops: Vec<NodeId> = msgs.iter().map(|m| m.2).collect();
+            assert!(
+                hops.is_sorted(),
+                "peer {from} at {at} µs sent out of next-hop order: {hops:?}"
+            );
+            for (i, (_, _, to, frames)) in msgs.iter().enumerate() {
+                let sizes: Vec<(usize, u32)> =
+                    frames.iter().map(|f| (f.tuples.len(), f.payload_bytes())).collect();
+                assert!(
+                    sizes.iter().all(|f| f.0 <= batch),
+                    "peer {from} overfilled a frame: {sizes:?}"
+                );
+                sealed += sizes.iter().filter(|f| f.0 == batch).count();
+                let payload: u32 = sizes.iter().map(|f| f.1).sum();
+                let last = sizes.last().map_or(0, |f| f.1);
+                assert!(
+                    payload - last < budget,
+                    "peer {from} grew a message to {to} past the budget: {sizes:?}"
+                );
+                if hops.get(i + 1) == Some(to) {
+                    assert!(
+                        payload >= budget,
+                        "peer {from} closed a message to {to} below the budget: {sizes:?}"
+                    );
+                    split += 1;
+                }
+            }
+        }
+        assert!(sealed > 0 && split > 0, "nothing was cut: {sealed} full frames, {split} splits");
     }
 }

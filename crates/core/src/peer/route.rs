@@ -1,34 +1,35 @@
 //! Route stage: TS-list eviction, staged multipath routing, and
 //! summary-frame transmission/reception (Sections 3.3–5).
 //!
-//! Transmission is layered:
+//! Transmission is one stage, the tick's [`Outbox`]:
 //!
-//! 1. **Per-query framing** — every tuple evicted in one timer tick that
-//!    routes to the same (query, tree, next hop) coalesces into a single
-//!    [`SummaryFrame`] of at most [`super::PeerConfig::summary_batch_max`]
-//!    tuples. With a batch cap of 1 the frame sequence is exactly the
-//!    unbatched one-tuple-per-message protocol.
-//! 2. **Cross-query envelopes** — finished frames do not leave
-//!    individually: they accumulate in a per-destination outbox and every
-//!    frame owed to one next hop within the tick — across queries and
-//!    trees — departs as a single [`MortarMsg::Envelope`]. An envelope
-//!    flushes early when its payload reaches
-//!    [`super::PeerConfig::envelope_budget`] (so at budget 0 every frame
-//!    flushes alone, as a plain [`MortarMsg::SummaryBatch`]); everything
-//!    else flushes at the end of the tick, so nothing waits in the outbox
-//!    across ticks and a frame's `hold_age_us` is always 0.
+//! * **Push** — every tuple a query's eviction pass routes lands in the
+//!   bin of its (next hop, query, tree) stream. A bin that reaches
+//!   [`super::PeerConfig::summary_batch_max`] tuples is sealed as a
+//!   finished frame, which sorts before the stream's open bin. With a
+//!   batch cap of 1 every tuple is a frame of its own: the unbatched
+//!   one-tuple-per-message protocol.
+//! * **Flush** — once, at the end of the tick, after the last query pass,
+//!   the bins drain in key order and each next hop's frames, across
+//!   queries and trees, are cut into wire messages. A message closes as
+//!   soon as its payload reaches [`super::PeerConfig::envelope_budget`]
+//!   (so at budget 0 every frame is a message of its own). A message of
+//!   one frame ships as a plain [`MortarMsg::SummaryBatch`], one of
+//!   several as a [`MortarMsg::Envelope`].
 //!
-//! Every window a peer closes in one tick rides the same stripe tree
-//! (`close_windows` advances the stripe once per tick), so a query's own
-//! summaries owe one next hop per tick; a tick's frames span trees only
-//! where a peer forwards what its children striped onto other trees, or
-//! hosts several queries.
+//! Nothing is sent mid-pass and nothing waits across ticks: a tick's
+//! summary messages leave together, in ascending next-hop order.
 //!
-//! Envelope payloads freeze into `Arc<[SummaryTuple]>` at flush: the
+//! Every window a peer closes in one tick rides the same stripe tree, so
+//! a query's own summaries owe one next hop per tick; a tick's frames span
+//! trees only where a peer forwards what its children striped onto other
+//! trees, or hosts several queries.
+//!
+//! Frame payloads freeze into `Arc<[SummaryTuple]>` at the flush: the
 //! transport's duplication/fan-out clone of a frame is a pointer bump,
 //! never a tuple-vector copy.
 
-use super::{MortarPeer, TickScratch, HOP_AGE_EST_US, MIN_TIMEOUT_US};
+use super::{MortarPeer, PeerStats, TickScratch, HOP_AGE_EST_US, MIN_TIMEOUT_US};
 use crate::metrics::ResultRecord;
 use crate::msg::{MortarMsg, SummaryFrame};
 use crate::query::QueryId;
@@ -46,168 +47,147 @@ const DATA_HASH_EVERY: u64 = 8;
 /// multi-thousand-second clock offsets from poisoning state forever).
 const MAX_AGE_US: i64 = 90_000_000;
 
-/// An under-construction outgoing frame for one (destination, tree).
-///
-/// Lives in the tick scratch's frame bins only while it holds tuples:
-/// emitting the frame closes its bin.
+/// An outbox bin's key: (next hop, query, tree, seal). A stream's open
+/// bin sits under [`OPEN`]; each frame sealed full sorts before it under
+/// the tick's seal ordinal.
+type FrameKey = (NodeId, QueryId, u8, u32);
+
+/// The seal slot of a stream's open bin.
+const OPEN: u32 = u32::MAX;
+
+/// One frame in the outbox: its tuples, in eviction order.
 #[derive(Default)]
-pub(crate) struct PendingFrame {
+struct PendingFrame {
     tuples: Vec<SummaryTuple>,
     store_hash: Option<u64>,
     payload_bytes: u32,
 }
 
-/// A finished wire frame waiting in the outbox for its next hop.
-pub(crate) struct ParkedFrame {
-    dest: NodeId,
-    payload_bytes: u32,
-    frame: SummaryFrame,
+/// The tick's summary outbox: every frame the tick's eviction passes owe,
+/// binned by [`FrameKey`] until the end-of-tick [`Outbox::flush`]. Empty
+/// between ticks; its buffers live across them, so a steady-state tick
+/// bins and cuts without re-allocating them.
+#[derive(Default)]
+pub(crate) struct Outbox {
+    bins: HopBins<FrameKey, PendingFrame>,
+    /// Frames sealed full this tick: the next sealed frame's ordinal.
+    seals: u32,
+    /// The frames of the message being cut at the flush, all owed to one
+    /// next hop, with their (query, tree).
+    cut: Vec<(QueryId, u8, PendingFrame)>,
 }
 
-/// Sends the run of parked frames `outbox[at..at + n]`, all owed to
-/// `dest`, as one wire message, and returns the payload bytes that left.
-/// A lone frame skips the envelope wrapper entirely: it ships as a plain
-/// `SummaryBatch`, so single-stream peers (and every frame at
-/// `envelope_budget = 0`) never pay the envelope header and allocate
-/// nothing here; a run of several allocates exactly its frame list.
-// lint:hot-path
-fn flush_run(
-    outbox: &mut Vec<ParkedFrame>,
-    at: usize,
-    n: usize,
-    stats: &mut super::PeerStats,
-    ctx: &mut Ctx<'_, MortarMsg>,
-    dest: NodeId,
-) -> u64 {
-    let payload: u64 = outbox[at..at + n].iter().map(|p| u64::from(p.payload_bytes)).sum();
-    let msg = if n == 1 {
-        MortarMsg::SummaryBatch(outbox.remove(at).frame)
-    } else {
-        stats.envelopes_out += 1;
-        // lint:allow(H1, an envelope owns its frame list: one exactly sized allocation per multi-frame envelope, the wire message itself)
-        MortarMsg::Envelope { frames: outbox.drain(at..at + n).map(|p| p.frame).collect() }
-    };
-    let bytes = msg.wire_bytes();
-    ctx.send_classified(dest, msg, bytes, TrafficClass::Data);
-    payload
-}
-
-/// Outgoing frames for one query's eviction pass, keyed (deterministically)
-/// by destination then tree. Borrows the tick scratch's frame bins: a bin
-/// opens at its first tuple and closes when its frame is emitted, so a
-/// pass walks only the bins it opened and leaves none behind.
-struct FrameBuilder<'a> {
-    id: QueryId,
-    frames: &'a mut HopBins<(NodeId, u8), PendingFrame>,
-    batch_max: usize,
-}
-
-impl<'a> FrameBuilder<'a> {
-    fn new(
-        id: QueryId,
-        frames: &'a mut HopBins<(NodeId, u8), PendingFrame>,
-        batch_max: usize,
-    ) -> Self {
-        debug_assert!(frames.is_empty(), "a prior pass left frames in the scratch bins");
-        Self { id, frames, batch_max }
-    }
-
-    /// Adds a routed tuple; emits the destination's frame when full.
+impl Outbox {
+    /// Adds a routed tuple to its stream's open bin, sealing the bin as a
+    /// finished frame once it holds `batch_max` tuples. `store_hash` is
+    /// the hash this tuple drew, if any: a frame carries one iff one of
+    /// its own tuples drew it.
     // lint:hot-path
     fn push(
         &mut self,
-        peer: &mut MortarPeer,
-        ctx: &mut Ctx<'_, MortarMsg>,
-        dest: NodeId,
-        tree: u8,
+        (dest, id, tree): (NodeId, QueryId, u8),
         tuple: SummaryTuple,
         store_hash: Option<u64>,
+        batch_max: usize,
     ) {
-        let entry = self.frames.bin_mut((dest, tree));
-        entry.payload_bytes += tuple.wire_bytes();
-        entry.tuples.push(tuple);
-        entry.store_hash = entry.store_hash.or(store_hash);
-        if entry.tuples.len() >= self.batch_max {
-            let frame = self.frames.take((dest, tree)).expect("bin opened above");
-            Self::emit(peer, ctx, self.id, dest, tree, frame);
+        let bin = self.bins.bin_mut((dest, id, tree, OPEN));
+        bin.payload_bytes += tuple.wire_bytes();
+        bin.tuples.push(tuple);
+        bin.store_hash = bin.store_hash.or(store_hash);
+        if bin.tuples.len() >= batch_max {
+            let full = std::mem::take(bin);
+            *self.bins.bin_mut((dest, id, tree, self.seals)) = full;
+            self.seals += 1;
         }
     }
 
-    /// Emits all remaining frames in deterministic key order, closing
-    /// every bin.
+    /// Sends everything the tick owes: drains the bins in key order and
+    /// cuts each next hop's frames into wire messages, closing a message
+    /// as soon as its payload reaches `budget`. Counts each frame as it
+    /// finishes, and records the tick's pending payload as the outbox
+    /// high-water mark. Leaves the outbox empty.
     // lint:hot-path
-    fn finish(self, peer: &mut MortarPeer, ctx: &mut Ctx<'_, MortarMsg>) {
-        for ((dest, tree), frame) in self.frames.drain() {
-            Self::emit(peer, ctx, self.id, dest, tree, frame);
-        }
-    }
-
-    /// Hands one finished logical frame to the outbox (at
-    /// `envelope_budget = 0` every frame overflows the budget and leaves
-    /// at once as a plain `SummaryBatch`). The tuple vector moves into the
-    /// wire frame's shared payload.
-    // lint:hot-path
-    fn emit(
-        peer: &mut MortarPeer,
+    pub(crate) fn flush(
+        &mut self,
+        budget: u32,
+        stats: &mut PeerStats,
         ctx: &mut Ctx<'_, MortarMsg>,
-        id: QueryId,
-        dest: NodeId,
-        tree: u8,
-        frame: PendingFrame,
     ) {
-        let PendingFrame { tuples, store_hash, payload_bytes } = frame;
-        peer.stats.frames_out += 1;
-        peer.stats.summaries_out += tuples.len() as u64;
-        peer.stats.summary_payload_bytes_out += payload_bytes as u64;
-        let wire =
-            SummaryFrame { query: id, tree, hold_age_us: 0, tuples: tuples.into(), store_hash };
-        peer.enqueue_frame(ctx, dest, wire, payload_bytes);
+        let mut pending = 0u64;
+        // The next hop of the message being cut, and its payload so far.
+        let mut to = None;
+        let mut cut_bytes = 0u64;
+        for ((dest, query, tree, _), frame) in self.bins.drain() {
+            if frame.tuples.is_empty() {
+                // An open bin emptied by its seal.
+                continue;
+            }
+            if to != Some(dest) {
+                if let Some(prev) = to {
+                    ship(&mut self.cut, prev, stats, ctx);
+                }
+                (to, cut_bytes) = (Some(dest), 0);
+            }
+            let bytes = u64::from(frame.payload_bytes);
+            stats.frames_out += 1;
+            stats.summaries_out += frame.tuples.len() as u64;
+            stats.summary_payload_bytes_out += bytes;
+            pending += bytes;
+            cut_bytes += bytes;
+            self.cut.push((query, tree, frame));
+            if cut_bytes >= u64::from(budget) {
+                ship(&mut self.cut, dest, stats, ctx);
+                cut_bytes = 0;
+            }
+        }
+        if let Some(prev) = to {
+            ship(&mut self.cut, prev, stats, ctx);
+        }
+        self.seals = 0;
+        stats.outbox_peak_bytes = stats.outbox_peak_bytes.max(pending);
     }
 }
 
+/// Sends the frames cut so far, all owed to `dest`, as one wire message.
+/// A lone frame skips the envelope wrapper: it ships as a plain
+/// `SummaryBatch`, so a single-stream tick (and every frame at
+/// `envelope_budget = 0`) never pays the envelope header and allocates
+/// nothing here beyond its payload; several allocate exactly their frame
+/// list.
+// lint:hot-path
+fn ship(
+    frames: &mut Vec<(QueryId, u8, PendingFrame)>,
+    dest: NodeId,
+    stats: &mut PeerStats,
+    ctx: &mut Ctx<'_, MortarMsg>,
+) {
+    let msg = if frames.len() > 1 {
+        stats.envelopes_out += 1;
+        // lint:allow(H1, an envelope owns its frame list: one exactly sized allocation per multi-frame envelope, the wire message itself)
+        MortarMsg::Envelope { frames: frames.drain(..).map(wire).collect() }
+    } else if let Some(frame) = frames.pop() {
+        MortarMsg::SummaryBatch(wire(frame))
+    } else {
+        return;
+    };
+    let bytes = msg.wire_bytes();
+    ctx.send_classified(dest, msg, bytes, TrafficClass::Data);
+}
+
+/// A finished frame as it travels: its tuples freeze into the shared
+/// payload.
+// lint:hot-path
+fn wire((query, tree, frame): (QueryId, u8, PendingFrame)) -> SummaryFrame {
+    let PendingFrame { tuples, store_hash, .. } = frame;
+    SummaryFrame { query, tree, hold_age_us: 0, tuples: tuples.into(), store_hash }
+}
+
 impl MortarPeer {
-    /// Parks a finished wire frame behind every frame already owed to
-    /// `dest`, flushing that destination's run early once its payload
-    /// reaches the budget.
-    // lint:hot-path
-    fn enqueue_frame(
-        &mut self,
-        ctx: &mut Ctx<'_, MortarMsg>,
-        dest: NodeId,
-        frame: SummaryFrame,
-        payload_bytes: u32,
-    ) {
-        let end = self.outbox.partition_point(|p| p.dest <= dest);
-        self.outbox.insert(end, ParkedFrame { dest, payload_bytes, frame });
-        self.outbox_bytes += u64::from(payload_bytes);
-        self.stats.outbox_peak_bytes = self.stats.outbox_peak_bytes.max(self.outbox_bytes);
-        let start = self.outbox[..end].partition_point(|p| p.dest < dest);
-        let run = &self.outbox[start..=end];
-        let run_bytes: u32 = run.iter().map(|p| p.payload_bytes).sum();
-        if run_bytes >= self.cfg.envelope_budget {
-            let n = run.len();
-            self.outbox_bytes -= flush_run(&mut self.outbox, start, n, &mut self.stats, ctx, dest);
-        }
-    }
-
-    /// Flushes every pending envelope, one per destination in ascending
-    /// order — the end-of-tick half of coalescing, which leaves the outbox
-    /// empty. The outbox keeps its buffer, so the steady-state tick parks
-    /// frames without re-allocating it.
-    // lint:hot-path
-    pub(crate) fn flush_envelopes(&mut self, ctx: &mut Ctx<'_, MortarMsg>) {
-        while let Some(first) = self.outbox.first() {
-            let dest = first.dest;
-            let n = self.outbox.partition_point(|p| p.dest <= dest);
-            self.outbox_bytes -= flush_run(&mut self.outbox, 0, n, &mut self.stats, ctx, dest);
-        }
-    }
-
     /// Pops every TS-list entry due this tick and routes it: root entries
-    /// finalize into results, others continue up the tree set. The tick
-    /// scratch supplies the per-tick liveness bitmap and the frame bins;
-    /// the pass allocates nothing per query beyond the due vector and the
-    /// wire frames themselves.
+    /// finalize into results, others go into the tick's outbox, bound up
+    /// the tree set. The tick scratch supplies the per-tick liveness
+    /// bitmap and the outbox; the pass sends nothing and allocates nothing
+    /// per query beyond the due vector and the frames' tuple vectors.
     // lint:hot-path
     pub(crate) fn evict_and_route(
         &mut self,
@@ -244,7 +224,7 @@ impl MortarPeer {
             *slot = rec.links[x].parent.is_some_and(|p| live.get(p));
         }
         let parent_live = &parent_buf[..width];
-        let mut frames = FrameBuilder::new(id, &mut scratch.frame_bins, self.cfg.summary_batch_max);
+        let batch_max = self.cfg.summary_batch_max;
         for entry in due {
             self.stats.evictions += 1;
             let mut summary = entry.into_summary(local_now);
@@ -283,9 +263,8 @@ impl MortarPeer {
             q.tuples_out += 1;
             let need_hash = q.tuples_out.is_multiple_of(DATA_HASH_EVERY);
             let hash = if need_hash { Some(self.my_store_hash()) } else { None };
-            frames.push(self, ctx, dest, tree as u8, summary, hash);
+            scratch.outbox.push((dest, id, tree as u8), summary, hash, batch_max);
         }
-        frames.finish(self, ctx);
         if let Some(q) = self.queries.get_mut(&id) {
             q.record = Some(rec);
         }
@@ -377,8 +356,6 @@ impl MortarPeer {
         if !installed {
             return;
         }
-        // The frame's outbox hold is charged to every tuple's age below.
-        // A peer flushes its outbox every tick, so the hold it sends is 0.
         let mut tuples = frame.tuples;
         match Arc::get_mut(&mut tuples) {
             Some(slice) => {
@@ -388,11 +365,10 @@ impl MortarPeer {
                 // re-cloned per hop. The placeholder left behind is a
                 // flat boundary value.
                 for t in slice.iter_mut() {
-                    let mut tuple = std::mem::replace(
+                    let tuple = std::mem::replace(
                         t,
                         SummaryTuple::boundary(0, 0, RouteState::from_levels(&[])),
                     );
-                    tuple.age_us += frame.hold_age_us;
                     self.merge_summary(id, tuple, frame.tree, local_now);
                 }
             }
@@ -401,9 +377,7 @@ impl MortarPeer {
                 // clone — alloc-free for the scalar states production
                 // mode ships (see `alloc_hotpath.rs`).
                 for t in tuples.iter() {
-                    let mut tuple = t.clone();
-                    tuple.age_us += frame.hold_age_us;
-                    self.merge_summary(id, tuple, frame.tree, local_now);
+                    self.merge_summary(id, t.clone(), frame.tree, local_now);
                 }
             }
         }
@@ -463,5 +437,13 @@ impl MortarPeer {
         let timeout = q.netdist[t].timeout_us(tuple.age_us, MIN_TIMEOUT_US);
         q.ts.insert(&tuple, local_now, timeout);
         self.stats.ts_peak_entries = self.stats.ts_peak_entries.max(q.ts.len() as u64);
+    }
+}
+
+#[cfg(test)]
+impl Outbox {
+    /// Whether no frame is pending.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.bins.is_empty()
     }
 }

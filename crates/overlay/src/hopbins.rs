@@ -19,11 +19,15 @@
 #[derive(Debug)]
 pub struct HopBins<K: Ord + Copy, B> {
     bins: Vec<(K, B)>,
+    /// Index of the bin [`HopBins::bin_mut`] last returned. A run of
+    /// touches to one stream checks it first and skips the search; the
+    /// key check keeps it correct after any insert, take or drain.
+    last: usize,
 }
 
 impl<K: Ord + Copy, B> Default for HopBins<K, B> {
     fn default() -> Self {
-        Self { bins: Vec::new() }
+        Self { bins: Vec::new(), last: 0 }
     }
 }
 
@@ -52,14 +56,16 @@ impl<K: Ord + Copy, B> HopBins<K, B> {
     where
         B: Default,
     {
-        let i = match self.find(key) {
-            Ok(i) => i,
-            Err(i) => {
-                self.bins.insert(i, (key, B::default()));
-                i
-            }
-        };
-        &mut self.bins[i].1
+        if self.bins.get(self.last).is_none_or(|(k, _)| *k != key) {
+            self.last = match self.find(key) {
+                Ok(i) => i,
+                Err(i) => {
+                    self.bins.insert(i, (key, B::default()));
+                    i
+                }
+            };
+        }
+        &mut self.bins[self.last].1
     }
 
     /// Closes and returns the bin for `key`, if open.
@@ -89,6 +95,24 @@ mod tests {
         let drained: Vec<_> = bins.drain().collect();
         assert_eq!(drained, vec![(2, vec![2]), (9, vec![1, 3])]);
         assert!(bins.is_empty());
+    }
+
+    #[test]
+    fn a_touch_after_inserts_and_takes_finds_its_own_bin() {
+        // Each touch below moves the bin it last returned, or closes it:
+        // the next touch must still land in its own key's bin.
+        let mut bins: HopBins<u32, Vec<u8>> = HopBins::new();
+        bins.bin_mut(5).push(1);
+        bins.bin_mut(3).push(2); // inserted before 5
+        bins.bin_mut(5).push(3);
+        assert_eq!(bins.take(5), Some(vec![1, 3]));
+        bins.bin_mut(3).push(4);
+        bins.bin_mut(1).push(5);
+        bins.bin_mut(3).push(6);
+        let drained: Vec<_> = bins.drain().collect();
+        assert_eq!(drained, vec![(1, vec![5]), (3, vec![2, 4, 6])]);
+        bins.bin_mut(3).push(7);
+        assert_eq!(bins.drain().collect::<Vec<_>>(), vec![(3, vec![7])]);
     }
 
     #[test]
